@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "baselines/ckpt_util.h"
 #include "baselines/recon_loss.h"
 #include "ckpt/checkpoint.h"
 #include "core/parallel.h"
@@ -121,8 +120,8 @@ Status MedGanSynthesizer::Fit(const data::Table& train,
       if (c.phase == 0) {
         // Mid-pretraining: restore the autoencoder and its optimizer.
         if (c.total_iters != opts_.ae_epochs || c.iter > c.total_iters ||
-            !ShapesMatch(ae_params, c.params) ||
-            !ShapesMatch(ae_params, c.healthy_params) ||
+            !synth::ShapesMatch(ae_params, c.params) ||
+            !synth::ShapesMatch(ae_params, c.healthy_params) ||
             c.optimizer_state.size() != 1)
           return Status::InvalidArgument(
               "medgan pretrain checkpoint does not match this network");
@@ -137,8 +136,8 @@ Status MedGanSynthesizer::Fit(const data::Table& train,
         // Mid-adversarial-phase: pretraining is finished; its result
         // lives inside the decoder part of g_params.
         if (c.total_iters != opts_.gan_iterations || c.iter > c.total_iters ||
-            !ShapesMatch(gan_params, c.params) ||
-            !ShapesMatch(g_params, c.healthy_params) ||
+            !synth::ShapesMatch(gan_params, c.params) ||
+            !synth::ShapesMatch(g_params, c.healthy_params) ||
             c.optimizer_state.size() != 2)
           return Status::InvalidArgument(
               "medgan adversarial checkpoint does not match this network");
@@ -205,18 +204,14 @@ Status MedGanSynthesizer::Fit(const data::Table& train,
         // Durable fallback: if even the in-memory baseline is poisoned,
         // prefer the newest on-disk pretrain checkpoint with a finite
         // one.
-        if (store != nullptr && !AllFinite(ae_last_healthy)) {
-          const std::vector<std::string> files = store->ListFiles();
-          for (auto it = files.rbegin(); it != files.rend(); ++it) {
-            auto fallback = ckpt::LoadCheckpoint(*it);
-            if (!fallback.ok()) continue;
-            const ckpt::TrainCheckpoint& fc = fallback.value();
-            if (fc.phase != 0 || !ShapesMatch(ae_params, fc.healthy_params) ||
-                !AllFinite(fc.healthy_params))
-              continue;
-            ae_last_healthy = fc.healthy_params;
-            break;
-          }
+        if (store != nullptr && !synth::AllFinite(ae_last_healthy)) {
+          auto fc =
+              store->LoadLatestWhere([&](const ckpt::TrainCheckpoint& c) {
+                return c.phase == 0 &&
+                       synth::ShapesMatch(ae_params, c.healthy_params) &&
+                       synth::AllFinite(c.healthy_params);
+              });
+          if (fc.ok()) ae_last_healthy = fc.value().healthy_params;
         }
         synth::SetState(ae_params, ae_last_healthy);
         return health;
@@ -351,18 +346,13 @@ Status MedGanSynthesizer::Fit(const data::Table& train,
       // Durable fallback: if even the in-memory baseline is poisoned,
       // prefer the newest on-disk adversarial checkpoint with a finite
       // one.
-      if (store != nullptr && !AllFinite(last_healthy)) {
-        const std::vector<std::string> files = store->ListFiles();
-        for (auto it = files.rbegin(); it != files.rend(); ++it) {
-          auto fallback = ckpt::LoadCheckpoint(*it);
-          if (!fallback.ok()) continue;
-          const ckpt::TrainCheckpoint& fc = fallback.value();
-          if (fc.phase != 1 || !ShapesMatch(g_params, fc.healthy_params) ||
-              !AllFinite(fc.healthy_params))
-            continue;
-          last_healthy = fc.healthy_params;
-          break;
-        }
+      if (store != nullptr && !synth::AllFinite(last_healthy)) {
+        auto fc = store->LoadLatestWhere([&](const ckpt::TrainCheckpoint& c) {
+          return c.phase == 1 &&
+                 synth::ShapesMatch(g_params, c.healthy_params) &&
+                 synth::AllFinite(c.healthy_params);
+        });
+        if (fc.ok()) last_healthy = fc.value().healthy_params;
       }
       synth::SetState(g_params, last_healthy);
       return health;

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <memory>
 
-#include "baselines/ckpt_util.h"
 #include "ckpt/checkpoint.h"
 #include "core/parallel.h"
 #include "nn/loss.h"
@@ -158,10 +157,10 @@ Status PateGanSynthesizer::Fit(const data::Table& train,
         return Status::InvalidArgument(
             "pategan checkpoint does not match the configured run "
             "(iterations/seed/iteration counter)");
-      if (!ShapesMatch(all_params, c.params) ||
-          !BufferShapesMatch(all_buffers, c.buffers) ||
-          !ShapesMatch(generator_->Params(), c.healthy_params) ||
-          !BufferShapesMatch(generator_->Buffers(), c.healthy_buffers))
+      if (!synth::ShapesMatch(all_params, c.params) ||
+          !synth::BufferShapesMatch(all_buffers, c.buffers) ||
+          !synth::ShapesMatch(generator_->Params(), c.healthy_params) ||
+          !synth::BufferShapesMatch(generator_->Buffers(), c.healthy_buffers))
         return Status::InvalidArgument(
             "pategan checkpoint shapes do not match these networks");
       if (c.optimizer_state.size() != 2 + opts_.num_teachers ||
@@ -313,22 +312,18 @@ Status PateGanSynthesizer::Fit(const data::Table& train,
       }
       // Durable fallback: if even the in-memory baseline is poisoned,
       // prefer the newest on-disk checkpoint with a finite one.
-      if (store != nullptr && (!AllFinite(last_healthy) ||
-                               !AllFinite(last_healthy_buffers))) {
-        const std::vector<std::string> files = store->ListFiles();
-        for (auto it = files.rbegin(); it != files.rend(); ++it) {
-          auto fallback = ckpt::LoadCheckpoint(*it);
-          if (!fallback.ok()) continue;
-          const ckpt::TrainCheckpoint& fc = fallback.value();
-          if (!ShapesMatch(generator_->Params(), fc.healthy_params) ||
-              !BufferShapesMatch(generator_->Buffers(),
-                                 fc.healthy_buffers) ||
-              !AllFinite(fc.healthy_params) ||
-              !AllFinite(fc.healthy_buffers))
-            continue;
-          last_healthy = fc.healthy_params;
-          last_healthy_buffers = fc.healthy_buffers;
-          break;
+      if (store != nullptr && (!synth::AllFinite(last_healthy) ||
+                               !synth::AllFinite(last_healthy_buffers))) {
+        auto fc = store->LoadLatestWhere([&](const ckpt::TrainCheckpoint& c) {
+          return synth::ShapesMatch(generator_->Params(), c.healthy_params) &&
+                 synth::BufferShapesMatch(generator_->Buffers(),
+                                          c.healthy_buffers) &&
+                 synth::AllFinite(c.healthy_params) &&
+                 synth::AllFinite(c.healthy_buffers);
+        });
+        if (fc.ok()) {
+          last_healthy = fc.value().healthy_params;
+          last_healthy_buffers = fc.value().healthy_buffers;
         }
       }
       synth::SetState(generator_->Params(), last_healthy);

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <memory>
 
-#include "baselines/ckpt_util.h"
 #include "baselines/recon_loss.h"
 #include "ckpt/checkpoint.h"
 #include "core/parallel.h"
@@ -91,8 +90,8 @@ Status VaeSynthesizer::Fit(const data::Table& train,
         return Status::InvalidArgument(
             "vae checkpoint does not match the configured run "
             "(epochs/seed/iteration counter)");
-      if (!ShapesMatch(params_, c.params) ||
-          !ShapesMatch(params_, c.healthy_params) || !c.buffers.empty())
+      if (!synth::ShapesMatch(params_, c.params) ||
+          !synth::ShapesMatch(params_, c.healthy_params) || !c.buffers.empty())
         return Status::InvalidArgument(
             "vae checkpoint parameter shapes do not match this network");
       if (c.optimizer_state.size() != 1 || c.extra.size() != 1)
@@ -137,18 +136,12 @@ Status VaeSynthesizer::Fit(const data::Table& train,
       if (sink != nullptr) sink->Log(rec);
       // Durable fallback: if even the in-memory baseline is poisoned,
       // prefer the newest on-disk checkpoint with a finite one.
-      if (store != nullptr && !AllFinite(last_healthy)) {
-        const std::vector<std::string> files = store->ListFiles();
-        for (auto it = files.rbegin(); it != files.rend(); ++it) {
-          auto fallback = ckpt::LoadCheckpoint(*it);
-          if (!fallback.ok()) continue;
-          const ckpt::TrainCheckpoint& fc = fallback.value();
-          if (!ShapesMatch(params_, fc.healthy_params) ||
-              !AllFinite(fc.healthy_params))
-            continue;
-          last_healthy = fc.healthy_params;
-          break;
-        }
+      if (store != nullptr && !synth::AllFinite(last_healthy)) {
+        auto fc = store->LoadLatestWhere([&](const ckpt::TrainCheckpoint& c) {
+          return synth::ShapesMatch(params_, c.healthy_params) &&
+                 synth::AllFinite(c.healthy_params);
+        });
+        if (fc.ok()) last_healthy = fc.value().healthy_params;
       }
       synth::SetState(params_, last_healthy);
       break;

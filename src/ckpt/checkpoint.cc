@@ -1,12 +1,11 @@
 #include "ckpt/checkpoint.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
 
+#include "core/durable.h"
 #include "core/serial.h"
 
 namespace daisy::ckpt {
@@ -14,10 +13,6 @@ namespace daisy::ckpt {
 namespace {
 
 constexpr char kFormatTag[] = "daisy-ckpt-v1";
-constexpr char kChecksumPrefix[] = "checksum ";
-constexpr size_t kChecksumPrefixLen = sizeof(kChecksumPrefix) - 1;
-// "checksum " + 16 hex digits + '\n'.
-constexpr size_t kTrailerLen = kChecksumPrefixLen + 16 + 1;
 constexpr char kCkptSuffix[] = ".daisyckpt";
 
 // Caps on container sizes read from disk, far above anything the
@@ -151,104 +146,35 @@ Result<TrainCheckpoint> ReadPayload(Deserializer* in) {
   return c;
 }
 
-bool ParseHex16(const char* s, uint64_t* out) {
-  uint64_t v = 0;
-  for (size_t i = 0; i < 16; ++i) {
-    const char h = s[i];
-    v <<= 4;
-    if (h >= '0' && h <= '9') v |= static_cast<uint64_t>(h - '0');
-    else if (h >= 'a' && h <= 'f') v |= static_cast<uint64_t>(h - 'a' + 10);
-    else return false;
-  }
-  *out = v;
-  return true;
-}
-
 }  // namespace
-
-uint64_t Fnv1a64(const char* data, size_t size) {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
 
 std::string SerializeCheckpoint(const TrainCheckpoint& ckpt) {
   std::ostringstream os;
   Serializer out(&os);
   WritePayload(&out, ckpt);
   std::string bytes = os.str();
-  char trailer[kTrailerLen + 1];
-  std::snprintf(trailer, sizeof(trailer), "%s%016llx\n", kChecksumPrefix,
-                static_cast<unsigned long long>(
-                    Fnv1a64(bytes.data(), bytes.size())));
-  bytes += trailer;
+  AppendChecksumTrailer(&bytes);
   return bytes;
 }
 
 Result<TrainCheckpoint> ParseCheckpoint(const std::string& bytes) {
-  if (bytes.size() < kTrailerLen)
-    return Status::InvalidArgument("checkpoint too short for a checksum");
-  const size_t payload_len = bytes.size() - kTrailerLen;
-  const char* trailer = bytes.data() + payload_len;
-  uint64_t want = 0;
-  if (bytes.compare(payload_len, kChecksumPrefixLen, kChecksumPrefix) != 0 ||
-      bytes.back() != '\n' ||
-      !ParseHex16(trailer + kChecksumPrefixLen, &want)) {
-    return Status::InvalidArgument(
-        "checkpoint missing its checksum trailer (truncated write?)");
-  }
-  const uint64_t got = Fnv1a64(bytes.data(), payload_len);
-  if (got != want)
-    return Status::InvalidArgument("checkpoint checksum mismatch (corrupt)");
-  std::istringstream is(bytes.substr(0, payload_len));
+  auto payload_len = VerifyChecksumTrailer(bytes, "checkpoint");
+  if (!payload_len.ok()) return payload_len.status();
+  std::istringstream is(bytes.substr(0, payload_len.value()));
   Deserializer in(&is);
   return ReadPayload(&in);
 }
 
 Status SaveCheckpoint(const TrainCheckpoint& ckpt, const std::string& path) {
-  const std::string bytes = SerializeCheckpoint(ckpt);
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr)
-    return Status::IOError("cannot create checkpoint temp file '" + tmp + "'");
-  const bool wrote =
-      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-  const bool flushed = std::fflush(f) == 0;
-  // fsync before rename: otherwise the rename can hit disk before the
-  // data does, and a power cut leaves a valid-looking empty file.
-  const bool synced = fsync(fileno(f)) == 0;
-  std::fclose(f);
-  if (!wrote || !flushed || !synced) {
-    std::remove(tmp.c_str());
-    return Status::IOError("failed writing checkpoint temp file '" + tmp +
-                           "'");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("failed renaming checkpoint into '" + path + "'");
-  }
-  return Status::OK();
+  return WriteFileAtomic(path, SerializeCheckpoint(ckpt));
 }
 
 Result<TrainCheckpoint> LoadCheckpoint(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr)
-    return Status::NotFound("no checkpoint at '" + path + "'");
-  std::string bytes;
-  char buf[1 << 16];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
-  const bool read_ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!read_ok)
-    return Status::IOError("failed reading checkpoint '" + path + "'");
-  auto parsed = ParseCheckpoint(bytes);
+  auto bytes = ReadFile(path);
+  if (!bytes.ok()) return bytes.status();
+  auto parsed = ParseCheckpoint(bytes.value());
   if (!parsed.ok())
-    return Status::InvalidArgument("checkpoint '" + path +
-                                   "': " + parsed.status().message());
+    return parsed.status().WithPrefix("checkpoint '" + path + "': ");
   return parsed.take();
 }
 
@@ -318,6 +244,16 @@ Result<TrainCheckpoint> CheckpointStore::LoadLatest(
     }
   }
   return first_error;
+}
+
+Result<TrainCheckpoint> CheckpointStore::LoadLatestWhere(
+    const std::function<bool(const TrainCheckpoint&)>& accept) const {
+  const std::vector<std::string> files = ListFiles();
+  for (auto it = files.rbegin(); it != files.rend(); ++it) {
+    auto loaded = LoadCheckpoint(*it);
+    if (loaded.ok() && accept(loaded.value())) return loaded.take();
+  }
+  return Status::NotFound("no acceptable checkpoint in '" + dir_ + "'");
 }
 
 }  // namespace daisy::ckpt

@@ -7,19 +7,20 @@
 // off.
 //
 // On-disk format: the core/serial tagged text stream, led by a version
-// tag, followed by one trailing line `checksum <16 hex digits>` holding
-// the FNV-1a 64 hash of every byte before that line. Writes go to a
-// temp file that is fsynced and then renamed over the target, so a
-// crash mid-write leaves either the old file or no file — never a
-// half-written one; and any corruption (bit flip, truncation) fails the
-// checksum before a single payload byte is parsed.
+// tag, followed by the core/durable checksum trailer, and written
+// through core/durable's AtomicFile — so a crash mid-write leaves
+// either the old file or the new one, never a half-written one; and
+// any corruption (bit flip, truncation) fails the checksum before a
+// single payload byte is parsed.
 #ifndef DAISY_CKPT_CHECKPOINT_H_
 #define DAISY_CKPT_CHECKPOINT_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "core/durable.h"  // Fnv1a64: the checksum trailer's hash
 #include "core/matrix.h"
 #include "core/status.h"
 
@@ -58,9 +59,6 @@ struct TrainCheckpoint {
   std::vector<double> extra;  // trainer-specific scalars (e.g. epsilon spent)
 };
 
-/// FNV-1a 64-bit hash (exposed for tests that forge trailers).
-uint64_t Fnv1a64(const char* data, size_t size);
-
 /// Serializes a checkpoint to the tagged-text payload + checksum
 /// trailer (the exact bytes SaveCheckpoint writes).
 std::string SerializeCheckpoint(const TrainCheckpoint& ckpt);
@@ -70,7 +68,7 @@ std::string SerializeCheckpoint(const TrainCheckpoint& ckpt);
 /// malformed field yields an error Status, never UB.
 Result<TrainCheckpoint> ParseCheckpoint(const std::string& bytes);
 
-/// Atomically writes `ckpt` to `path` (temp file + fsync + rename).
+/// Atomically writes `ckpt` to `path` (core/durable WriteFileAtomic).
 Status SaveCheckpoint(const TrainCheckpoint& ckpt, const std::string& path);
 
 /// Loads and verifies a checkpoint file.
@@ -92,6 +90,12 @@ class CheckpointStore {
   /// holds none (corrupt-only directories report the newest file's
   /// error). `loaded_from`, when non-null, receives the winning path.
   Result<TrainCheckpoint> LoadLatest(std::string* loaded_from = nullptr) const;
+
+  /// Newest checkpoint that verifies and satisfies `accept` (the
+  /// sentinel's durable fallback: a finite rollback baseline), or
+  /// NotFound.
+  Result<TrainCheckpoint> LoadLatestWhere(
+      const std::function<bool(const TrainCheckpoint&)>& accept) const;
 
   /// Checkpoint file paths in ascending (phase, iter) order.
   std::vector<std::string> ListFiles() const;

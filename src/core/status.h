@@ -46,6 +46,11 @@ class Status {
   Code code() const { return code_; }
   const std::string& message() const { return message_; }
 
+  /// The same code with `prefix` prepended to the message (context).
+  Status WithPrefix(const std::string& prefix) const {
+    return Status(code_, prefix + message_);
+  }
+
   /// Human-readable rendering, e.g. "InvalidArgument: bad schema".
   std::string ToString() const;
 

@@ -34,32 +34,6 @@ constexpr size_t kHeaderLen = 48;
 constexpr size_t kPostscriptLen = 24;
 constexpr char kFooterTag[] = "daisy-dcol-footer-v1";
 
-// Same hash as ckpt::Fnv1a64; duplicated rather than importing it so
-// the data layer does not depend on the checkpoint layer.
-uint64_t Fnv1a64(const char* data, size_t size) {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
-// CRC32 (IEEE 802.3, reflected 0xEDB88320), one table built on first use.
-const uint32_t* Crc32Table() {
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
-    for (uint32_t n = 0; n < 256; ++n) {
-      uint32_t crc = n;
-      for (int k = 0; k < 8; ++k)
-        crc = (crc >> 1) ^ (0xEDB88320u & (~(crc & 1u) + 1u));
-      t[n] = crc;
-    }
-    return t;
-  }();
-  return table;
-}
-
 void PutU32(unsigned char* p, uint32_t v) {
   p[0] = static_cast<unsigned char>(v);
   p[1] = static_cast<unsigned char>(v >> 8);
@@ -202,24 +176,11 @@ Result<ParsedFooter> ParseFooter(const std::string& payload) {
 
 }  // namespace
 
-uint32_t Crc32(const void* data, size_t len) {
-  const uint32_t* table = Crc32Table();
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i)
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
-  return crc ^ 0xFFFFFFFFu;
-}
-
 // ---------------------------------------------------------------------------
 // ColumnarWriter
 
-ColumnarWriter::ColumnarWriter(std::string path, Schema schema,
-                               size_t page_rows)
-    : path_(std::move(path)),
-      tmp_path_(path_ + ".tmp"),
-      schema_(std::move(schema)),
-      page_rows_(std::max<size_t>(1, page_rows)) {
+ColumnarWriter::ColumnarWriter(Schema schema, size_t page_rows)
+    : schema_(std::move(schema)), page_rows_(std::max<size_t>(1, page_rows)) {
   const size_t cols = schema_.num_attributes();
   group_.resize(cols);
   for (auto& col : group_) col.resize(page_rows_);
@@ -231,35 +192,18 @@ Result<std::unique_ptr<ColumnarWriter>> ColumnarWriter::Create(
     const std::string& path, const Schema& schema, size_t page_rows) {
   if (schema.num_attributes() == 0)
     return Status::InvalidArgument("dcol: schema has no attributes");
-  std::unique_ptr<ColumnarWriter> w(
-      new ColumnarWriter(path, schema, page_rows));
-  w->file_ = std::fopen(w->tmp_path_.c_str(), "wb");
-  if (w->file_ == nullptr)
-    return Status::IOError("cannot create dcol temp file '" + w->tmp_path_ +
-                           "'");
+  std::unique_ptr<ColumnarWriter> w(new ColumnarWriter(schema, page_rows));
+  DAISY_RETURN_IF_ERROR(w->file_.Open(path));
   // Placeholder header; Finish rewrites it with the final row count.
   unsigned char header[kHeaderLen];
   EncodeHeader(static_cast<uint32_t>(schema.num_attributes()), 0,
                w->page_rows_, header);
-  if (std::fwrite(header, 1, kHeaderLen, w->file_) != kHeaderLen) {
-    std::fclose(w->file_);
-    w->file_ = nullptr;
-    std::remove(w->tmp_path_.c_str());
-    return Status::IOError("failed writing dcol header to '" + w->tmp_path_ +
-                           "'");
-  }
+  DAISY_RETURN_IF_ERROR(w->file_.Write(header, kHeaderLen));
   return w;
 }
 
-ColumnarWriter::~ColumnarWriter() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    std::remove(tmp_path_.c_str());
-  }
-}
-
 Status ColumnarWriter::Append(const std::vector<double>& values) {
-  if (file_ == nullptr || finished_)
+  if (!file_.is_open())
     return Status::FailedPrecondition("dcol writer is not open");
   if (values.size() != schema_.num_attributes())
     return Status::InvalidArgument("dcol append: record width mismatch");
@@ -297,53 +241,30 @@ Status ColumnarWriter::FlushGroup() {
     std::memcpy(page.data(), group_[j].data(), payload);
     PutU32(page.data() + payload, Crc32(page.data(), payload));
     PutU32(page.data() + payload + 4, 0);  // alignment pad
-    if (std::fwrite(page.data(), 1, page.size(), file_) != page.size())
-      return Status::IOError("failed writing dcol page to '" + tmp_path_ +
-                             "'");
+    DAISY_RETURN_IF_ERROR(file_.Write(page.data(), page.size()));
   }
   buffered_ = 0;
   return Status::OK();
 }
 
 Status ColumnarWriter::Finish() {
-  if (file_ == nullptr || finished_)
+  if (!file_.is_open())
     return Status::FailedPrecondition("dcol writer is not open");
-  Status st = FlushGroup();
-  if (st.ok()) {
-    const std::string footer =
-        FooterPayload(schema_, rows_written_, page_rows_, col_min_, col_max_);
-    unsigned char post[kPostscriptLen];
-    PutU64(post, footer.size());
-    PutU64(post + 8, Fnv1a64(footer.data(), footer.size()));
-    std::memcpy(post + 16, kEndMagic, sizeof(kEndMagic));
-    unsigned char header[kHeaderLen];
-    EncodeHeader(static_cast<uint32_t>(schema_.num_attributes()),
-                 rows_written_, page_rows_, header);
-    const bool wrote =
-        std::fwrite(footer.data(), 1, footer.size(), file_) == footer.size() &&
-        std::fwrite(post, 1, kPostscriptLen, file_) == kPostscriptLen &&
-        std::fflush(file_) == 0 && std::fseek(file_, 0, SEEK_SET) == 0 &&
-        std::fwrite(header, 1, kHeaderLen, file_) == kHeaderLen &&
-        std::fflush(file_) == 0;
-    // fsync before rename, as in ckpt::SaveCheckpoint: otherwise the
-    // rename can hit disk before the data and a power cut leaves a
-    // valid-looking torn file.
-    const bool synced = wrote && fsync(fileno(file_)) == 0;
-    if (!wrote || !synced)
-      st = Status::IOError("failed writing dcol file '" + tmp_path_ + "'");
-  }
-  std::fclose(file_);
-  file_ = nullptr;
-  if (!st.ok()) {
-    std::remove(tmp_path_.c_str());
-    return st;
-  }
-  if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
-    std::remove(tmp_path_.c_str());
-    return Status::IOError("failed renaming dcol into '" + path_ + "'");
-  }
-  finished_ = true;
-  return Status::OK();
+  DAISY_RETURN_IF_ERROR(FlushGroup());
+  const std::string footer =
+      FooterPayload(schema_, rows_written_, page_rows_, col_min_, col_max_);
+  unsigned char post[kPostscriptLen];
+  PutU64(post, footer.size());
+  PutU64(post + 8, Fnv1a64(footer.data(), footer.size()));
+  std::memcpy(post + 16, kEndMagic, sizeof(kEndMagic));
+  unsigned char header[kHeaderLen];
+  EncodeHeader(static_cast<uint32_t>(schema_.num_attributes()), rows_written_,
+               page_rows_, header);
+  DAISY_RETURN_IF_ERROR(file_.Write(footer.data(), footer.size()));
+  DAISY_RETURN_IF_ERROR(file_.Write(post, kPostscriptLen));
+  DAISY_RETURN_IF_ERROR(file_.Seek(0));
+  DAISY_RETURN_IF_ERROR(file_.Write(header, kHeaderLen));
+  return file_.Commit();
 }
 
 Status WriteColumnar(const Table& table, const std::string& path,

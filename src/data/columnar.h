@@ -33,7 +33,7 @@
 // every truncation of a .dcol file is detected — the header and footer
 // by their own checksums and exact-size accounting at Open, the page
 // payloads by per-page CRC (verified by Open's verify pass, and again
-// on every page fault). Writes are atomic: tmp + fsync + rename.
+// on every page fault). Writes go through core/durable's AtomicFile.
 #ifndef DAISY_DATA_COLUMNAR_H_
 #define DAISY_DATA_COLUMNAR_H_
 
@@ -44,26 +44,23 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/durable.h"
 #include "core/matrix.h"
 #include "core/status.h"
 #include "data/table.h"
 
 namespace daisy::data {
 
-/// CRC32 (IEEE 802.3, table-driven). Exposed for tests.
-uint32_t Crc32(const void* data, size_t len);
-
 /// Streaming writer: append records one at a time, holding at most one
 /// row group (page_rows x num_cols doubles) in memory. The file is
-/// written to `path + ".tmp"` and atomically renamed into place by
-/// Finish (fsync first, so a crash never leaves a torn .dcol behind).
+/// written through an AtomicFile (`path + ".tmp"`) and committed into
+/// place by Finish, so a crash never leaves a torn .dcol behind.
 class ColumnarWriter {
  public:
   /// `page_rows` is clamped to >= 1. The schema is persisted verbatim.
   static Result<std::unique_ptr<ColumnarWriter>> Create(
       const std::string& path, const Schema& schema, size_t page_rows);
 
-  ~ColumnarWriter();
   ColumnarWriter(const ColumnarWriter&) = delete;
   ColumnarWriter& operator=(const ColumnarWriter&) = delete;
 
@@ -71,26 +68,23 @@ class ColumnarWriter {
   /// categorical entries holding in-domain category indices.
   Status Append(const std::vector<double>& values);
 
-  /// Flushes the tail group, writes footer + postscript, fsyncs and
-  /// renames into place. Must be called exactly once.
+  /// Flushes the tail group, writes footer + postscript, rewrites the
+  /// header and commits the file. Must be called exactly once.
   Status Finish();
 
   size_t rows_written() const { return rows_written_; }
 
  private:
-  ColumnarWriter(std::string path, Schema schema, size_t page_rows);
+  ColumnarWriter(Schema schema, size_t page_rows);
   Status FlushGroup();
 
-  std::string path_;
-  std::string tmp_path_;
   Schema schema_;
   size_t page_rows_ = 0;
   size_t rows_written_ = 0;
   size_t buffered_ = 0;
   std::vector<std::vector<double>> group_;  // [col][row within group]
   std::vector<double> col_min_, col_max_;
-  std::FILE* file_ = nullptr;
-  bool finished_ = false;
+  AtomicFile file_;
 };
 
 /// Writes a whole in-memory table (convenience for tests and tools).

@@ -1,11 +1,11 @@
 #include "data/schema_json.h"
 
 #include <cctype>
-#include <fstream>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <utility>
+
+#include "core/durable.h"
 
 namespace daisy::data {
 
@@ -291,11 +291,13 @@ Result<RelationalSpec> ParseRelationalSpecJson(const std::string& json) {
 }
 
 Result<RelationalSpec> LoadRelationalSpec(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) return Status::IOError("cannot open schema json: " + path);
-  std::ostringstream buf;
-  buf << file.rdbuf();
-  return ParseRelationalSpecJson(buf.str());
+  auto text = ReadFile(path);
+  if (!text.ok()) {
+    if (text.status().code() == Status::Code::kNotFound)
+      return Status::IOError("cannot open schema json: " + path);
+    return text.status();
+  }
+  return ParseRelationalSpecJson(text.value());
 }
 
 }  // namespace daisy::data

@@ -1,6 +1,7 @@
 #include "nn/optimizer.h"
 
 #include <cmath>
+#include <sstream>
 
 #include "core/rng.h"
 
@@ -256,6 +257,24 @@ double DpSgdAggregator::SumNorm() const {
     for (size_t r = 0; r < m.rows(); ++r)
       for (size_t c = 0; c < m.cols(); ++c) sq += m(r, c) * m(r, c);
   return std::sqrt(sq);
+}
+
+std::string OptimizerBlob(const Optimizer& opt) {
+  std::ostringstream os;
+  Serializer ser(&os);
+  opt.Save(&ser);
+  return os.str();
+}
+
+Status LoadOptimizerBlob(Optimizer* opt, const std::string& blob,
+                         const char* which) {
+  std::istringstream is(blob);
+  Deserializer des(&is);
+  opt->Load(&des);
+  if (!des.ok())
+    return Status::InvalidArgument(std::string("checkpoint ") + which +
+                                   " optimizer state: " + des.error());
+  return Status::OK();
 }
 
 }  // namespace daisy::nn

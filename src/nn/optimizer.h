@@ -3,6 +3,7 @@
 #ifndef DAISY_NN_OPTIMIZER_H_
 #define DAISY_NN_OPTIMIZER_H_
 
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -83,6 +84,12 @@ class RmsProp : public Optimizer {
   double decay_, eps_;
   std::vector<Matrix> sq_;
 };
+
+/// Optimizer state as the opaque blob a checkpoint stores, and back.
+/// LoadOptimizerBlob names the optimizer (`which`) in its error.
+std::string OptimizerBlob(const Optimizer& opt);
+Status LoadOptimizerBlob(Optimizer* opt, const std::string& blob,
+                         const char* which);
 
 /// Clamps every parameter value into [-c, c] (WGAN weight clipping).
 void ClipParams(const std::vector<Parameter*>& params, double c);

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <limits>
 
+#include "core/durable.h"
+
 namespace daisy::obs {
 
 namespace {
@@ -249,45 +251,41 @@ Result<std::unique_ptr<RunLogger>> RunLogger::Open(const std::string& path) {
 
 namespace {
 
-// Reads a whole file; a missing file reads as empty (a resumed run may
-// point at a log path that was never created).
-std::string ReadFileOrEmpty(const std::string& path) {
-  std::string content;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return content;
-  char buf[4096];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);
-  std::fclose(f);
-  return content;
+// Atomically rewrites the log to its first `max_lines` complete lines
+// (so a crash never loses them), then reopens it for appending. A
+// partial tail line a killed writer left is dropped: it would corrupt
+// the next appended record. A missing log reads as empty — a resumed
+// run may point at a log path that was never created.
+Result<std::FILE*> KeepLines(const std::string& path, uint64_t max_lines,
+                             uint64_t* kept) {
+  auto read = ReadFile(path);
+  if (!read.ok() && read.status().code() != Status::Code::kNotFound)
+    return read.status();
+  std::string content = read.ok() ? read.take() : std::string();
+  size_t end = 0;
+  *kept = 0;
+  for (size_t i = 0; i < content.size() && *kept < max_lines; ++i) {
+    if (content[i] != '\n') continue;
+    ++*kept;
+    end = i + 1;
+  }
+  content.resize(end);
+  DAISY_RETURN_IF_ERROR(WriteFileAtomic(path, content));
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  if (f == nullptr)
+    return Status::IOError("cannot open run log '" + path + "' for writing");
+  return f;
 }
 
 }  // namespace
 
 Result<std::unique_ptr<RunLogger>> RunLogger::OpenForResume(
     const std::string& path) {
-  std::string content = ReadFileOrEmpty(path);
-  // Keep only complete lines: a writer killed between the record bytes
-  // and its newline leaves a partial tail that would corrupt the next
-  // appended record.
-  const size_t last_nl = content.find_last_of('\n');
-  if (last_nl == std::string::npos) {
-    content.clear();
-  } else {
-    content.resize(last_nl + 1);
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr)
-    return Status::IOError("cannot open run log '" + path + "' for writing");
-  if (!content.empty() &&
-      std::fwrite(content.data(), 1, content.size(), f) != content.size()) {
-    std::fclose(f);
-    return Status::IOError("failed to rewrite run log '" + path + "'");
-  }
-  std::fflush(f);
-  auto logger = std::unique_ptr<RunLogger>(new RunLogger(f, path));
-  for (char c : content)
-    if (c == '\n') ++logger->lines_;
+  uint64_t kept = 0;
+  auto f = KeepLines(path, std::numeric_limits<uint64_t>::max(), &kept);
+  if (!f.ok()) return f.status();
+  auto logger = std::unique_ptr<RunLogger>(new RunLogger(f.value(), path));
+  logger->lines_ = kept;
   return logger;
 }
 
@@ -316,25 +314,16 @@ Status RunLogger::ResumeAt(uint64_t n) {
   if (lines_ <= n) return Status::OK();
   if (std::fflush(file_) != 0)
     return Status::IOError("flush failed for run log '" + path_ + "'");
-  std::string content = ReadFileOrEmpty(path_);
-  size_t end = 0;
-  uint64_t seen = 0;
-  while (end < content.size() && seen < n) {
-    if (content[end] == '\n') ++seen;
-    ++end;
-  }
-  if (seen < n)
-    return Status::IOError("run log '" + path_ + "' holds " +
-                           std::to_string(seen) + " lines, cannot keep " +
-                           std::to_string(n));
+  uint64_t kept = 0;
+  auto f = KeepLines(path_, n, &kept);
+  if (!f.ok()) return f.status();
   std::fclose(file_);
-  file_ = std::fopen(path_.c_str(), "w");
-  if (file_ == nullptr)
-    return Status::IOError("cannot rewrite run log '" + path_ + "'");
-  if (end > 0 && std::fwrite(content.data(), 1, end, file_) != end)
-    return Status::IOError("failed to rewrite run log '" + path_ + "'");
-  std::fflush(file_);
-  lines_ = n;
+  file_ = f.value();
+  lines_ = kept;
+  if (kept < n)
+    return Status::IOError("run log '" + path_ + "' holds " +
+                           std::to_string(kept) + " lines, cannot keep " +
+                           std::to_string(n));
   return Status::OK();
 }
 

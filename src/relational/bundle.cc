@@ -1,11 +1,8 @@
 #include "relational/bundle.h"
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <sstream>
 
-#include "ckpt/checkpoint.h"
+#include "core/durable.h"
 #include "core/serial.h"
 #include "data/schema_serial.h"
 
@@ -14,10 +11,6 @@ namespace daisy::rel {
 namespace {
 
 constexpr char kFormatTag[] = "daisy-relbundle-v1";
-constexpr char kChecksumPrefix[] = "checksum ";
-constexpr size_t kChecksumPrefixLen = sizeof(kChecksumPrefix) - 1;
-// "checksum " + 16 hex digits + '\n'.
-constexpr size_t kTrailerLen = kChecksumPrefixLen + 16 + 1;
 
 // Far above any real schema, small enough that a corrupt length can't
 // drive a pathological allocation before the parse fails.
@@ -101,79 +94,28 @@ std::string SerializeBundle(const RelationalBundle& bundle) {
   Serializer out(&os);
   WritePayload(&out, bundle);
   std::string bytes = os.str();
-  char trailer[kTrailerLen + 1];
-  std::snprintf(trailer, sizeof(trailer), "%s%016llx\n", kChecksumPrefix,
-                static_cast<unsigned long long>(
-                    ckpt::Fnv1a64(bytes.data(), bytes.size())));
-  bytes += trailer;
+  AppendChecksumTrailer(&bytes);
   return bytes;
 }
 
 Result<RelationalBundle> ParseBundle(const std::string& bytes) {
-  if (bytes.size() < kTrailerLen)
-    return Status::InvalidArgument("bundle too short for a checksum");
-  const size_t payload_len = bytes.size() - kTrailerLen;
-  const char* trailer = bytes.data() + payload_len;
-  uint64_t want = 0;
-  bool hex_ok = true;
-  for (size_t i = 0; i < 16; ++i) {
-    const char h = trailer[kChecksumPrefixLen + i];
-    want <<= 4;
-    if (h >= '0' && h <= '9') want |= static_cast<uint64_t>(h - '0');
-    else if (h >= 'a' && h <= 'f') want |= static_cast<uint64_t>(h - 'a' + 10);
-    else hex_ok = false;
-  }
-  if (bytes.compare(payload_len, kChecksumPrefixLen, kChecksumPrefix) != 0 ||
-      bytes.back() != '\n' || !hex_ok) {
-    return Status::InvalidArgument(
-        "bundle missing its checksum trailer (truncated write?)");
-  }
-  const uint64_t got = ckpt::Fnv1a64(bytes.data(), payload_len);
-  if (got != want)
-    return Status::InvalidArgument("bundle checksum mismatch (corrupt)");
-  std::istringstream is(bytes.substr(0, payload_len));
+  auto payload_len = VerifyChecksumTrailer(bytes, "bundle");
+  if (!payload_len.ok()) return payload_len.status();
+  std::istringstream is(bytes.substr(0, payload_len.value()));
   Deserializer in(&is);
   return ReadPayload(&in);
 }
 
 Status SaveBundle(const RelationalBundle& bundle, const std::string& path) {
-  const std::string bytes = SerializeBundle(bundle);
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr)
-    return Status::IOError("cannot create bundle temp file '" + tmp + "'");
-  const bool wrote =
-      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-  const bool flushed = std::fflush(f) == 0;
-  // fsync before rename: otherwise the rename can hit disk before the
-  // data does, and a power cut leaves a valid-looking empty file.
-  const bool synced = fsync(fileno(f)) == 0;
-  std::fclose(f);
-  if (!wrote || !flushed || !synced) {
-    std::remove(tmp.c_str());
-    return Status::IOError("failed writing bundle temp file '" + tmp + "'");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("failed renaming bundle into '" + path + "'");
-  }
-  return Status::OK();
+  return WriteFileAtomic(path, SerializeBundle(bundle));
 }
 
 Result<RelationalBundle> LoadBundle(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::NotFound("no bundle at '" + path + "'");
-  std::string bytes;
-  char buf[1 << 16];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
-  const bool read_ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!read_ok) return Status::IOError("failed reading bundle '" + path + "'");
-  auto parsed = ParseBundle(bytes);
+  auto bytes = ReadFile(path);
+  if (!bytes.ok()) return bytes.status();
+  auto parsed = ParseBundle(bytes.value());
   if (!parsed.ok())
-    return Status::InvalidArgument("bundle '" + path +
-                                   "': " + parsed.status().message());
+    return parsed.status().WithPrefix("bundle '" + path + "': ");
   return parsed.take();
 }
 

@@ -2,10 +2,10 @@
 // checksummed file ("daisy-relbundle-v1") holding every per-table GAN
 // model (as an embedded daisy-model-v3 payload), the per-edge
 // cardinality histograms and parent-condition encoders, and enough of
-// the relational schema to rebuild it exactly. The corruption contract
-// mirrors src/ckpt: an FNV-1a 64 trailer over the whole payload, so
-// every single-byte flip and every truncation is detected at load, and
-// writes are atomic (tmp + fsync + rename).
+// the relational schema to rebuild it exactly. The file carries the
+// core/durable checksum trailer over the whole payload, so every
+// single-byte flip and every truncation is detected at load, and it is
+// written through core/durable's AtomicFile.
 #ifndef DAISY_RELATIONAL_BUNDLE_H_
 #define DAISY_RELATIONAL_BUNDLE_H_
 
@@ -47,7 +47,7 @@ std::string SerializeBundle(const RelationalBundle& bundle);
 /// payload; any flipped byte or truncation fails with InvalidArgument.
 Result<RelationalBundle> ParseBundle(const std::string& bytes);
 
-/// Atomic checksummed write (tmp + fsync + rename).
+/// Atomic checksummed write (core/durable WriteFileAtomic).
 Status SaveBundle(const RelationalBundle& bundle, const std::string& path);
 
 /// Reads and verifies a bundle file. NotFound when the path is absent.

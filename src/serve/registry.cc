@@ -6,23 +6,6 @@
 
 namespace daisy::serve {
 
-namespace {
-
-// Re-wraps an error with request context, preserving its code.
-Status Annotate(const Status& st, const std::string& prefix) {
-  const std::string msg = prefix + st.message();
-  switch (st.code()) {
-    case Status::Code::kNotFound: return Status::NotFound(msg);
-    case Status::Code::kIOError: return Status::IOError(msg);
-    case Status::Code::kFailedPrecondition:
-      return Status::FailedPrecondition(msg);
-    case Status::Code::kInternal: return Status::Internal(msg);
-    default: return Status::InvalidArgument(msg);
-  }
-}
-
-}  // namespace
-
 Status ModelRegistry::Load(const std::string& name,
                            const std::string& model_path,
                            const std::string& checkpoint_dir) {
@@ -32,17 +15,17 @@ Status ModelRegistry::Load(const std::string& name,
 
   auto loaded = synth::TableSynthesizer::Load(model_path);
   if (!loaded.ok())
-    return Annotate(loaded.status(), "model '" + name + "': ");
+    return loaded.status().WithPrefix("model '" + name + "': ");
 
   if (!checkpoint_dir.empty()) {
     ckpt::CheckpointStore store(checkpoint_dir);
     auto latest = store.LoadLatest();
     if (!latest.ok())
-      return Annotate(latest.status(),
-                      "model '" + name + "' checkpoint overlay: ");
+      return latest.status().WithPrefix("model '" + name +
+                                        "' checkpoint overlay: ");
     if (Status st = loaded.value()->OverlayCheckpoint(latest.value());
         !st.ok())
-      return Annotate(st, "model '" + name + "' checkpoint overlay: ");
+      return st.WithPrefix("model '" + name + "' checkpoint overlay: ");
   }
 
   models_[name] = std::move(loaded.value());

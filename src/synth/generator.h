@@ -4,6 +4,7 @@
 #ifndef DAISY_SYNTH_GENERATOR_H_
 #define DAISY_SYNTH_GENERATOR_H_
 
+#include <cmath>
 #include <vector>
 
 #include "core/matrix.h"
@@ -85,6 +86,34 @@ inline void SetBufferState(const std::vector<Matrix*>& buffers,
     DAISY_CHECK(buffers[i]->SameShape(state[i]));
     *buffers[i] = state[i];
   }
+}
+
+/// True when every entry of every matrix is finite (a usable rollback
+/// baseline).
+inline bool AllFinite(const StateDict& state) {
+  for (const Matrix& m : state)
+    for (size_t r = 0; r < m.rows(); ++r)
+      for (size_t c = 0; c < m.cols(); ++c)
+        if (!std::isfinite(m(r, c))) return false;
+  return true;
+}
+
+/// Shapes of `state` match the live parameter list exactly — the check
+/// before SetState on state read from disk.
+inline bool ShapesMatch(const std::vector<nn::Parameter*>& params,
+                        const StateDict& state) {
+  if (params.size() != state.size()) return false;
+  for (size_t i = 0; i < params.size(); ++i)
+    if (!params[i]->value.SameShape(state[i])) return false;
+  return true;
+}
+
+inline bool BufferShapesMatch(const std::vector<Matrix*>& buffers,
+                              const StateDict& state) {
+  if (buffers.size() != state.size()) return false;
+  for (size_t i = 0; i < buffers.size(); ++i)
+    if (!buffers[i]->SameShape(state[i])) return false;
+  return true;
 }
 
 }  // namespace daisy::synth

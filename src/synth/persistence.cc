@@ -1,27 +1,42 @@
 // Model persistence for TableSynthesizer (Save/Load declared in
-// synthesizer.h). The format is the tagged text stream of
-// core/serial.h, versioned via the leading tag. SaveToStream/
-// LoadFromStream carry the exact payload so a container format (the
-// relational bundle) can embed many models inside one checksummed
-// file; the path forms wrap them over a plain fstream.
-#include <fstream>
+// synthesizer.h). The payload is the tagged text stream of
+// core/serial.h led by the "daisy-model-v3" tag. SaveToStream/
+// LoadFromStream carry exactly that payload, so a container format (the
+// relational bundle) can embed many models inside one checksummed file;
+// the path forms add the core/durable checksum trailer and write
+// through an AtomicFile. LoadFromStream range-checks every enum, width
+// and layout field before it builds anything, so a forged stream is
+// refused with InvalidArgument rather than a crash.
+#include <algorithm>
+#include <cmath>
 #include <sstream>
 
+#include "core/durable.h"
 #include "core/serial.h"
 #include "data/schema_serial.h"
+#include "synth/heads.h"
 #include "synth/synthesizer.h"
 
 namespace daisy::synth {
 
 namespace {
 
-// v3 adds parent_cond_dim (relational parent conditioning) right after
-// the sampler kind. v2 files (pre-relational) load with
-// parent_cond_dim = 0; v1 files (pre-TBS) additionally default the
-// sampler to kUniform.
+// The only payload version read (DESIGN.md §5k).
 constexpr char kFormatTag[] = "daisy-model-v3";
-constexpr char kV2FormatTag[] = "daisy-model-v2";
-constexpr char kV1FormatTag[] = "daisy-model-v1";
+
+// Far above the paper's configurations (widths <= 512), small enough
+// that a forged width cannot drive a pathological allocation.
+constexpr uint64_t kMaxWidth = 1u << 12;
+constexpr uint64_t kMaxCondDim = 1u << 16;
+
+// Reads an enum whose last enumerator is `last`, latching a failure
+// on anything past it.
+template <typename E>
+E ReadEnum(Deserializer* in, E last) {
+  const uint64_t v = in->ReadU64();
+  if (v > static_cast<uint64_t>(last)) in->Fail("enum value out of range");
+  return static_cast<E>(in->ok() ? v : 0);
+}
 
 void WriteSegments(Serializer* out,
                    const std::vector<transform::AttrSegment>& segments) {
@@ -57,7 +72,7 @@ std::vector<transform::AttrSegment> ReadSegments(Deserializer* in) {
   if (!in->ok() || n > 100000) return {};
   std::vector<transform::AttrSegment> segments(n);
   for (auto& seg : segments) {
-    seg.kind = static_cast<transform::AttrSegment::Kind>(in->ReadU64());
+    seg.kind = ReadEnum(in, transform::AttrSegment::Kind::kOrdinalCat);
     seg.attr_index = in->ReadU64();
     seg.source_col = in->ReadU64();
     seg.offset = in->ReadU64();
@@ -77,12 +92,95 @@ std::vector<transform::AttrSegment> ReadSegments(Deserializer* in) {
         sds[c] = in->ReadDouble();
         ws[c] = in->ReadDouble();
       }
+      if (std::any_of(sds.begin(), sds.end(),
+                      [](double sd) { return !(sd > 0.0); }))
+        in->Fail("non-positive gmm stddev");
       if (!in->ok()) return {};
       seg.gmm = stats::Gmm1d::FromParams(std::move(means), std::move(sds),
                                          std::move(ws));
     }
   }
   return segments;
+}
+
+// Refuses, as InvalidArgument, what Fit could never have written: the
+// condition-source combinations the constructor DAISY_CHECKs,
+// implausible widths, and schemas, segments or sampling weights that
+// FromState, BuildNetworks, DrawLatents or DecodeRows would trip over.
+Status Validate(const GanOptions& o, transform::SampleForm form,
+                const data::Schema& full, const data::Schema& sub,
+                const std::vector<transform::AttrSegment>& segments,
+                const std::vector<double>& label_weights,
+                const std::vector<std::vector<double>>& tbs_weights) {
+  const auto bad = [](const std::string& what) {
+    return Status::InvalidArgument("corrupt model file: " + what);
+  };
+  const auto width_ok = [](size_t w) { return w >= 1 && w <= kMaxWidth; };
+  // Weights as Rng::Categorical requires them.
+  const auto weights_ok = [](const std::vector<double>& w, size_t n) {
+    return w.size() == n && n > 0 &&
+           std::all_of(w.begin(), w.end(),
+                       [](double x) { return x >= 0.0 && std::isfinite(x); });
+  };
+  const bool tbs = o.sampler == SamplerKind::kTrainingBySampling;
+  if (o.conditional + (o.parent_cond_dim > 0) + tbs > 1)
+    return bad("more than one condition source");
+  if (!width_ok(o.noise_dim) || !width_ok(o.lstm_hidden) ||
+      !width_ok(o.lstm_feature) || o.parent_cond_dim > kMaxCondDim ||
+      !std::all_of(o.g_hidden.begin(), o.g_hidden.end(), width_ok) ||
+      !std::all_of(o.d_hidden.begin(), o.d_hidden.end(), width_ok))
+    return bad("implausible network width");
+  if (o.conditional &&
+      (!full.has_label() || !weights_ok(label_weights, full.num_labels())))
+    return bad("conditional model without a label distribution");
+  // One segment per attribute, in schema order, minus the label under
+  // label conditioning (DecodeRows re-inserts it).
+  if (segments.empty() || segments.size() != sub.num_attributes() ||
+      sub.num_attributes() + (o.conditional ? 1 : 0) != full.num_attributes())
+    return bad("transformed schema does not match the table schema");
+  using Kind = transform::AttrSegment::Kind;
+  size_t i = 0, dim = 0;
+  for (size_t j = 0; j < full.num_attributes(); ++j) {
+    if (o.conditional && j == full.label_index()) continue;
+    const transform::AttrSegment& seg = segments[i];
+    const data::Attribute& a = full.attribute(j);
+    const bool categorical =
+        seg.kind == Kind::kOneHotCat || seg.kind == Kind::kOrdinalCat;
+    const size_t width = seg.kind == Kind::kOneHotCat ? seg.domain
+                         : seg.kind == Kind::kGmmNumeric
+                             ? 1 + seg.gmm.num_components()
+                             : 1;
+    if (a.type != sub.attribute(i).type ||
+        a.domain_size() != sub.attribute(i).domain_size() ||
+        categorical != a.is_categorical() || seg.attr_index != i ||
+        seg.source_col != j || seg.offset != dim || seg.width != width ||
+        (categorical && (seg.domain == 0 || seg.domain != a.domain_size())) ||
+        (seg.kind == Kind::kOrdinalCat && !(seg.hi > seg.lo)) ||
+        (seg.kind == Kind::kGmmNumeric && seg.gmm.num_components() == 0))
+      return bad("segment " + std::to_string(i) + " does not match its "
+                 "attribute");
+    dim += seg.width;
+    ++i;
+  }
+  // The generator's output must be as wide as the transformer's sample,
+  // and the CNN nets need a square sample of side >= 2.
+  const bool cnn_g = o.generator == GeneratorArch::kCnn;
+  const bool matrix = cnn_g || form == transform::SampleForm::kMatrix;
+  size_t side = 0;
+  while (side * side < dim) ++side;
+  if ((cnn_g || o.discriminator == DiscriminatorArch::kCnn) &&
+      (!matrix || side < 2))
+    return bad("CNN networks need a matrix-formed sample");
+  if (matrix && !cnn_g && side * side != dim)
+    return bad("generator output does not match the sample width");
+  if (tbs) {
+    const std::vector<CondBlock> blocks = BuildCondBlocks(segments);
+    bool ok = tbs_weights.size() == blocks.size();
+    for (size_t b = 0; ok && b < blocks.size(); ++b)
+      ok = weights_ok(tbs_weights[b], blocks[b].domain);
+    if (!ok) return bad("TBS weights do not match the cond-vector layout");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -145,30 +243,24 @@ Status TableSynthesizer::SaveToStream(std::ostream& os) const {
 }
 
 Status TableSynthesizer::Save(const std::string& path) const {
-  std::ofstream file(path);
-  if (!file) return Status::IOError("cannot open for write: " + path);
-  DAISY_RETURN_IF_ERROR(SaveToStream(file));
-  file.flush();
-  if (!file) return Status::IOError("write failed: " + path);
-  return Status::OK();
+  std::ostringstream os;
+  DAISY_RETURN_IF_ERROR(SaveToStream(os));
+  std::string bytes = std::move(os).str();
+  AppendChecksumTrailer(&bytes);
+  return WriteFileAtomic(path, bytes);
 }
 
 Result<std::unique_ptr<TableSynthesizer>> TableSynthesizer::LoadFromStream(
     std::istream& file) {
-  // Version dispatch on the leading tag (the tagged-text stream has no
-  // peek, so read it before handing the stream to the Deserializer).
-  std::string tag;
-  if (!(file >> tag))
-    return Status::InvalidArgument("empty model stream");
-  const bool v3 = tag == kFormatTag;
-  const bool v2 = tag == kV2FormatTag;
-  if (!v3 && !v2 && tag != kV1FormatTag)
-    return Status::InvalidArgument("unrecognized model format tag: " + tag);
   Deserializer in(&file);
+  in.ExpectTag(kFormatTag);
+  if (!in.ok())
+    return Status::InvalidArgument("not a " + std::string(kFormatTag) +
+                                   " model: " + in.error());
 
   GanOptions opts;
-  opts.generator = static_cast<GeneratorArch>(in.ReadU64());
-  opts.discriminator = static_cast<DiscriminatorArch>(in.ReadU64());
+  opts.generator = ReadEnum(&in, GeneratorArch::kCnn);
+  opts.discriminator = ReadEnum(&in, DiscriminatorArch::kCnn);
   opts.conditional = in.ReadU64() == 1;
   opts.simplified_discriminator = in.ReadU64() == 1;
   opts.noise_dim = in.ReadU64();
@@ -185,24 +277,13 @@ Result<std::unique_ptr<TableSynthesizer>> TableSynthesizer::LoadFromStream(
   opts.lstm_hidden = in.ReadU64();
   opts.lstm_feature = in.ReadU64();
   opts.seed = in.ReadU64();
-  if (v3 || v2) {
-    const uint64_t sampler = in.ReadU64();
-    if (sampler > static_cast<uint64_t>(SamplerKind::kTrainingBySampling))
-      return Status::InvalidArgument("corrupt model file: bad sampler kind");
-    opts.sampler = static_cast<SamplerKind>(sampler);
-  }
-  if (v3) {
-    opts.parent_cond_dim = in.ReadU64();
-    if (!in.ok() || opts.parent_cond_dim > 1000000)
-      return Status::InvalidArgument("corrupt model file: bad cond dim");
-  }
+  opts.sampler = ReadEnum(&in, SamplerKind::kTrainingBySampling);
+  opts.parent_cond_dim = in.ReadU64();
 
   transform::TransformOptions topts;
-  topts.categorical =
-      static_cast<transform::CategoricalEncoding>(in.ReadU64());
-  topts.numerical =
-      static_cast<transform::NumericalNormalization>(in.ReadU64());
-  topts.form = static_cast<transform::SampleForm>(in.ReadU64());
+  topts.categorical = ReadEnum(&in, transform::CategoricalEncoding::kOneHot);
+  topts.numerical = ReadEnum(&in, transform::NumericalNormalization::kGmm);
+  topts.form = ReadEnum(&in, transform::SampleForm::kMatrix);
   topts.gmm_components = in.ReadU64();
   topts.exclude_label = in.ReadU64() == 1;
 
@@ -210,15 +291,12 @@ Result<std::unique_ptr<TableSynthesizer>> TableSynthesizer::LoadFromStream(
   data::Schema sub_schema = data::DeserializeSchema(&in);
   auto segments = ReadSegments(&in);
   auto label_weights = in.ReadDoubleVector();
-  std::vector<std::vector<double>> tbs_weights;
-  if (v3 || v2) {
-    in.ExpectTag("tbs");
-    const size_t num_tbs = in.ReadU64();
-    if (!in.ok() || num_tbs > 100000)
-      return Status::InvalidArgument("corrupt model file: " + in.error());
-    tbs_weights.resize(num_tbs);
-    for (auto& w : tbs_weights) w = in.ReadDoubleVector();
-  }
+  in.ExpectTag("tbs");
+  const size_t num_tbs = in.ReadU64();
+  if (!in.ok() || num_tbs > 100000)
+    return Status::InvalidArgument("corrupt model file: " + in.error());
+  std::vector<std::vector<double>> tbs_weights(num_tbs);
+  for (auto& w : tbs_weights) w = in.ReadDoubleVector();
 
   in.ExpectTag("generator");
   const size_t num_params = in.ReadU64();
@@ -234,6 +312,8 @@ Result<std::unique_ptr<TableSynthesizer>> TableSynthesizer::LoadFromStream(
   for (auto& m : buffers) m = in.ReadMatrix();
   if (!in.ok())
     return Status::InvalidArgument("corrupt model file: " + in.error());
+  DAISY_RETURN_IF_ERROR(Validate(opts, topts.form, full_schema, sub_schema,
+                                 segments, label_weights, tbs_weights));
 
   auto synth = std::unique_ptr<TableSynthesizer>(
       new TableSynthesizer(opts, topts));
@@ -244,25 +324,12 @@ Result<std::unique_ptr<TableSynthesizer>> TableSynthesizer::LoadFromStream(
       transform::RecordTransformer::FromState(synth->topts_, sub_schema,
                                               std::move(segments)));
   synth->BuildNetworks();
-  if (synth->UsesTbs() &&
-      synth->tbs_weights_.size() != synth->tbs_blocks_.size())
-    return Status::InvalidArgument(
-        "model file TBS weights do not match its cond-vector layout");
   const auto params = synth->g_->Params();
-  if (params.size() != state.size())
-    return Status::InvalidArgument("model file does not match networks");
-  for (size_t i = 0; i < params.size(); ++i)
-    if (!params[i]->value.SameShape(state[i]))
-      return Status::InvalidArgument("parameter shape mismatch in model");
-  SetState(params, state);
   const auto buffer_ptrs = synth->g_->Buffers();
-  if (buffer_ptrs.size() != buffers.size())
-    return Status::InvalidArgument("buffer count mismatch in model");
-  for (size_t i = 0; i < buffer_ptrs.size(); ++i) {
-    if (!buffer_ptrs[i]->SameShape(buffers[i]))
-      return Status::InvalidArgument("buffer shape mismatch in model");
-    *buffer_ptrs[i] = buffers[i];
-  }
+  if (!ShapesMatch(params, state) || !BufferShapesMatch(buffer_ptrs, buffers))
+    return Status::InvalidArgument("model file does not match its networks");
+  SetState(params, state);
+  SetBufferState(buffer_ptrs, buffers);
   synth->final_state_ = std::move(state);
   synth->fitted_ = true;
   return synth;
@@ -270,12 +337,18 @@ Result<std::unique_ptr<TableSynthesizer>> TableSynthesizer::LoadFromStream(
 
 Result<std::unique_ptr<TableSynthesizer>> TableSynthesizer::Load(
     const std::string& path) {
-  std::ifstream file(path);
-  if (!file) return Status::IOError("cannot open for read: " + path);
-  auto loaded = LoadFromStream(file);
-  if (!loaded.ok() && loaded.status().message() == "empty model stream")
-    return Status::InvalidArgument("empty model file: " + path);
-  return loaded;
+  auto bytes = ReadFile(path);
+  if (!bytes.ok()) {
+    if (bytes.status().code() == Status::Code::kNotFound)
+      return Status::IOError("cannot open for read: " + path);
+    return bytes.status();
+  }
+  auto payload_len = VerifyChecksumTrailer(bytes.value(), "model");
+  if (!payload_len.ok())
+    return payload_len.status().WithPrefix("model '" + path + "': ");
+  bytes.value().resize(payload_len.value());
+  std::istringstream is(bytes.take());
+  return LoadFromStream(is);
 }
 
 }  // namespace daisy::synth

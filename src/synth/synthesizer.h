@@ -69,11 +69,13 @@ class TableSynthesizer {
   /// Persists the fitted model (transformer state + generator
   /// parameters) so Generate can run in a later process without
   /// retraining. Snapshots are not saved — the current generator
-  /// parameters are.
+  /// parameters are. The file is the SaveToStream payload plus the
+  /// core/durable checksum trailer, written atomically.
   Status Save(const std::string& path) const;
 
   /// Restores a model written by Save. The returned synthesizer is
-  /// ready for Generate (Fit must not be called on it).
+  /// ready for Generate (Fit must not be called on it). A damaged file
+  /// fails its checksum (InvalidArgument); a missing one is IOError.
   static Result<std::unique_ptr<TableSynthesizer>> Load(
       const std::string& path);
 

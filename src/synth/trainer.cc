@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "core/parallel.h"
-#include "core/serial.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "obs/sentinel.h"
@@ -23,49 +21,6 @@ const char* AlgoName(TrainAlgo algo) {
     case TrainAlgo::kDPTrain: return "gan.dptrain";
   }
   return "gan";
-}
-
-std::string OptimizerBlob(const nn::Optimizer& opt) {
-  std::ostringstream os;
-  Serializer ser(&os);
-  opt.Save(&ser);
-  return os.str();
-}
-
-Status LoadOptimizerBlob(nn::Optimizer* opt, const std::string& blob,
-                         const char* which) {
-  std::istringstream is(blob);
-  Deserializer des(&is);
-  opt->Load(&des);
-  if (!des.ok())
-    return Status::InvalidArgument(std::string("checkpoint ") + which +
-                                   " optimizer state: " + des.error());
-  return Status::OK();
-}
-
-bool AllFinite(const StateDict& state) {
-  for (const Matrix& m : state)
-    for (size_t r = 0; r < m.rows(); ++r)
-      for (size_t c = 0; c < m.cols(); ++c)
-        if (!std::isfinite(m(r, c))) return false;
-  return true;
-}
-
-// Shapes of `state` match the live parameter list exactly.
-bool ShapesMatch(const std::vector<nn::Parameter*>& params,
-                 const StateDict& state) {
-  if (params.size() != state.size()) return false;
-  for (size_t i = 0; i < params.size(); ++i)
-    if (!params[i]->value.SameShape(state[i])) return false;
-  return true;
-}
-
-bool BufferShapesMatch(const std::vector<Matrix*>& buffers,
-                       const StateDict& state) {
-  if (buffers.size() != state.size()) return false;
-  for (size_t i = 0; i < buffers.size(); ++i)
-    if (!buffers[i]->SameShape(state[i])) return false;
-  return true;
 }
 
 }  // namespace
@@ -738,19 +693,14 @@ TrainResult GanTrainer::Train(const TrainDataSource& source, Rng* rng,
     // sentinel baseline is finite.
     if (store != nullptr &&
         (!AllFinite(last_healthy) || !AllFinite(last_healthy_buffers))) {
-      const std::vector<std::string> files = store->ListFiles();
-      for (auto it = files.rbegin(); it != files.rend(); ++it) {
-        auto fallback = ckpt::LoadCheckpoint(*it);
-        if (!fallback.ok()) continue;
-        const ckpt::TrainCheckpoint& fc = fallback.value();
-        if (!ShapesMatch(g_->Params(), fc.healthy_params) ||
-            !BufferShapesMatch(g_->Buffers(), fc.healthy_buffers))
-          continue;
-        if (!AllFinite(fc.healthy_params) || !AllFinite(fc.healthy_buffers))
-          continue;
-        last_healthy = fc.healthy_params;
-        last_healthy_buffers = fc.healthy_buffers;
-        break;
+      auto fc = store->LoadLatestWhere([&](const ckpt::TrainCheckpoint& c) {
+        return ShapesMatch(g_->Params(), c.healthy_params) &&
+               BufferShapesMatch(g_->Buffers(), c.healthy_buffers) &&
+               AllFinite(c.healthy_params) && AllFinite(c.healthy_buffers);
+      });
+      if (fc.ok()) {
+        last_healthy = fc.value().healthy_params;
+        last_healthy_buffers = fc.value().healthy_buffers;
       }
     }
     // Roll the generator back to the last healthy state and make that

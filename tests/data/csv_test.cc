@@ -11,7 +11,12 @@ namespace {
 class CsvTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "daisy_csv_test.csv";
+  // One file per test: ctest runs each test as its own process, in parallel.
+  std::string path_ = ::testing::TempDir() + "daisy_csv_test_" +
+                      ::testing::UnitTest::GetInstance()
+                          ->current_test_info()
+                          ->name() +
+                      ".csv";
 };
 
 Table SampleTable() {

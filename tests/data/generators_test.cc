@@ -128,6 +128,13 @@ struct RealSimCase {
   size_t num_labels;
 };
 
+// Without this gtest prints the raw bytes of the case, including the `name`
+// pointer, so the listed test names would change with every address layout.
+void PrintTo(const RealSimCase& c, std::ostream* os) {
+  *os << c.name << ": " << c.num_numeric << " numeric, " << c.num_categorical
+      << " categorical, " << c.num_labels << " labels";
+}
+
 class RealisticSimTest : public ::testing::TestWithParam<RealSimCase> {};
 
 TEST_P(RealisticSimTest, MatchesTable2Shape) {

@@ -1,6 +1,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -164,6 +165,80 @@ TEST(RunLoggerTest, WritesReadableJsonlFile) {
 TEST(RunLoggerTest, OpenFailsOnUnwritablePath) {
   auto opened = RunLogger::Open("/nonexistent-dir/daisy.jsonl");
   EXPECT_FALSE(opened.ok());
+}
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// Iterations of every line in a JSONL log, in file order.
+std::vector<uint64_t> LoggedIters(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<uint64_t> iters;
+  std::string line;
+  while (std::getline(in, line)) {
+    auto parsed = ParseJsonLine(line);
+    EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+    if (parsed.ok()) iters.push_back(parsed.value().iter);
+  }
+  return iters;
+}
+
+TEST(RunLoggerTest, OpenForResumeKeepsCompleteLinesAndAppends) {
+  const std::string path = TempPath("daisy_resume_keep.jsonl");
+  MetricRecord rec = SampleRecord();
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    for (uint64_t i = 1; i <= 2; ++i) {
+      rec.iter = i;
+      out << ToJsonLine(rec) << "\n";
+    }
+    out << "{\"run\":\"gan.wt";  // a writer killed mid-record
+  }
+  {
+    auto opened = RunLogger::OpenForResume(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_EQ(opened.value()->records_logged(), 2u);
+    rec.iter = 3;
+    opened.value()->Log(rec);
+  }
+  EXPECT_EQ(LoggedIters(path), (std::vector<uint64_t>{1, 2, 3}));
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+  std::remove(path.c_str());
+}
+
+TEST(RunLoggerTest, OpenForResumeOnMissingLogStartsEmpty) {
+  const std::string path = TempPath("daisy_resume_missing.jsonl");
+  std::remove(path.c_str());
+  {
+    auto opened = RunLogger::OpenForResume(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_EQ(opened.value()->records_logged(), 0u);
+  }
+  EXPECT_EQ(ReadAll(path), "");
+  std::remove(path.c_str());
+}
+
+TEST(RunLoggerTest, ResumeAtTrimsToTheCursorThenAppends) {
+  const std::string path = TempPath("daisy_resume_at.jsonl");
+  {
+    auto opened = RunLogger::Open(path);
+    ASSERT_TRUE(opened.ok());
+    RunLogger& logger = *opened.value();
+    MetricRecord rec = SampleRecord();
+    for (uint64_t i = 1; i <= 5; ++i) {
+      rec.iter = i;
+      logger.Log(rec);
+    }
+    ASSERT_TRUE(logger.ResumeAt(2).ok());
+    EXPECT_EQ(logger.records_logged(), 2u);
+    rec.iter = 3;
+    logger.Log(rec);
+  }
+  EXPECT_EQ(LoggedIters(path), (std::vector<uint64_t>{1, 2, 3}));
+  std::remove(path.c_str());
 }
 
 // ---- MemorySink -----------------------------------------------------

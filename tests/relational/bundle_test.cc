@@ -11,7 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "ckpt/checkpoint.h"
+#include "core/durable.h"
 #include "relational/bundle.h"
 
 namespace daisy::rel {
@@ -161,7 +161,7 @@ TEST(BundleTest, RejectsWrongLeadingTag) {
   char trailer[32];
   std::snprintf(trailer, sizeof(trailer), "checksum %016llx\n",
                 static_cast<unsigned long long>(
-                    ckpt::Fnv1a64(payload.data(), payload.size())));
+                    Fnv1a64(payload.data(), payload.size())));
   auto parsed = ParseBundle(payload + trailer);
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), Status::Code::kInvalidArgument);

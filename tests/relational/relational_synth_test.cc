@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "data/columnar.h"
 #include "data/generators/relational_pair.h"
 #include "eval/relational.h"
+#include "relational/bundle.h"
 #include "relational/relational_synthesizer.h"
 
 namespace daisy::rel {
@@ -215,6 +217,48 @@ TEST(RelationalSynthTest, SaveLoadGenerateIsBitwiseIdentical) {
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_TRUE(BitwiseEqual(a.value(), b.value()))
       << "a reloaded bundle must generate the identical database";
+}
+
+// Replaces newline-separated line `line` of an embedded model payload
+// (0 = its format tag; the numeric header tokens are one per line).
+std::string ForgeModelLine(const std::string& blob, size_t line,
+                           const std::string& value) {
+  size_t begin = 0;
+  for (size_t i = 0; i < line; ++i) begin = blob.find('\n', begin) + 1;
+  const size_t end = blob.find('\n', begin);
+  return blob.substr(0, begin) + value + blob.substr(end);
+}
+
+TEST(RelationalSynthTest, RejectsForgedModelInsideValidBundle) {
+  // A bundle whose outer checksum is valid but whose embedded model is
+  // forged must be refused with InvalidArgument, not crash at load.
+  const data::RelationalPair pair = MakePair();
+  const std::string dir = FreshDir("rel_forged_model");
+  RelationalSynthesizer synth(TinyOptions(dir));
+  ASSERT_TRUE(synth.Fit(pair.schema, {{&pair.parent, nullptr},
+                                      {&pair.child, nullptr}})
+                  .ok());
+  const std::string path = dir + "/db.daisyrel";
+  ASSERT_TRUE(synth.Save(path).ok());
+  auto bundle = LoadBundle(path);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  ASSERT_EQ(bundle.value().tables.size(), 2u);
+
+  // Root table: generator arch 4. Child table (parent-conditioned):
+  // the conditional flag, which parent conditioning excludes.
+  for (const auto& [table, line, value] :
+       {std::tuple<size_t, size_t, const char*>{0, 1, "4"},
+        std::tuple<size_t, size_t, const char*>{1, 3, "1"}}) {
+    RelationalBundle forged = bundle.value();
+    std::string& blob = forged.tables[table].model_blob;
+    blob = ForgeModelLine(blob, line, value);
+    const std::string forged_path = dir + "/forged.daisyrel";
+    ASSERT_TRUE(SaveBundle(forged, forged_path).ok());
+    auto loaded = RelationalSynthesizer::Load(forged_path);
+    ASSERT_FALSE(loaded.ok()) << "table " << table << " line " << line;
+    EXPECT_EQ(loaded.status().code(), Status::Code::kInvalidArgument)
+        << loaded.status().ToString();
+  }
 }
 
 TEST(RelationalSynthTest, GenerateBeforeFitIsFailedPrecondition) {

@@ -203,6 +203,46 @@ TEST(RegistryTest, RejectsCorruptCheckpointAtLoad) {
   EXPECT_TRUE(registry.Load("adult", TrainedModel().model_path, dir).ok());
 }
 
+TEST(RegistryTest, RejectsCorruptModelAtLoad) {
+  // The same flips and cuts as RejectsCorruptCheckpointAtLoad, applied
+  // to the served model file itself: every damaged variant is refused
+  // with a Status by its checksum trailer.
+  std::ifstream in(TrainedModel().model_path, std::ios::binary);
+  std::ostringstream os;
+  os << in.rdbuf();
+  const std::string valid = os.str();
+  const std::string file = FreshDir("serve_corrupt_model") + "/model.daisy";
+  const auto write_file = [&](const std::string& bytes) {
+    std::ofstream out(file, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  };
+
+  for (const size_t pos :
+       {size_t{0}, valid.size() / 3, valid.size() / 2, valid.size() - 1}) {
+    std::string flipped = valid;
+    flipped[pos] = static_cast<char>(flipped[pos] ^ 0x01);
+    write_file(flipped);
+    ModelRegistry registry;
+    auto st = registry.Load("adult", file);
+    EXPECT_EQ(st.code(), Status::Code::kInvalidArgument)
+        << "flip at byte " << pos << ": " << st.ToString();
+    EXPECT_EQ(registry.Find("adult"), nullptr);
+  }
+  for (const size_t cut : {size_t{0}, valid.size() / 2, valid.size() - 1}) {
+    write_file(valid.substr(0, cut));
+    ModelRegistry registry;
+    auto st = registry.Load("adult", file);
+    EXPECT_EQ(st.code(), Status::Code::kInvalidArgument)
+        << "truncation to " << cut << ": " << st.ToString();
+    EXPECT_EQ(registry.Find("adult"), nullptr);
+  }
+
+  // Control: the undamaged bytes load fine.
+  write_file(valid);
+  ModelRegistry registry;
+  EXPECT_TRUE(registry.Load("adult", file).ok());
+}
+
 TEST(RegistryTest, RejectsShapeMismatchedCheckpoint) {
   // A checkpoint from a differently-sized network has a valid checksum
   // but wrong matrix shapes; the overlay must reject it untouched.

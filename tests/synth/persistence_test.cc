@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/durable.h"
 #include "core/serial.h"
 #include "data/generators/realistic.h"
 #include "synth/synthesizer.h"
@@ -16,7 +17,12 @@ namespace {
 class PersistenceTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "daisy_model_test.bin";
+  // One file per test: ctest runs each test as its own process, in parallel.
+  std::string path_ = ::testing::TempDir() + "daisy_model_test_" +
+                      ::testing::UnitTest::GetInstance()
+                          ->current_test_info()
+                          ->name() +
+                      ".bin";
 };
 
 GanOptions TinyOptions() {
@@ -105,71 +111,171 @@ TEST_F(PersistenceTest, LoadCorruptFileFails) {
   EXPECT_FALSE(loaded.ok());
 }
 
-// Rewrites a current-format stream into an older version by swapping
-// the leading tag and deleting the newline-separated header tokens
-// newer versions appended. Valid only for head tokens (everything
-// before the first length-prefixed string, i.e. before the schema).
-std::string DowngradeStream(const std::string& v3, const char* old_tag,
-                            const std::vector<size_t>& drop_lines) {
-  // Find the first N newline boundaries; all header tokens are numeric
-  // single-line writes, so line == token there.
-  std::vector<std::string> head;
-  size_t pos = 0;
-  const size_t max_line = 1 + *std::max_element(drop_lines.begin(),
-                                                drop_lines.end());
-  while (head.size() <= max_line) {
-    const size_t nl = v3.find('\n', pos);
-    EXPECT_NE(nl, std::string::npos);
-    head.push_back(v3.substr(pos, nl - pos));
-    pos = nl + 1;
-  }
-  head[0] = old_tag;
-  std::string out;
-  for (size_t i = 0; i < head.size(); ++i) {
-    bool dropped = false;
-    for (size_t d : drop_lines) dropped = dropped || d == i;
-    if (!dropped) out += head[i] + "\n";
-  }
-  return out + v3.substr(pos);
+// Reads a whole file as bytes.
+std::string FileBytes(const std::string& path) {
+  auto bytes = ReadFile(path);
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  return bytes.ok() ? bytes.take() : std::string();
 }
 
-// v2 files predate parent_cond_dim (header token 14 after the tag);
-// v1 files additionally predate the sampler kind (token 13). Both must
-// keep loading — and generating byte-identically — forever.
-TEST_F(PersistenceTest, ReadsV2AndV1StreamsIdentically) {
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+std::string SavePayload(const TableSynthesizer& synth) {
+  std::ostringstream os;
+  EXPECT_TRUE(synth.SaveToStream(os).ok());
+  return os.str();
+}
+
+// Replaces newline-separated payload line `line` (0 = the format tag).
+// Valid for the numeric header tokens ahead of the schema, where one
+// line holds one token.
+std::string ForgeLine(const std::string& payload, size_t line,
+                      const std::string& value) {
+  size_t begin = 0;
+  for (size_t i = 0; i < line; ++i) begin = payload.find('\n', begin) + 1;
+  const size_t end = payload.find('\n', begin);
+  return payload.substr(0, begin) + value + payload.substr(end);
+}
+
+// Loads `payload` from a file that carries a VALID checksum trailer, so
+// the forged content — not the checksum — is what Load must refuse.
+Status LoadForged(const std::string& path, std::string payload) {
+  AppendChecksumTrailer(&payload);
+  WriteBytes(path, payload);
+  auto loaded = TableSynthesizer::Load(path);
+  return loaded.ok() ? Status::OK() : loaded.status();
+}
+
+// The fixture's shared path_ races with the other tests under a
+// parallel ctest; the tests below write files of their own.
+class ModelFileTest : public ::testing::Test {
+ protected:
+  void TearDown() override { std::remove(path_.c_str()); }
+  std::string path_ = ::testing::TempDir() + "daisy_model_file_" +
+                      ::testing::UnitTest::GetInstance()
+                          ->current_test_info()
+                          ->name() +
+                      ".bin";
+};
+
+TEST_F(ModelFileTest, ModelFileIsPayloadPlusChecksumTrailer) {
   Rng rng(4);
   data::Table train = data::MakeAdultSim(200, &rng);
   TableSynthesizer synth(TinyOptions(), {});
   synth.Fit(train);
-  std::ostringstream os;
-  ASSERT_TRUE(synth.SaveToStream(os).ok());
-  const std::string v3 = os.str();
-  ASSERT_EQ(v3.rfind("daisy-model-v3", 0), 0u);
+  ASSERT_TRUE(synth.Save(path_).ok());
+  const std::string payload = SavePayload(synth);
+  ASSERT_EQ(payload.rfind("daisy-model-v3\n", 0), 0u);
+  const std::string file = FileBytes(path_);
+  auto payload_len = VerifyChecksumTrailer(file, "model");
+  ASSERT_TRUE(payload_len.ok()) << payload_len.status().ToString();
+  EXPECT_EQ(file.substr(0, payload_len.value()), payload);
+  EXPECT_EQ(file.size(), payload.size() + std::string("checksum ").size() +
+                             16 + 1);
+}
+
+// A model small enough to sweep every byte of its file.
+std::unique_ptr<TableSynthesizer> FitTinyModel() {
+  data::Table train(data::Schema({data::Attribute::Numerical("x"),
+                                  data::Attribute::Categorical("c", {"a", "b"})}));
+  Rng rng(6);
+  for (int i = 0; i < 40; ++i)
+    train.AppendRecord({rng.Gaussian(), static_cast<double>(i % 2)});
+  GanOptions opts;
+  opts.iterations = 2;
+  opts.batch_size = 8;
+  opts.noise_dim = 2;
+  opts.g_hidden = {3};
+  opts.d_hidden = {3};
+  opts.snapshots = 1;
+  transform::TransformOptions topts;
+  topts.numerical = transform::NumericalNormalization::kSimple;
+  auto synth = std::make_unique<TableSynthesizer>(opts, topts);
+  EXPECT_TRUE(synth->Fit(train).ok());
+  return synth;
+}
+
+TEST_F(ModelFileTest, EveryByteFlipAndTruncationOfTheFileIsRefused) {
+  const auto synth = FitTinyModel();
+  ASSERT_TRUE(synth->Save(path_).ok());
+  const std::string valid = FileBytes(path_);
+  ASSERT_TRUE(TableSynthesizer::Load(path_).ok());
+
+  for (size_t i = 0; i < valid.size(); ++i) {
+    std::string flipped = valid;
+    flipped[i] = static_cast<char>(flipped[i] ^ 0x01);
+    WriteBytes(path_, flipped);
+    auto loaded = TableSynthesizer::Load(path_);
+    ASSERT_FALSE(loaded.ok()) << "flip at byte " << i << " went undetected";
+    EXPECT_EQ(loaded.status().code(), Status::Code::kInvalidArgument);
+  }
+  for (size_t cut = 0; cut < valid.size(); ++cut) {
+    WriteBytes(path_, valid.substr(0, cut));
+    auto loaded = TableSynthesizer::Load(path_);
+    ASSERT_FALSE(loaded.ok()) << "truncation to " << cut
+                              << " bytes went undetected";
+    EXPECT_EQ(loaded.status().code(), Status::Code::kInvalidArgument);
+  }
+}
+
+// Forged payloads under a valid trailer: every out-of-range enum or
+// width and every option combination the constructor forbids comes back
+// as InvalidArgument before any network is built.
+TEST_F(ModelFileTest, RefusesForgedStreamsWithValidTrailer) {
+  Rng rng(5);
+  data::Table train = data::MakeAdultSim(200, &rng);
+  TableSynthesizer synth(TinyOptions(), {});
+  synth.Fit(train);
+  const std::string v3 = SavePayload(synth);
+  ASSERT_TRUE(LoadForged(path_, v3).ok());
 
   // TinyOptions has one generator and one discriminator width, so the
   // header layout is fixed: tag, gen, disc, cond, simp, noise, ng, w,
-  // nd, w, lstm_hidden, lstm_feature, seed, sampler, parent_cond_dim.
-  const std::string v2 = DowngradeStream(v3, "daisy-model-v2", {14});
-  // v1 additionally predates the mid-stream "tbs" section; for a
-  // non-TBS model that section is the literal empty marker.
-  std::string v1 = DowngradeStream(v3, "daisy-model-v1", {13, 14});
-  const std::string tbs_marker = "\ntbs\n0\n";
-  const size_t tbs_at = v1.find(tbs_marker);
-  ASSERT_NE(tbs_at, std::string::npos);
-  v1.replace(tbs_at, tbs_marker.size(), "\n");
+  // nd, w, lstm_hidden, lstm_feature, seed, sampler, parent_cond_dim,
+  // categorical, numerical, form.
+  const std::vector<std::pair<std::string, std::string>> forged = {
+      {"generator arch 4", ForgeLine(v3, 1, "4")},
+      {"discriminator arch 9", ForgeLine(v3, 2, "9")},
+      {"conditional + training-by-sampling",
+       ForgeLine(ForgeLine(v3, 3, "1"), 13, "2")},
+      {"parent conditioning + conditional",
+       ForgeLine(ForgeLine(v3, 3, "1"), 14, "5")},
+      {"parent conditioning + training-by-sampling",
+       ForgeLine(ForgeLine(v3, 13, "2"), 14, "5")},
+      {"sampler kind 3", ForgeLine(v3, 13, "3")},
+      {"noise dim 0", ForgeLine(v3, 5, "0")},
+      {"hidden width 1e9", ForgeLine(v3, 7, "1000000000")},
+      {"lstm hidden 0", ForgeLine(v3, 10, "0")},
+      {"parent cond dim 1e9", ForgeLine(v3, 14, "1000000000")},
+      {"categorical encoding 2", ForgeLine(v3, 15, "2")},
+      {"numerical normalization 2", ForgeLine(v3, 16, "2")},
+      {"sample form 2", ForgeLine(v3, 17, "2")},
+      {"cnn discriminator on vector samples", ForgeLine(v3, 2, "3")},
+      {"conditional flag on an unconditional model", ForgeLine(v3, 3, "1")},
+      {"wrong format tag", ForgeLine(v3, 0, "daisy-model-v2")},
+  };
+  // The first segment's kind token follows "segments\n<count>\n".
+  const size_t seg = v3.find("\nsegments\n");
+  ASSERT_NE(seg, std::string::npos);
+  size_t kind_line = 0;
+  for (size_t i = 0; i < seg + 1; ++i) kind_line += v3[i] == '\n';
+  kind_line += 2;
+  std::vector<std::pair<std::string, std::string>> with_segments = forged;
+  with_segments.push_back({"segment kind 7", ForgeLine(v3, kind_line, "7")});
+  with_segments.push_back(
+      {"segment kind disagrees with its attribute",
+       ForgeLine(v3, kind_line, "2")});
 
-  for (const std::string* bytes :
-       std::initializer_list<const std::string*>{&v2, &v1}) {
-    std::istringstream is(*bytes);
-    auto loaded = TableSynthesizer::LoadFromStream(is);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    Rng g1(13), g2(13);
-    data::Table a = synth.Generate(50, &g1);
-    data::Table b = loaded.value()->Generate(50, &g2);
-    for (size_t i = 0; i < a.num_records(); ++i)
-      for (size_t j = 0; j < a.num_attributes(); ++j)
-        ASSERT_DOUBLE_EQ(a.value(i, j), b.value(i, j))
-            << "record " << i << " attr " << j;
+  for (const auto& [what, payload] : with_segments) {
+    ASSERT_NE(payload, v3) << what;
+    const Status st = LoadForged(path_, payload);
+    EXPECT_EQ(st.code(), Status::Code::kInvalidArgument)
+        << what << ": " << st.ToString();
   }
 }
 
