@@ -67,7 +67,9 @@ double InputMax(const RelationalInput& in, size_t col) {
                              : in.paged->attribute_max(col);
 }
 
-/// Encodes every record of a real (training) parent input.
+/// Encodes every record of a parent input (the real one at fit time, the
+/// synthetic one at generation) with the child's encoder, reading
+/// through the parent's kept columns.
 Result<Matrix> EncodeParentInput(const RelationalInput& in,
                                  const std::vector<size_t>& kept,
                                  const ParentCondEncoder& encoder) {
@@ -104,9 +106,7 @@ data::Table AssembleTable(const data::Schema& full,
 }  // namespace
 
 RelationalSynthesizer::RelationalSynthesizer(RelationalOptions options)
-    : opts_(std::move(options)) {
-  DAISY_CHECK(opts_.gan.parent_cond_dim == 0);
-}
+    : opts_(std::move(options)) {}
 
 Status RelationalSynthesizer::Fit(const data::RelationalSchema& schema,
                                   const std::vector<RelationalInput>& inputs,
@@ -206,7 +206,6 @@ Status RelationalSynthesizer::Fit(const data::RelationalSchema& schema,
       auto enc = EncodeParentInput(pin, pkept, tm.encoder);
       DAISY_RETURN_IF_ERROR(enc.status());
       row_cond = enc.value().GatherRows(parent_row);
-      gopts.parent_cond_dim = tm.encoder.cond_dim();
     }
 
     tm.model =
@@ -244,17 +243,6 @@ Status RelationalSynthesizer::Fit(const data::RelationalSchema& schema,
   }
   fitted_ = true;
   return Status::OK();
-}
-
-Matrix RelationalSynthesizer::EncodeParentTable(
-    size_t parent_idx, const data::Table& parent,
-    const ParentCondEncoder& encoder) const {
-  const std::vector<size_t>& kept = models_[parent_idx].kept_cols;
-  std::vector<std::vector<double>> cols;
-  cols.reserve(encoder.features().size());
-  for (const auto& f : encoder.features())
-    cols.push_back(parent.Column(kept[f.source_col]));
-  return encoder.EncodeColumns(cols, parent.num_records());
 }
 
 Result<std::vector<data::Table>> RelationalSynthesizer::Generate(
@@ -302,14 +290,16 @@ Result<std::vector<data::Table>> RelationalSynthesizer::Generate(
       continue;
     }
 
-    const Matrix enc = EncodeParentTable(p, parent, tm.encoder);
+    auto enc = EncodeParentInput({&parent, nullptr}, models_[p].kept_cols,
+                                 tm.encoder);
+    DAISY_RETURN_IF_ERROR(enc.status());
     std::vector<size_t> parent_of;
     parent_of.reserve(total);
     for (size_t r = 0; r < n_parent; ++r)
       for (size_t c = 0; c < counts[r]; ++c) parent_of.push_back(r);
 
-    auto modeled = tm.model->GenerateConditioned(enc.GatherRows(parent_of),
-                                                 rng);
+    auto modeled =
+        tm.model->GenerateConditioned(enc.value().GatherRows(parent_of), rng);
     DAISY_RETURN_IF_ERROR(modeled.status());
 
     const int fk_col = def.schema.FindAttribute(edge->child_column);
@@ -396,20 +386,21 @@ Result<std::unique_ptr<RelationalSynthesizer>> RelationalSynthesizer::Load(
       return Status::InvalidArgument("bundle table '" + bt.name +
                                      "': " + model.status().message());
     tm.model = std::move(model.value());
+    // A child's model conditions on parent rows as wide as its encoder
+    // output; a root's model never conditions on parent rows.
+    const synth::ConditionSource& cond = tm.model->condition();
+    const size_t parent_width =
+        cond.kind() == synth::ConditionKind::kParentRows ? cond.dim() : 0;
+    if (parent_width != (bt.has_parent ? bt.encoder.cond_dim() : 0))
+      return Status::InvalidArgument(
+          "bundle table '" + bt.name +
+          "': its model's parent-row width disagrees with its parent edge");
     if (bt.has_parent) {
       tm.cardinality = bt.cardinality;
       tm.encoder = bt.encoder;
       if (tm.cardinality.weights().empty())
         return Status::InvalidArgument("bundle table '" + bt.name +
                                        "': empty cardinality model");
-      if (tm.encoder.cond_dim() != tm.model->options().parent_cond_dim)
-        return Status::InvalidArgument(
-            "bundle table '" + bt.name +
-            "': encoder width disagrees with its model's condition width");
-    } else if (tm.model->options().parent_cond_dim != 0) {
-      return Status::InvalidArgument(
-          "bundle table '" + bt.name +
-          "': root table carries a parent-conditioned model");
     }
   }
   synth->fitted_ = true;

@@ -40,8 +40,8 @@ namespace daisy::rel {
 struct RelationalOptions {
   /// Per-table GAN hyper-parameters. seed is the base seed; table i
   /// (declaration order) trains with seed + i so sibling models do not
-  /// share parameter-init streams. parent_cond_dim is derived
-  /// internally and must be left 0.
+  /// share parameter-init streams. Child tables condition on parent
+  /// rows, so label conditioning or TBS fails their Fit.
   synth::GanOptions gan;
   transform::TransformOptions transform;
 
@@ -98,11 +98,6 @@ class RelationalSynthesizer {
     CardinalityModel cardinality;
     ParentCondEncoder encoder;  ///< over the PARENT's modeled columns
   };
-
-  /// Encodes every row of a generated parent table (full schema) with
-  /// the child's encoder, reading through the parent's kept_cols.
-  Matrix EncodeParentTable(size_t parent_idx, const data::Table& parent,
-                           const ParentCondEncoder& encoder) const;
 
   RelationalOptions opts_;
   data::RelationalSchema schema_;

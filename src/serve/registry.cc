@@ -16,6 +16,8 @@ Status ModelRegistry::Load(const std::string& name,
   auto loaded = synth::TableSynthesizer::Load(model_path);
   if (!loaded.ok())
     return loaded.status().WithPrefix("model '" + name + "': ");
+  if (Status st = loaded.value()->CheckStandalone(); !st.ok())
+    return st.WithPrefix("model '" + name + "': ");
 
   if (!checkpoint_dir.empty()) {
     ckpt::CheckpointStore store(checkpoint_dir);

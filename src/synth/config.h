@@ -44,14 +44,9 @@ enum class DpEngineKind {
 /// random-faulting the whole file — the out-of-core mode. The chunked
 /// sampler derives its own rng streams from the seed and consumes
 /// nothing from the training rng. kTrainingBySampling is CTGAN-style
-/// training-by-sampling (arXiv:2010.00638): each draw conditions on a
-/// (column, category) pair drawn from the column's log-frequency
-/// distribution, so rare categories are trained orders of magnitude
-/// more often than uniform sampling would; requires at least one
-/// one-hot categorical attribute and is incompatible with
-/// `conditional` (the cond vector is the attribute condition, not the
-/// label). kCTrain ignores this knob (label-aware sampling needs
-/// per-label pools).
+/// training-by-sampling (DESIGN.md §5i): rare categories are trained
+/// orders of magnitude more often; it owns the cond vector, so label
+/// conditioning excludes it (ResolveConditionKind, DESIGN.md §5l).
 enum class SamplerKind { kUniform, kChunkedShuffle, kTrainingBySampling };
 
 /// Hyper-parameters shared by the architectures and trainers. The
@@ -64,21 +59,12 @@ struct GanOptions {
   TrainAlgo algo = TrainAlgo::kVTrain;
 
   /// Feed the label as a condition vector to G and D (conditional GAN,
-  /// paper §5.3). Requires a labeled table.
+  /// paper §5.3). Requires a labeled table; kCTrain implies it.
   bool conditional = false;
 
   /// Use a deliberately weaker discriminator (1 narrow layer) — the
   /// "Simplified" mode-collapse mitigation of §5.2.
   bool simplified_discriminator = false;
-
-  /// Width of an externally supplied per-row condition vector (the
-  /// relational layer's encoded parent attributes). When > 0 the
-  /// trainer conditions G and D on the source's row_cond() matrix
-  /// instead of the label or a TBS attribute condition, and generation
-  /// takes one caller-provided condition row per output record.
-  /// Mutually exclusive with `conditional`, kCTrain and
-  /// kTrainingBySampling.
-  size_t parent_cond_dim = 0;
 
   // Network sizes.
   size_t noise_dim = 32;

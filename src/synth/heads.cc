@@ -35,30 +35,6 @@ std::vector<HeadUnit> BuildHeadUnits(
   return units;
 }
 
-std::vector<CondBlock> BuildCondBlocks(
-    const std::vector<transform::AttrSegment>& segments) {
-  std::vector<CondBlock> blocks;
-  size_t cond_offset = 0;
-  for (const auto& seg : segments) {
-    if (seg.kind != transform::AttrSegment::Kind::kOneHotCat) continue;
-    CondBlock b;
-    b.attr_index = seg.attr_index;
-    b.source_col = seg.source_col;
-    b.cond_offset = cond_offset;
-    b.sample_offset = seg.offset;
-    b.domain = seg.width;
-    cond_offset += b.domain;
-    blocks.push_back(b);
-  }
-  return blocks;
-}
-
-size_t CondDim(const std::vector<CondBlock>& blocks) {
-  size_t dim = 0;
-  for (const auto& b : blocks) dim += b.domain;
-  return dim;
-}
-
 HeadProjection::HeadProjection(size_t in_features, const HeadUnit& unit,
                                Rng* rng)
     : unit_(unit), linear_(in_features, unit.width, rng) {

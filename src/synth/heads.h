@@ -28,30 +28,6 @@ struct HeadUnit {
 std::vector<HeadUnit> BuildHeadUnits(
     const std::vector<transform::AttrSegment>& segments);
 
-/// One conditionable categorical attribute in the training-by-sampling
-/// condition vector (CTGAN-style cond vector; arXiv:2010.00638). The
-/// cond vector is the concatenation of one one-hot block per one-hot-
-/// encoded categorical segment, in segment order; a training draw (or a
-/// generation draw) sets exactly one 1.0 — at cond_offset + category of
-/// the selected block — and leaves every other block all-zero.
-struct CondBlock {
-  size_t attr_index = 0;     ///< column in the transformed (sub-)schema
-  size_t source_col = 0;     ///< column in the original full table
-  size_t cond_offset = 0;    ///< first column of this block in the cond vector
-  size_t sample_offset = 0;  ///< the attribute's softmax block in the sample
-  size_t domain = 0;         ///< block width = category count
-};
-
-/// Derives the cond-vector layout from the transformer segments: one
-/// block per kOneHotCat segment, offsets assigned in segment order.
-/// Empty when the table has no one-hot categorical attribute (training-
-/// by-sampling is then unavailable).
-std::vector<CondBlock> BuildCondBlocks(
-    const std::vector<transform::AttrSegment>& segments);
-
-/// Total cond-vector width (sum of block domains).
-size_t CondDim(const std::vector<CondBlock>& blocks);
-
 /// Linear + activation producing one head unit from a feature vector.
 class HeadProjection {
  public:

@@ -8,13 +8,11 @@
 // and layout field before it builds anything, so a forged stream is
 // refused with InvalidArgument rather than a crash.
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "core/durable.h"
 #include "core/serial.h"
 #include "data/schema_serial.h"
-#include "synth/heads.h"
 #include "synth/synthesizer.h"
 
 namespace daisy::synth {
@@ -103,45 +101,33 @@ std::vector<transform::AttrSegment> ReadSegments(Deserializer* in) {
   return segments;
 }
 
-// Refuses, as InvalidArgument, what Fit could never have written: the
-// condition-source combinations the constructor DAISY_CHECKs,
-// implausible widths, and schemas, segments or sampling weights that
-// FromState, BuildNetworks, DrawLatents or DecodeRows would trip over.
-Status Validate(const GanOptions& o, transform::SampleForm form,
-                const data::Schema& full, const data::Schema& sub,
-                const std::vector<transform::AttrSegment>& segments,
-                const std::vector<double>& label_weights,
-                const std::vector<std::vector<double>>& tbs_weights) {
+// Refuses, as InvalidArgument, what Fit could never have written:
+// implausible widths, and schemas or segments that FromState,
+// BuildNetworks or DecodeRows would trip over. The condition rule and
+// the condition slots are checked as they are read.
+Status Validate(const GanOptions& o, ConditionKind kind, size_t parent_dim,
+                transform::SampleForm form, const data::Schema& full,
+                const data::Schema& sub,
+                const std::vector<transform::AttrSegment>& segments) {
   const auto bad = [](const std::string& what) {
     return Status::InvalidArgument("corrupt model file: " + what);
   };
   const auto width_ok = [](size_t w) { return w >= 1 && w <= kMaxWidth; };
-  // Weights as Rng::Categorical requires them.
-  const auto weights_ok = [](const std::vector<double>& w, size_t n) {
-    return w.size() == n && n > 0 &&
-           std::all_of(w.begin(), w.end(),
-                       [](double x) { return x >= 0.0 && std::isfinite(x); });
-  };
-  const bool tbs = o.sampler == SamplerKind::kTrainingBySampling;
-  if (o.conditional + (o.parent_cond_dim > 0) + tbs > 1)
-    return bad("more than one condition source");
+  const bool label = kind == ConditionKind::kLabel;
   if (!width_ok(o.noise_dim) || !width_ok(o.lstm_hidden) ||
-      !width_ok(o.lstm_feature) || o.parent_cond_dim > kMaxCondDim ||
+      !width_ok(o.lstm_feature) || parent_dim > kMaxCondDim ||
       !std::all_of(o.g_hidden.begin(), o.g_hidden.end(), width_ok) ||
       !std::all_of(o.d_hidden.begin(), o.d_hidden.end(), width_ok))
     return bad("implausible network width");
-  if (o.conditional &&
-      (!full.has_label() || !weights_ok(label_weights, full.num_labels())))
-    return bad("conditional model without a label distribution");
   // One segment per attribute, in schema order, minus the label under
   // label conditioning (DecodeRows re-inserts it).
   if (segments.empty() || segments.size() != sub.num_attributes() ||
-      sub.num_attributes() + (o.conditional ? 1 : 0) != full.num_attributes())
+      sub.num_attributes() + (label ? 1 : 0) != full.num_attributes())
     return bad("transformed schema does not match the table schema");
   using Kind = transform::AttrSegment::Kind;
   size_t i = 0, dim = 0;
   for (size_t j = 0; j < full.num_attributes(); ++j) {
-    if (o.conditional && j == full.label_index()) continue;
+    if (label && j == full.label_index()) continue;
     const transform::AttrSegment& seg = segments[i];
     const data::Attribute& a = full.attribute(j);
     const bool categorical =
@@ -173,13 +159,6 @@ Status Validate(const GanOptions& o, transform::SampleForm form,
     return bad("CNN networks need a matrix-formed sample");
   if (matrix && !cnn_g && side * side != dim)
     return bad("generator output does not match the sample width");
-  if (tbs) {
-    const std::vector<CondBlock> blocks = BuildCondBlocks(segments);
-    bool ok = tbs_weights.size() == blocks.size();
-    for (size_t b = 0; ok && b < blocks.size(); ++b)
-      ok = weights_ok(tbs_weights[b], blocks[b].domain);
-    if (!ok) return bad("TBS weights do not match the cond-vector layout");
-  }
   return Status::OK();
 }
 
@@ -204,11 +183,11 @@ Status TableSynthesizer::SaveToStream(std::ostream& os) const {
   out.WriteU64(opts_.lstm_hidden);
   out.WriteU64(opts_.lstm_feature);
   out.WriteU64(opts_.seed);
-  // The sampler kind and parent_cond_dim decide the cond-vector layout
-  // at load time (training-by-sampling models condition on attributes,
-  // parent-conditioned models on external condition rows).
+  // With the conditional flag, the sampler kind and the parent width
+  // decide the condition source at load time (ResolveConditionKind).
   out.WriteU64(static_cast<uint64_t>(opts_.sampler));
-  out.WriteU64(opts_.parent_cond_dim);
+  out.WriteU64(cond_->kind() == ConditionKind::kParentRows ? cond_->dim()
+                                                           : 0);
   // Transform options.
   out.WriteU64(static_cast<uint64_t>(topts_.categorical));
   out.WriteU64(static_cast<uint64_t>(topts_.numerical));
@@ -219,12 +198,7 @@ Status TableSynthesizer::SaveToStream(std::ostream& os) const {
   data::SerializeSchema(&out, full_schema_);
   data::SerializeSchema(&out, transformer_->schema());
   WriteSegments(&out, transformer_->segments());
-  out.WriteDoubleVector(label_weights_);
-  // Raw per-category generation frequencies for training-by-sampling
-  // (empty for other samplers).
-  out.WriteTag("tbs");
-  out.WriteU64(tbs_weights_.size());
-  for (const auto& w : tbs_weights_) out.WriteDoubleVector(w);
+  cond_->Save(&out);
 
   // Current generator parameters and buffers.
   auto* self = const_cast<TableSynthesizer*>(this);
@@ -278,7 +252,9 @@ Result<std::unique_ptr<TableSynthesizer>> TableSynthesizer::LoadFromStream(
   opts.lstm_feature = in.ReadU64();
   opts.seed = in.ReadU64();
   opts.sampler = ReadEnum(&in, SamplerKind::kTrainingBySampling);
-  opts.parent_cond_dim = in.ReadU64();
+  const size_t parent_dim = in.ReadU64();
+  auto kind = ResolveConditionKind(opts, parent_dim > 0);
+  if (!kind.ok()) return kind.status().WithPrefix("corrupt model file: ");
 
   transform::TransformOptions topts;
   topts.categorical = ReadEnum(&in, transform::CategoricalEncoding::kOneHot);
@@ -290,13 +266,9 @@ Result<std::unique_ptr<TableSynthesizer>> TableSynthesizer::LoadFromStream(
   data::Schema full_schema = data::DeserializeSchema(&in);
   data::Schema sub_schema = data::DeserializeSchema(&in);
   auto segments = ReadSegments(&in);
-  auto label_weights = in.ReadDoubleVector();
-  in.ExpectTag("tbs");
-  const size_t num_tbs = in.ReadU64();
-  if (!in.ok() || num_tbs > 100000)
-    return Status::InvalidArgument("corrupt model file: " + in.error());
-  std::vector<std::vector<double>> tbs_weights(num_tbs);
-  for (auto& w : tbs_weights) w = in.ReadDoubleVector();
+  auto cond = LoadConditionSource(&in, kind.value(), parent_dim, full_schema,
+                                  segments);
+  DAISY_RETURN_IF_ERROR(cond.status());
 
   in.ExpectTag("generator");
   const size_t num_params = in.ReadU64();
@@ -312,14 +284,13 @@ Result<std::unique_ptr<TableSynthesizer>> TableSynthesizer::LoadFromStream(
   for (auto& m : buffers) m = in.ReadMatrix();
   if (!in.ok())
     return Status::InvalidArgument("corrupt model file: " + in.error());
-  DAISY_RETURN_IF_ERROR(Validate(opts, topts.form, full_schema, sub_schema,
-                                 segments, label_weights, tbs_weights));
+  DAISY_RETURN_IF_ERROR(Validate(opts, kind.value(), parent_dim, topts.form,
+                                 full_schema, sub_schema, segments));
 
   auto synth = std::unique_ptr<TableSynthesizer>(
       new TableSynthesizer(opts, topts));
   synth->full_schema_ = std::move(full_schema);
-  synth->label_weights_ = std::move(label_weights);
-  synth->tbs_weights_ = std::move(tbs_weights);
+  synth->cond_ = cond.take();
   synth->transformer_ = std::make_unique<transform::RecordTransformer>(
       transform::RecordTransformer::FromState(synth->topts_, sub_schema,
                                               std::move(segments)));

@@ -93,12 +93,8 @@ void ChunkedShuffleSampler::AdvanceRows(uint64_t rows) {
   }
 }
 
-LabelAwareSampler::LabelAwareSampler(const data::Table& table) {
-  DAISY_CHECK(table.schema().has_label());
-  by_label_.resize(table.schema().num_labels());
-  for (size_t i = 0; i < table.num_records(); ++i)
-    by_label_[table.label(i)].push_back(i);
-}
+LabelAwareSampler::LabelAwareSampler(const data::Table& table)
+    : LabelAwareSampler(table.Labels(), table.schema().num_labels()) {}
 
 LabelAwareSampler::LabelAwareSampler(const std::vector<size_t>& labels,
                                      size_t num_labels) {

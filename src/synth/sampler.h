@@ -82,9 +82,8 @@ class LabelAwareSampler {
  public:
   explicit LabelAwareSampler(const data::Table& table);
 
-  /// Same pools built from a label vector (how the trainer constructs
-  /// it from a TrainDataSource, paged or in-memory). Every entry must
-  /// be < num_labels.
+  /// Same pools built from a label vector (how the label condition
+  /// source builds them). Every entry must be < num_labels.
   LabelAwareSampler(const std::vector<size_t>& labels, size_t num_labels);
 
   size_t num_labels() const { return by_label_.size(); }

@@ -1,5 +1,7 @@
 #include "synth/synthesizer.h"
 
+#include <algorithm>
+
 #include "core/parallel.h"
 #include "synth/cnn_nets.h"
 #include "synth/lstm_nets.h"
@@ -17,147 +19,80 @@ TableSynthesizer::TableSynthesizer(
     topts_.form = transform::SampleForm::kMatrix;
     opts_.discriminator = DiscriminatorArch::kCnn;
   }
-  if (opts_.conditional) topts_.exclude_label = true;
   if (opts_.algo == TrainAlgo::kCTrain) opts_.conditional = true;
-  // Training-by-sampling owns the cond vector (attribute conditions);
-  // it cannot be combined with label conditioning.
-  DAISY_CHECK(!(UsesTbs() && opts_.conditional));
-  // Parent conditioning owns the cond vector outright: no label
-  // conditioning, no label-aware sampling, no training-by-sampling.
-  if (opts_.parent_cond_dim > 0) {
-    DAISY_CHECK(!opts_.conditional);
-    DAISY_CHECK(opts_.algo != TrainAlgo::kCTrain);
-    DAISY_CHECK(opts_.sampler != SamplerKind::kTrainingBySampling);
-  }
+  DAISY_CHECK(ResolveConditionKind(opts_, /*parent_rows=*/false).ok());
+  // The label is the condition, not a generated attribute.
+  if (opts_.conditional) topts_.exclude_label = true;
 }
 
 Status TableSynthesizer::Fit(const data::Table& train,
                              obs::MetricSink* sink) {
-  DAISY_CHECK(!fitted_);
-  DAISY_CHECK(train.num_records() > 0);
-  if (opts_.num_threads > 0) par::SetNumThreads(opts_.num_threads);
-  fitted_ = true;
-  full_schema_ = train.schema();
-  if (opts_.conditional) {
-    DAISY_CHECK(full_schema_.has_label());
-    topts_.exclude_label = true;
-    label_weights_.assign(full_schema_.num_labels(), 0.0);
-    const auto counts = train.LabelCounts();
-    for (size_t y = 0; y < counts.size(); ++y)
-      label_weights_[y] = static_cast<double>(counts[y]);
-  }
+  return FitFrom(&train, nullptr, nullptr, sink);
+}
 
-  transformer_ = std::make_unique<transform::RecordTransformer>(
-      transform::RecordTransformer::Fit(train, topts_, &rng_));
-  BuildNetworks();
-  if (UsesTbs()) {
-    tbs_weights_.clear();
-    for (const CondBlock& b : tbs_blocks_) {
-      std::vector<double> w(b.domain, 0.0);
-      for (size_t i = 0; i < train.num_records(); ++i)
-        w[train.category(i, b.source_col)] += 1.0;
-      tbs_weights_.push_back(std::move(w));
-    }
+Status TableSynthesizer::Fit(const data::PagedTable& train,
+                             obs::MetricSink* sink) {
+  return FitFrom(nullptr, &train, nullptr, sink);
+}
+
+Status TableSynthesizer::FitConditioned(const data::Table& train,
+                                        const Matrix& row_cond,
+                                        obs::MetricSink* sink) {
+  return FitFrom(&train, nullptr, &row_cond, sink);
+}
+
+Status TableSynthesizer::FitConditioned(const data::PagedTable& train,
+                                        const Matrix& row_cond,
+                                        obs::MetricSink* sink) {
+  return FitFrom(nullptr, &train, &row_cond, sink);
+}
+
+Status TableSynthesizer::FitFrom(const data::Table* table,
+                                 const data::PagedTable* paged,
+                                 const Matrix* parent_rows,
+                                 obs::MetricSink* sink) {
+  DAISY_CHECK(!fitted_);
+  const data::Schema& schema = table != nullptr ? table->schema()
+                                                : paged->schema();
+  const size_t n =
+      table != nullptr ? table->num_records() : paged->num_records();
+  // Refusals come before the transformer fit and leave it unfitted.
+  auto kind = ResolveConditionKind(opts_, parent_rows != nullptr);
+  DAISY_RETURN_IF_ERROR(kind.status());
+  DAISY_RETURN_IF_ERROR(CheckTrainingData(schema, n, kind.value()));
+  if (opts_.num_threads > 0) par::SetNumThreads(opts_.num_threads);
+  full_schema_ = schema;
+
+  // The paged path fits streaming statistics and faults minibatches
+  // through the page cache, consuming rng_ exactly like the other.
+  std::unique_ptr<TrainDataSource> data;
+  if (table != nullptr) {
+    transformer_ = std::make_unique<transform::RecordTransformer>(
+        transform::RecordTransformer::Fit(*table, topts_, &rng_));
+    data = std::make_unique<InMemoryTrainSource>(*table, transformer_.get());
+  } else {
+    transformer_ = std::make_unique<transform::RecordTransformer>(
+        transform::RecordTransformer::FitStreaming(*paged, topts_, &rng_));
+    data = std::make_unique<PagedTrainSource>(paged, transformer_.get());
   }
+  auto cond = MakeConditionSource(opts_, *transformer_, *data, parent_rows);
+  DAISY_RETURN_IF_ERROR(cond.status());
+  cond_ = cond.take();
+  BuildNetworks();
+  fitted_ = true;
 
   GanTrainer trainer(g_.get(), d_.get(), transformer_.get(), opts_);
   Rng train_rng = rng_.Split();
-  result_ = trainer.Train(train, &train_rng, sink);
+  result_ = trainer.Train(*data, *cond_, &train_rng, sink);
+  cond_->EndTraining();
   // On divergence the trainer has already rolled the generator back to
   // the last healthy snapshot, so this is always a sane state.
   final_state_ = GetState(g_->Params());
   return result_.health;
 }
 
-Status TableSynthesizer::Fit(const data::PagedTable& train,
-                             obs::MetricSink* sink) {
-  DAISY_CHECK(!fitted_);
-  DAISY_CHECK(train.num_records() > 0);
-  if (opts_.num_threads > 0) par::SetNumThreads(opts_.num_threads);
-  fitted_ = true;
-  full_schema_ = train.schema();
-  if (opts_.conditional) {
-    DAISY_CHECK(full_schema_.has_label());
-    topts_.exclude_label = true;
-    label_weights_.assign(full_schema_.num_labels(), 0.0);
-    auto labels = train.ReadLabels();
-    DAISY_CHECK(labels.ok());
-    for (size_t y : labels.value()) label_weights_[y] += 1.0;
-  }
-
-  transformer_ = std::make_unique<transform::RecordTransformer>(
-      transform::RecordTransformer::FitStreaming(train, topts_, &rng_));
-  BuildNetworks();
-
-  GanTrainer trainer(g_.get(), d_.get(), transformer_.get(), opts_);
-  Rng train_rng = rng_.Split();
-  PagedTrainSource source(&train, transformer_.get());
-  if (UsesTbs()) {
-    tbs_weights_.clear();
-    for (const CondBlock& b : tbs_blocks_) {
-      std::vector<double> w(b.domain, 0.0);
-      for (size_t c : source.CategoryColumn(b.source_col)) w[c] += 1.0;
-      tbs_weights_.push_back(std::move(w));
-    }
-  }
-  result_ = trainer.Train(source, &train_rng, sink);
-  final_state_ = GetState(g_->Params());
-  return result_.health;
-}
-
-Status TableSynthesizer::FitConditioned(const data::Table& train,
-                                        const Matrix& row_cond,
-                                        obs::MetricSink* sink) {
-  DAISY_CHECK(!fitted_);
-  DAISY_CHECK(train.num_records() > 0);
-  DAISY_CHECK(opts_.parent_cond_dim > 0);
-  if (opts_.num_threads > 0) par::SetNumThreads(opts_.num_threads);
-  fitted_ = true;
-  full_schema_ = train.schema();
-
-  transformer_ = std::make_unique<transform::RecordTransformer>(
-      transform::RecordTransformer::Fit(train, topts_, &rng_));
-  BuildNetworks();
-
-  GanTrainer trainer(g_.get(), d_.get(), transformer_.get(), opts_);
-  Rng train_rng = rng_.Split();
-  InMemoryTrainSource source(train, transformer_.get());
-  source.set_row_cond(row_cond);
-  result_ = trainer.Train(source, &train_rng, sink);
-  final_state_ = GetState(g_->Params());
-  return result_.health;
-}
-
-Status TableSynthesizer::FitConditioned(const data::PagedTable& train,
-                                        const Matrix& row_cond,
-                                        obs::MetricSink* sink) {
-  DAISY_CHECK(!fitted_);
-  DAISY_CHECK(train.num_records() > 0);
-  DAISY_CHECK(opts_.parent_cond_dim > 0);
-  if (opts_.num_threads > 0) par::SetNumThreads(opts_.num_threads);
-  fitted_ = true;
-  full_schema_ = train.schema();
-
-  transformer_ = std::make_unique<transform::RecordTransformer>(
-      transform::RecordTransformer::FitStreaming(train, topts_, &rng_));
-  BuildNetworks();
-
-  GanTrainer trainer(g_.get(), d_.get(), transformer_.get(), opts_);
-  Rng train_rng = rng_.Split();
-  PagedTrainSource source(&train, transformer_.get());
-  source.set_row_cond(row_cond);
-  result_ = trainer.Train(source, &train_rng, sink);
-  final_state_ = GetState(g_->Params());
-  return result_.health;
-}
-
 void TableSynthesizer::BuildNetworks() {
-  tbs_blocks_ = UsesTbs() ? BuildCondBlocks(transformer_->segments())
-                          : std::vector<CondBlock>();
-  const size_t cond_dim = opts_.conditional       ? full_schema_.num_labels()
-                          : opts_.parent_cond_dim > 0
-                              ? opts_.parent_cond_dim
-                              : CondDim(tbs_blocks_);
+  const size_t cond_dim = cond_->dim();
   const auto& segments = transformer_->segments();
 
   Rng init_rng = rng_.Split();
@@ -234,21 +169,22 @@ Status TableSynthesizer::OverlayCheckpoint(const ckpt::TrainCheckpoint& c) {
   return Status::OK();
 }
 
+Status TableSynthesizer::CheckStandalone() const {
+  DAISY_CHECK(fitted_);
+  if (cond_->kind() != ConditionKind::kParentRows) return Status::OK();
+  return Status::InvalidArgument(
+      "parent-conditioned model: each row needs an encoded parent row, so "
+      "it generates only inside its relational bundle (daisy_cli gen-rel)");
+}
+
 void TableSynthesizer::DrawLatents(size_t n, Rng* rng, Matrix* z,
                                    Matrix* cond,
                                    std::vector<size_t>* labels) const {
   DAISY_CHECK(fitted_);
-  // Parent-conditioned models take caller-provided condition rows —
-  // there is no distribution to draw them from here.
-  DAISY_CHECK(opts_.parent_cond_dim == 0);
   const size_t noise_dim = g_->noise_dim();
-  const bool tbs_gen = !opts_.conditional && !tbs_blocks_.empty();
-  if (tbs_gen) DAISY_CHECK(tbs_weights_.size() == tbs_blocks_.size());
   *z = Matrix(n, noise_dim);
   labels->assign(n, 0);
-  *cond = opts_.conditional ? Matrix(n, full_schema_.num_labels())
-          : tbs_gen         ? Matrix(n, CondDim(tbs_blocks_))
-                            : Matrix();
+  *cond = cond_->dim() > 0 ? Matrix(n, cond_->dim()) : Matrix();
   // Strict per-row order — noise first, then the condition draws — so
   // the stream position after row i never depends on how rows are
   // batched into chunks. That invariant is what makes GenerateChunked
@@ -256,18 +192,7 @@ void TableSynthesizer::DrawLatents(size_t n, Rng* rng, Matrix* z,
   for (size_t i = 0; i < n; ++i) {
     for (size_t c = 0; c < noise_dim; ++c)
       (*z)(i, c) = rng->Gaussian(0.0, 1.0);
-    if (opts_.conditional) {
-      (*labels)[i] = rng->Categorical(label_weights_);
-      (*cond)(i, (*labels)[i]) = 1.0;
-    } else if (tbs_gen) {
-      // Attribute conditions come from the RAW category frequencies so
-      // the generated marginals track the data, not the log-flattened
-      // training distribution.
-      const size_t b = static_cast<size_t>(
-          rng->UniformInt(tbs_blocks_.size()));
-      const size_t c = rng->Categorical(tbs_weights_[b]);
-      (*cond)(i, tbs_blocks_[b].cond_offset + c) = 1.0;
-    }
+    cond_->DrawGenerationRow(i, rng, cond, labels);
   }
 }
 
@@ -289,11 +214,11 @@ data::Table TableSynthesizer::DecodeRows(
   out.Reserve(samples.rows());
   std::vector<double> record(full_schema_.num_attributes());
   const data::Schema& sub = transformer_->schema();
+  const size_t supplied = cond_->supplied_column();
   for (size_t i = 0; i < samples.rows(); ++i) {
     size_t sub_j = 0;
     for (size_t j = 0; j < full_schema_.num_attributes(); ++j) {
-      if (opts_.conditional && full_schema_.has_label() &&
-          j == full_schema_.label_index()) {
+      if (j == supplied) {
         record[j] = static_cast<double>(labels[i]);
       } else {
         DAISY_CHECK(sub_j < sub.num_attributes());
@@ -309,74 +234,57 @@ data::Table TableSynthesizer::DecodeRows(
 void TableSynthesizer::GenerateChunked(
     size_t n, size_t chunk_rows, Rng* rng,
     const std::function<void(const data::Table&)>& emit) const {
+  DAISY_CHECK(CheckStandalone().ok());
+  GenerateChunks(n, chunk_rows, rng, nullptr, emit);
+}
+
+void TableSynthesizer::GenerateChunks(
+    size_t n, size_t chunk_rows, Rng* rng, const Matrix* cond_rows,
+    const std::function<void(const data::Table&)>& emit) const {
   DAISY_CHECK(fitted_);
   DAISY_CHECK(chunk_rows > 0);
-  size_t produced = 0;
-  while (produced < n) {
+  for (size_t produced = 0; produced < n;) {
     const size_t m = std::min(chunk_rows, n - produced);
     Matrix z;
     Matrix cond;
     std::vector<size_t> labels;
     DrawLatents(m, rng, &z, &cond, &labels);
+    if (cond_rows != nullptr)
+      cond = cond_rows->RowRange(produced, produced + m);
     emit(DecodeRows(InferenceSamples(z, cond), labels));
     produced += m;
   }
 }
 
-Result<data::Table> TableSynthesizer::GenerateConditioned(const Matrix& cond,
-                                                          Rng* rng) const {
-  DAISY_CHECK(fitted_);
-  if (opts_.parent_cond_dim == 0)
-    return Status::InvalidArgument(
-        "GenerateConditioned needs a model fitted with parent_cond_dim > 0");
-  if (cond.cols() != opts_.parent_cond_dim)
-    return Status::InvalidArgument(
-        "condition matrix has " + std::to_string(cond.cols()) +
-        " columns, model expects " + std::to_string(opts_.parent_cond_dim));
-  constexpr size_t kGenBatch = 256;
-  const size_t n = cond.rows();
-  const size_t noise_dim = g_->noise_dim();
-  data::Table out(full_schema_);
-  out.Reserve(n);
-  std::vector<double> record(full_schema_.num_attributes());
-  size_t produced = 0;
-  while (produced < n) {
-    const size_t m = std::min(kGenBatch, n - produced);
-    // Noise is drawn in strict per-row order (noise_dim gaussians per
-    // row, nothing else), so the output is a pure function of the model
-    // state, `cond` and the rng stream — independent of kGenBatch.
-    Matrix z(m, noise_dim);
-    for (size_t i = 0; i < m; ++i)
-      for (size_t c = 0; c < noise_dim; ++c)
-        z(i, c) = rng->Gaussian(0.0, 1.0);
-    std::vector<size_t> rows(m);
-    for (size_t i = 0; i < m; ++i) rows[i] = produced + i;
-    const data::Table chunk = DecodeRows(
-        InferenceSamples(z, cond.GatherRows(rows)),
-        std::vector<size_t>(m, 0));
-    for (size_t i = 0; i < m; ++i) {
-      for (size_t j = 0; j < record.size(); ++j) record[j] = chunk.value(i, j);
-      out.AppendRecord(record);
-    }
-    produced += m;
-  }
-  return out;
-}
-
-data::Table TableSynthesizer::Generate(size_t n, Rng* rng) const {
-  DAISY_CHECK(fitted_);
+data::Table TableSynthesizer::GenerateAll(size_t n, Rng* rng,
+                                          const Matrix* cond_rows) const {
   constexpr size_t kGenBatch = 256;
   data::Table out(full_schema_);
   out.Reserve(n);
   std::vector<double> record(full_schema_.num_attributes());
-  GenerateChunked(n, kGenBatch, rng, [&](const data::Table& chunk) {
+  GenerateChunks(n, kGenBatch, rng, cond_rows, [&](const data::Table& chunk) {
     for (size_t i = 0; i < chunk.num_records(); ++i) {
-      for (size_t j = 0; j < full_schema_.num_attributes(); ++j)
-        record[j] = chunk.value(i, j);
+      for (size_t j = 0; j < record.size(); ++j) record[j] = chunk.value(i, j);
       out.AppendRecord(record);
     }
   });
   return out;
+}
+
+Result<data::Table> TableSynthesizer::GenerateConditioned(const Matrix& cond,
+                                                          Rng* rng) const {
+  DAISY_CHECK(fitted_);
+  if (cond_->kind() != ConditionKind::kParentRows ||
+      cond.cols() != cond_->dim())
+    return Status::InvalidArgument(
+        "GenerateConditioned needs a model fitted by FitConditioned on "
+        "rows of " + std::to_string(cond.cols()) + " columns");
+  return GenerateAll(cond.rows(), rng, &cond);
+}
+
+data::Table TableSynthesizer::Generate(size_t n, Rng* rng) const {
+  DAISY_CHECK(CheckStandalone().ok());
+  return GenerateAll(n, rng, nullptr);
 }
 
 }  // namespace daisy::synth

@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "ckpt/checkpoint.h"
+#include "synth/condition.h"
 #include "synth/config.h"
 #include "synth/discriminator.h"
 #include "synth/generator.h"
@@ -35,7 +36,9 @@ class TableSynthesizer {
   /// GanTrainer::Train). Returns the run's health: OK when all
   /// iterations ran; a descriptive error when the divergence sentinel
   /// stopped training early — in which case the generator holds the
-  /// last healthy snapshot and Generate still works.
+  /// last healthy snapshot and Generate still works. Data the
+  /// condition source refuses (MakeConditionSource) is InvalidArgument
+  /// and leaves the synthesizer unfitted.
   Status Fit(const data::Table& train, obs::MetricSink* sink = nullptr);
 
   /// Out-of-core Fit over a paged .dcol table: transformer statistics
@@ -49,22 +52,24 @@ class TableSynthesizer {
   /// uniform sampling random-faults pages every batch.
   Status Fit(const data::PagedTable& train, obs::MetricSink* sink = nullptr);
 
-  /// Parent-conditioned Fit (requires GanOptions::parent_cond_dim > 0):
-  /// trains with row i of `row_cond` (num_records x parent_cond_dim) as
-  /// the condition vector of record i — the relational layer's encoded
-  /// parent attributes. The fitted model generates via
-  /// GenerateConditioned only.
+  /// Parent-conditioned Fit, in memory or paged: trains with row i of
+  /// `row_cond` (num_records x width, dense in memory) as the condition
+  /// vector of record i — the relational layer's encoded parent
+  /// attributes. The model generates via GenerateConditioned only.
   Status FitConditioned(const data::Table& train, const Matrix& row_cond,
                         obs::MetricSink* sink = nullptr);
-  /// Out-of-core parent-conditioned Fit (see the paged Fit overload for
-  /// the memory contract). `row_cond` is dense in memory — one encoded
-  /// parent row per record — which the relational layer keeps small by
-  /// encoding only the parent's modeled columns.
   Status FitConditioned(const data::PagedTable& train, const Matrix& row_cond,
                         obs::MetricSink* sink = nullptr);
 
   /// Health of the training run (same Status that Fit returned).
   const Status& health() const { return result_.health; }
+
+  /// True once Fit trained (even if it stopped early) or Load restored.
+  bool fitted() const { return fitted_; }
+
+  /// OK when Generate and GenerateChunked can run; InvalidArgument for
+  /// a parent-conditioned model, which needs its relational bundle.
+  Status CheckStandalone() const;
 
   /// Persists the fitted model (transformer state + generator
   /// parameters) so Generate can run in a later process without
@@ -91,10 +96,10 @@ class TableSynthesizer {
   /// the label column; otherwise the GAN generates the label attribute
   /// like any other.
   ///
-  /// Latents are consumed from `rng` in a fixed per-row order (for each
-  /// row: noise_dim gaussians, then — for conditional models — one
-  /// categorical label), so the output is a pure function of the model
-  /// state and the rng stream, independent of internal batching.
+  /// Latents are consumed from `rng` in a fixed per-row order (noise_dim
+  /// gaussians, then the condition source's draws; DESIGN.md §5l), so
+  /// the output is a pure function of the model state and the rng
+  /// stream, independent of internal batching.
   data::Table Generate(size_t n, Rng* rng) const;
 
   /// Streaming Generate: emits the n records as a sequence of decoded
@@ -108,11 +113,11 @@ class TableSynthesizer {
       const std::function<void(const data::Table&)>& emit) const;
 
   /// Generation for a parent-conditioned model: one output record per
-  /// row of `cond` (cond.rows() x parent_cond_dim), record i generated
+  /// row of `cond` (cond.rows() x condition().dim()), record i generated
   /// under condition row i, in order. Latents are noise-only, drawn in
   /// strict per-row order, so the output is independent of internal
-  /// batching. Fails unless the model was fitted with
-  /// parent_cond_dim == cond.cols().
+  /// batching. Fails unless the model was fitted by FitConditioned with
+  /// rows as wide as `cond`.
   Result<data::Table> GenerateConditioned(const Matrix& cond,
                                           Rng* rng) const;
 
@@ -121,9 +126,9 @@ class TableSynthesizer {
   /// (own rng) yet run coalesced generator passes across requests.
   /// All three are const and safe to call concurrently.
   ///
-  /// Fills z (n x noise_dim), cond (n x num_labels, empty when
-  /// unconditional) and labels (n, zeros when unconditional) drawing in
-  /// the fixed per-row order documented at Generate.
+  /// Fills z (n x noise_dim), cond (n x condition().dim(); all-zero
+  /// under parent rows, which the caller supplies) and labels (n, zeros
+  /// unless label-conditioned) in the per-row order of Generate.
   void DrawLatents(size_t n, Rng* rng, Matrix* z, Matrix* cond,
                    std::vector<size_t>* labels) const;
   /// Transformed samples for drawn latents: one inference-only
@@ -161,20 +166,24 @@ class TableSynthesizer {
     return *transformer_;
   }
   const GanOptions& options() const { return opts_; }
+  /// What the cond vector carries (valid once fitted()).
+  const ConditionSource& condition() const { return *cond_; }
 
  private:
-  /// Builds generator + discriminator for the current options and
-  /// transformer (shared by Fit and Load). Under training-by-sampling
-  /// this also derives the cond-vector layout (tbs_blocks_) from the
-  /// transformer segments.
+  /// The one Fit body: exactly one of `table`/`paged` is set.
+  Status FitFrom(const data::Table* table, const data::PagedTable* paged,
+                 const Matrix* parent_rows, obs::MetricSink* sink);
+
+  /// Builds generator + discriminator for the current options,
+  /// transformer and condition source (shared by Fit and Load).
   void BuildNetworks();
 
-  /// True when the cond vector carries training-by-sampling attribute
-  /// conditions instead of the label (kCTrain ignores the sampler knob).
-  bool UsesTbs() const {
-    return opts_.sampler == SamplerKind::kTrainingBySampling &&
-           opts_.algo != TrainAlgo::kCTrain;
-  }
+  /// The one chunk loop; `cond_rows`, when set, holds one condition row
+  /// per output record.
+  void GenerateChunks(
+      size_t n, size_t chunk_rows, Rng* rng, const Matrix* cond_rows,
+      const std::function<void(const data::Table&)>& emit) const;
+  data::Table GenerateAll(size_t n, Rng* rng, const Matrix* cond_rows) const;
 
   GanOptions opts_;
   transform::TransformOptions topts_;
@@ -186,18 +195,9 @@ class TableSynthesizer {
   TrainResult result_;
   StateDict final_state_;
 
-  // Full schema + label distribution kept for conditional generation.
+  // Full schema of generated tables (with a conditional model's label).
   data::Schema full_schema_;
-  std::vector<double> label_weights_;
-
-  // Training-by-sampling state: cond-vector layout (from the segments)
-  // and the raw per-category frequencies of each conditionable column.
-  // Generation draws its conditions from the RAW frequencies — the
-  // log-flattened weights are a training-time reweighting only, and
-  // using them at generation time would oversample rare categories in
-  // the output (see arXiv:2010.00638).
-  std::vector<CondBlock> tbs_blocks_;
-  std::vector<std::vector<double>> tbs_weights_;
+  std::unique_ptr<ConditionSource> cond_;
 
   bool fitted_ = false;
 };

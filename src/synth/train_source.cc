@@ -7,9 +7,7 @@ namespace daisy::synth {
 InMemoryTrainSource::InMemoryTrainSource(
     const data::Table& table,
     const transform::RecordTransformer* transformer)
-    : table_(table), real_all_(transformer->Transform(table)) {
-  if (table.schema().has_label()) labels_ = table.Labels();
-}
+    : table_(table), real_all_(transformer->Transform(table)) {}
 
 std::vector<size_t> InMemoryTrainSource::CategoryColumn(
     size_t source_col) const {
@@ -22,15 +20,7 @@ std::vector<size_t> InMemoryTrainSource::CategoryColumn(
 PagedTrainSource::PagedTrainSource(
     const data::PagedTable* table,
     const transform::RecordTransformer* transformer)
-    : table_(table), transformer_(transformer) {
-  if (table_->schema().has_label()) {
-    auto labels = table_->ReadLabels();
-    // The file's checksums were verified at Open; a failure here is a
-    // hardware/filesystem fault, not bad data.
-    DAISY_CHECK(labels.ok());
-    labels_ = labels.take();
-  }
-}
+    : table_(table), transformer_(transformer) {}
 
 Matrix PagedTrainSource::GatherSamples(
     const std::vector<size_t>& rows) const {

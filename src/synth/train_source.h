@@ -34,24 +34,11 @@ class TrainDataSource {
   /// rows[i] (d = transformer sample_dim columns).
   virtual Matrix GatherSamples(const std::vector<size_t>& rows) const = 0;
 
-  /// Per-record label indices; empty when the schema has no label.
-  virtual const std::vector<size_t>& labels() const = 0;
-
   /// Per-record category indices of the ORIGINAL table column
-  /// `source_col` (which must be categorical). Training-by-sampling
-  /// builds its per-category row pools from this — one call per
-  /// conditionable column at training start, never in the hot loop.
+  /// `source_col` (which must be categorical). The label and TBS
+  /// condition sources build their labels and row pools from this —
+  /// one call per column at training start, never in the hot loop.
   virtual std::vector<size_t> CategoryColumn(size_t source_col) const = 0;
-
-  /// External per-row condition matrix (num_records x parent_cond_dim),
-  /// set by the relational layer before training when
-  /// GanOptions::parent_cond_dim > 0; empty otherwise. Row i is the
-  /// encoded parent of record i.
-  const Matrix& row_cond() const { return row_cond_; }
-  void set_row_cond(Matrix cond) { row_cond_ = std::move(cond); }
-
- private:
-  Matrix row_cond_;
 };
 
 /// The historical path: transforms every record once up front, then
@@ -68,22 +55,18 @@ class InMemoryTrainSource final : public TrainDataSource {
   Matrix GatherSamples(const std::vector<size_t>& rows) const override {
     return real_all_.GatherRows(rows);
   }
-  const std::vector<size_t>& labels() const override { return labels_; }
   std::vector<size_t> CategoryColumn(size_t source_col) const override;
 
  private:
   const data::Table& table_;
   Matrix real_all_;            // n x sample_dim, transformed once
-  std::vector<size_t> labels_;
 };
 
 /// Out-of-core path over a paged .dcol table: each batch gathers raw
 /// cells through the table's page cache (never more than its page
 /// budget resident) and encodes just those records. EncodeRecord is
 /// per-record and deterministic, so the encoded batch is bitwise equal
-/// to the in-memory source's gather of the same rows. For a labeled
-/// table the label column is read once into memory (8 bytes/record) —
-/// conditional training needs random access to it every iteration.
+/// to the in-memory source's gather of the same rows.
 class PagedTrainSource final : public TrainDataSource {
  public:
   /// `table` and `transformer` must outlive this source.
@@ -93,13 +76,11 @@ class PagedTrainSource final : public TrainDataSource {
   const data::Schema& schema() const override { return table_->schema(); }
   size_t num_records() const override { return table_->num_records(); }
   Matrix GatherSamples(const std::vector<size_t>& rows) const override;
-  const std::vector<size_t>& labels() const override { return labels_; }
   std::vector<size_t> CategoryColumn(size_t source_col) const override;
 
  private:
   const data::PagedTable* table_;
   const transform::RecordTransformer* transformer_;
-  std::vector<size_t> labels_;
 };
 
 }  // namespace daisy::synth

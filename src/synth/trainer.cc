@@ -1,7 +1,6 @@
 #include "synth/trainer.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/parallel.h"
 #include "nn/loss.h"
@@ -29,14 +28,14 @@ GanTrainer::GanTrainer(Generator* generator, Discriminator* discriminator,
                        const transform::RecordTransformer* transformer,
                        const GanOptions& options)
     : g_(generator), d_(discriminator), transformer_(transformer),
-      opts_(options), kl_(transformer->segments()) {
+      opts_(options), kl_(transformer->segments()),
+      wasserstein_(options.algo == TrainAlgo::kWTrain ||
+                   options.algo == TrainAlgo::kDPTrain) {
   DAISY_CHECK(g_->sample_dim() == transformer_->sample_dim());
   DAISY_CHECK(d_->sample_dim() == transformer_->sample_dim());
   DAISY_CHECK(g_->cond_dim() == d_->cond_dim());
 
-  const bool wasserstein =
-      opts_.algo == TrainAlgo::kWTrain || opts_.algo == TrainAlgo::kDPTrain;
-  if (wasserstein) {
+  if (wasserstein_) {
     g_opt_ = std::make_unique<nn::RmsProp>(g_->Params(), opts_.lr_g);
     d_opt_ = std::make_unique<nn::RmsProp>(d_->Params(), opts_.lr_d);
   } else {
@@ -53,103 +52,66 @@ Matrix GanTrainer::SampleNoise(size_t m, Rng* rng) const {
   return Matrix::Randn(m, g_->noise_dim(), rng);
 }
 
-Matrix GanTrainer::OneHotLabels(const std::vector<size_t>& labels) const {
-  Matrix cond(labels.size(), num_labels_);
-  for (size_t i = 0; i < labels.size(); ++i) {
-    DAISY_CHECK(labels[i] < num_labels_);
-    cond(i, labels[i]) = 1.0;
-  }
-  return cond;
-}
-
-Matrix GanTrainer::TbsCond(
-    const std::vector<TrainingBySamplingSampler::Draw>& draws) const {
-  Matrix cond(draws.size(), CondDim(tbs_blocks_));
-  for (size_t i = 0; i < draws.size(); ++i) {
-    const CondBlock& b = tbs_blocks_[draws[i].block];
-    DAISY_CHECK(draws[i].category < b.domain);
-    cond(i, b.cond_offset + draws[i].category) = 1.0;
-  }
-  return cond;
-}
-
 double GanTrainer::DiscriminatorStep(const Matrix& real,
                                      const Matrix& real_cond,
                                      const Matrix& fake,
-                                     const Matrix& fake_cond,
-                                     bool wasserstein, bool dp, Rng* rng) {
-  if (dp)
-    return DpDiscriminatorStep(real, real_cond, fake, fake_cond, wasserstein,
-                               rng);
-  d_->ZeroGrad();
+                                     const Matrix& fake_cond, Rng* rng) {
   double loss = 0.0;
-  const double m_real = static_cast<double>(real.rows());
-  const double m_fake = static_cast<double>(fake.rows());
-
-  {  // Real half.
-    Matrix logits = d_->Forward(real, real_cond, /*training=*/true);
-    Matrix grad;
-    if (wasserstein) {
-      // L_D += -mean(D(real)).
-      loss += -logits.Mean();
-      grad = Matrix(logits.rows(), 1, -1.0 / m_real);
-    } else {
-      Matrix ones(logits.rows(), 1, 1.0);
-      loss += nn::BceWithLogitsLoss(logits, ones, &grad);
+  if (dp_engine_ != nullptr) {
+    // DP-SGD (Algorithm 4): per-sample clipping to dp_grad_bound, then
+    // noised-sum averaging, inside the engine. Telemetry keeps the
+    // documented "true gradient magnitude before noise" semantics: the
+    // clipped batch-averaged norm.
+    const double inv_m = 1.0 / static_cast<double>(real.rows());
+    loss = dp_engine_->Step(real, real_cond, fake, fake_cond, wasserstein_,
+                            rng);
+    last_d_grad_norm_ = dp_engine_->last_sum_norm() * inv_m;
+  } else {
+    d_->ZeroGrad();
+    const double m_real = static_cast<double>(real.rows());
+    const double m_fake = static_cast<double>(fake.rows());
+    {  // Real half.
+      Matrix logits = d_->Forward(real, real_cond, /*training=*/true);
+      Matrix grad;
+      if (wasserstein_) {
+        // L_D += -mean(D(real)).
+        loss += -logits.Mean();
+        grad = Matrix(logits.rows(), 1, -1.0 / m_real);
+      } else {
+        Matrix ones(logits.rows(), 1, 1.0);
+        loss += nn::BceWithLogitsLoss(logits, ones, &grad);
+      }
+      d_->Backward(grad);
     }
-    d_->Backward(grad);
-  }
-  {  // Fake half.
-    Matrix logits = d_->Forward(fake, fake_cond, /*training=*/true);
-    Matrix grad;
-    if (wasserstein) {
-      // L_D += mean(D(fake)).
-      loss += logits.Mean();
-      grad = Matrix(logits.rows(), 1, 1.0 / m_fake);
-    } else {
-      Matrix zeros(logits.rows(), 1, 0.0);
-      loss += nn::BceWithLogitsLoss(logits, zeros, &grad);
+    {  // Fake half.
+      Matrix logits = d_->Forward(fake, fake_cond, /*training=*/true);
+      Matrix grad;
+      if (wasserstein_) {
+        // L_D += mean(D(fake)).
+        loss += logits.Mean();
+        grad = Matrix(logits.rows(), 1, 1.0 / m_fake);
+      } else {
+        Matrix zeros(logits.rows(), 1, 0.0);
+        loss += nn::BceWithLogitsLoss(logits, zeros, &grad);
+      }
+      d_->Backward(grad);
     }
-    d_->Backward(grad);
+    last_d_grad_norm_ = nn::GlobalGradNorm(d_->Params());
   }
-
-  last_d_grad_norm_ = nn::GlobalGradNorm(d_->Params());
   // RCC-GAN-style critic regularization: rescale the update when the
   // critic gradient explodes (heavy-tailed batches), leaving telemetry
-  // with the true pre-clamp norm.
+  // with the true pre-clamp norm. Under DP it runs on the noised
+  // gradient — post-processing, so the privacy accounting is unchanged.
   if (opts_.critic_reg > 0.0)
     nn::ClipGradNorm(d_->Params(), opts_.critic_reg);
   d_opt_->Step();
-  if (wasserstein) nn::ClipParams(d_->Params(), opts_.weight_clip);
+  if (wasserstein_) nn::ClipParams(d_->Params(), opts_.weight_clip);
   return loss;
 }
 
-double GanTrainer::DpDiscriminatorStep(const Matrix& real,
-                                       const Matrix& real_cond,
-                                       const Matrix& fake,
-                                       const Matrix& fake_cond,
-                                       bool wasserstein, Rng* rng) {
-  DAISY_CHECK(dp_engine_ != nullptr);
-  const double inv_m = 1.0 / static_cast<double>(real.rows());
-  const double loss =
-      dp_engine_->Step(real, real_cond, fake, fake_cond, wasserstein, rng);
-  // Telemetry keeps the documented "true gradient magnitude before
-  // noise" semantics: the clipped batch-averaged norm.
-  last_d_grad_norm_ = dp_engine_->last_sum_norm() * inv_m;
-  // The clamp runs on the already-noised gradient — post-processing of
-  // the DP release, so the privacy accounting is unchanged.
-  if (opts_.critic_reg > 0.0)
-    nn::ClipGradNorm(d_->Params(), opts_.critic_reg);
-  d_opt_->Step();
-  if (wasserstein) nn::ClipParams(d_->Params(), opts_.weight_clip);
-  return loss;
-}
-
-double GanTrainer::GeneratorStep(
-    const Matrix& z, const Matrix& cond, const Matrix& real_ref,
-    bool wasserstein,
-    const std::vector<TrainingBySamplingSampler::Draw>* draws,
-    Rng* /*rng*/) {
+double GanTrainer::GeneratorStep(const Matrix& z, const Matrix& cond,
+                                 const Matrix& real_ref,
+                                 const ConditionSource& source) {
   g_->ZeroGrad();
   d_->ZeroGrad();  // gradients accumulated below are discarded
 
@@ -158,7 +120,7 @@ double GanTrainer::GeneratorStep(
 
   double loss = 0.0;
   Matrix grad_logits;
-  if (wasserstein) {
+  if (wasserstein_) {
     // L_G = -mean(D(G(z))).
     loss = -logits.Mean();
     grad_logits = Matrix(logits.rows(), 1,
@@ -170,29 +132,10 @@ double GanTrainer::GeneratorStep(
   }
   Matrix grad_fake = d_->Backward(grad_logits);
 
-  if (!wasserstein && !real_ref.empty() && opts_.kl_weight > 0.0) {
+  if (!wasserstein_ && !real_ref.empty() && opts_.kl_weight > 0.0) {
     loss += kl_.Compute(real_ref, fake, opts_.kl_weight, &grad_fake);
   }
-
-  if (draws != nullptr && opts_.tbs_ce_weight > 0.0) {
-    // Conditional cross-entropy (CTGAN Eq. for L_G's cond term): each
-    // row pays -log of the probability its conditioned softmax block
-    // assigns to the requested category. Without this the generator is
-    // free to ignore the cond vector entirely — the discriminator alone
-    // only enforces marginal realism. The head's softmax output is the
-    // probability, so dCE/dp = -w/(m*p), floored to keep the gradient
-    // finite when the generator currently assigns ~0 mass.
-    DAISY_CHECK(draws->size() == fake.rows());
-    const double w = opts_.tbs_ce_weight;
-    const double inv_m = 1.0 / static_cast<double>(draws->size());
-    for (size_t i = 0; i < draws->size(); ++i) {
-      const CondBlock& b = tbs_blocks_[(*draws)[i].block];
-      const size_t col = b.sample_offset + (*draws)[i].category;
-      const double p = std::max(fake(i, col), 1e-12);
-      loss += w * inv_m * -std::log(p);
-      grad_fake(i, col) += w * inv_m * (-1.0 / p);
-    }
-  }
+  source.AddGeneratorLoss(cond, fake, &loss, &grad_fake);
 
   g_->Backward(grad_fake);
   last_g_grad_norm_ = nn::GlobalGradNorm(g_->Params());
@@ -343,120 +286,27 @@ TrainResult GanTrainer::Train(const data::Table& table, Rng* rng,
   return Train(source, rng, sink);
 }
 
+TrainResult GanTrainer::StopBeforeTraining(Status why,
+                                           obs::MetricSink* sink) {
+  TrainResult result;
+  result.health = std::move(why);
+  result.snapshots.push_back(GetState(g_->Params()));
+  result.snapshot_iters.push_back(0);
+  if (sink != nullptr) sink->Flush();
+  return result;
+}
+
 TrainResult GanTrainer::Train(const TrainDataSource& source, Rng* rng,
                               obs::MetricSink* sink) {
-  const bool wasserstein =
-      opts_.algo == TrainAlgo::kWTrain || opts_.algo == TrainAlgo::kDPTrain;
-  const bool dp = opts_.algo == TrainAlgo::kDPTrain;
-  const bool label_aware = opts_.algo == TrainAlgo::kCTrain;
-  // Training-by-sampling repurposes the cond vector for attribute
-  // conditions; kCTrain ignores the sampler knob (label-aware pools).
-  const bool tbs =
-      !label_aware && opts_.sampler == SamplerKind::kTrainingBySampling;
-  // Externally supplied per-row conditions (the relational layer's
-  // encoded parent attributes): the cond vector is neither the label
-  // nor a TBS attribute draw, it is row_cond() row-for-row.
-  const bool parent_cond = opts_.parent_cond_dim > 0;
-  // Label-conditional (paper §5.3): cond vector carries the label.
-  const bool conditional = g_->cond_dim() > 0 && !tbs && !parent_cond;
-  DAISY_CHECK(!conditional || source.schema().has_label());
-  if (conditional) num_labels_ = source.schema().num_labels();
+  auto cond = MakeConditionSource(opts_, *transformer_, source, nullptr);
+  if (!cond.ok()) return StopBeforeTraining(cond.status(), sink);
+  return Train(source, *cond.value(), rng, sink);
+}
 
-  if (source.num_records() == 0) {
-    TrainResult result;
-    result.health = Status::InvalidArgument(
-        "cannot train on an empty table: no records to sample");
-    result.snapshots.push_back(GetState(g_->Params()));
-    result.snapshot_iters.push_back(0);
-    return result;
-  }
-
-  if (parent_cond) {
-    DAISY_CHECK(g_->cond_dim() == opts_.parent_cond_dim);
-    const Matrix& rc = source.row_cond();
-    if (rc.rows() != source.num_records() ||
-        rc.cols() != opts_.parent_cond_dim) {
-      TrainResult result;
-      result.health = Status::InvalidArgument(
-          "parent-conditioned training needs a row_cond matrix of " +
-          std::to_string(source.num_records()) + " x " +
-          std::to_string(opts_.parent_cond_dim) + ", got " +
-          std::to_string(rc.rows()) + " x " + std::to_string(rc.cols()));
-      result.snapshots.push_back(GetState(g_->Params()));
-      result.snapshot_iters.push_back(0);
-      return result;
-    }
-  }
-
-  const std::vector<size_t>& labels_all = source.labels();
-
-  RandomSampler random_sampler(source.num_records());
-  std::unique_ptr<LabelAwareSampler> label_sampler;
-  if (label_aware) {
-    DAISY_CHECK(source.schema().has_label());
-    label_sampler = std::make_unique<LabelAwareSampler>(
-        labels_all, source.schema().num_labels());
-  }
-
-  std::unique_ptr<TrainingBySamplingSampler> tbs_sampler;
-  if (tbs) {
-    tbs_blocks_ = BuildCondBlocks(transformer_->segments());
-    if (tbs_blocks_.empty()) {
-      TrainResult result;
-      result.health = Status::InvalidArgument(
-          "training-by-sampling needs at least one one-hot categorical "
-          "attribute; this table has none");
-      result.snapshots.push_back(GetState(g_->Params()));
-      result.snapshot_iters.push_back(0);
-      return result;
-    }
-    DAISY_CHECK(g_->cond_dim() == CondDim(tbs_blocks_));
-    // Per-category row pools, one column scan each (never in the hot
-    // loop). Pools depend only on data, so a resumed run rebuilds them
-    // identically and the rng state in the checkpoint covers the rest.
-    std::vector<std::vector<size_t>> columns;
-    std::vector<size_t> domains;
-    columns.reserve(tbs_blocks_.size());
-    domains.reserve(tbs_blocks_.size());
-    for (const CondBlock& b : tbs_blocks_) {
-      columns.push_back(source.CategoryColumn(b.source_col));
-      domains.push_back(b.domain);
-    }
-    tbs_sampler = std::make_unique<TrainingBySamplingSampler>(columns,
-                                                              domains);
-  } else {
-    tbs_blocks_.clear();
-  }
-
-  // Empirical label distribution, for sampling fake-batch conditions.
-  std::vector<double> label_weights;
-  if (conditional) {
-    label_weights.assign(num_labels_, 0.0);
-    for (size_t l : labels_all) label_weights[l] += 1.0;
-  }
-
-  auto gather_cond = [&](const std::vector<size_t>& rows) {
-    if (parent_cond) return source.row_cond().GatherRows(rows);
-    if (!conditional) return Matrix();
-    std::vector<size_t> ls(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) ls[i] = labels_all[rows[i]];
-    return OneHotLabels(ls);
-  };
-  auto random_cond = [&](size_t m) {
-    if (parent_cond) {
-      // Fake-batch conditions are real parents drawn uniformly — the
-      // empirical parent-condition distribution, the analogue of
-      // label_weights below.
-      std::vector<size_t> rows(m);
-      for (auto& r : rows) r = rng->UniformInt(source.num_records());
-      return source.row_cond().GatherRows(rows);
-    }
-    if (!conditional) return Matrix();
-    std::vector<size_t> ls(m);
-    for (auto& l : ls) l = rng->Categorical(label_weights);
-    return OneHotLabels(ls);
-  };
-
+TrainResult GanTrainer::Train(const TrainDataSource& source,
+                              const ConditionSource& cond, Rng* rng,
+                              obs::MetricSink* sink) {
+  DAISY_CHECK(g_->cond_dim() == cond.dim());
   TrainResult result;
   const size_t snapshot_every =
       std::max<size_t>(1, opts_.iterations / std::max<size_t>(1, opts_.snapshots));
@@ -478,38 +328,29 @@ TrainResult GanTrainer::Train(const TrainDataSource& source, Rng* rng,
 
   size_t start_iter = 0;
   if (opts_.resume && store != nullptr) {
-    auto loaded = store->LoadLatest();
-    if (loaded.ok()) {
-      const Status restored = RestoreFromCheckpoint(
-          loaded.value(), rng, sink, &result, &last_healthy,
-          &last_healthy_buffers, &start_iter);
-      if (!restored.ok()) {
-        result.health = restored;
-        result.snapshots.push_back(GetState(g_->Params()));
-        result.snapshot_iters.push_back(0);
-        if (sink != nullptr) sink->Flush();
-        return result;
-      }
-    } else if (loaded.status().code() != Status::Code::kNotFound) {
-      // Checkpoints exist but none verifies: refusing to silently
-      // restart protects the surviving log/model artifacts.
-      result.health = loaded.status();
-      result.snapshots.push_back(GetState(g_->Params()));
-      result.snapshot_iters.push_back(0);
-      if (sink != nullptr) sink->Flush();
-      return result;
-    }
     // NotFound: nothing saved yet — a cold start with resume requested
-    // is a fresh run, so schedulers can always pass --resume.
+    // is a fresh run, so schedulers can always pass --resume. Any other
+    // failure means checkpoints exist but none verifies: refusing to
+    // silently restart protects the surviving log/model artifacts.
+    auto loaded = store->LoadLatest();
+    Status resumed = loaded.status();
+    if (loaded.ok())
+      resumed = RestoreFromCheckpoint(loaded.value(), rng, sink, &result,
+                                      &last_healthy, &last_healthy_buffers,
+                                      &start_iter);
+    else if (resumed.code() == Status::Code::kNotFound)
+      resumed = Status::OK();
+    if (!resumed.ok()) return StopBeforeTraining(resumed, sink);
   }
 
-  // Chunked-shuffle sampler (out-of-core locality). It owns streams
-  // derived from the run seed — switching sampler kinds never perturbs
-  // the main rng — and a resumed run fast-forwards it by exactly the
-  // rows each completed iteration consumed: d_steps real batches plus
-  // the (unconditionally drawn) KL reference batch.
+  // Index stream: uniform, or chunked-shuffle (out-of-core locality),
+  // which owns streams derived from the run seed — switching sampler
+  // kinds never perturbs the main rng — and a resumed run fast-forwards
+  // it by exactly the rows each completed iteration consumed: d_steps
+  // real batches plus the (unconditionally drawn) KL reference batch.
+  RandomSampler random_sampler(source.num_records());
   std::unique_ptr<ChunkedShuffleSampler> chunk_sampler;
-  if (!label_aware && opts_.sampler == SamplerKind::kChunkedShuffle) {
+  if (cond.strata() == 0 && opts_.sampler == SamplerKind::kChunkedShuffle) {
     chunk_sampler = std::make_unique<ChunkedShuffleSampler>(
         source.num_records(), opts_.shuffle_chunk_rows,
         opts_.seed ^ 0xC0FFEE5EED5A55AAULL);
@@ -517,7 +358,7 @@ TrainResult GanTrainer::Train(const TrainDataSource& source, Rng* rng,
     chunk_sampler->AdvanceRows(static_cast<uint64_t>(start_iter) *
                                (d_steps + 1) * opts_.batch_size);
   }
-  auto sample_rows = [&](size_t m) {
+  const RowStream sample_rows = [&](size_t m) {
     return chunk_sampler != nullptr ? chunk_sampler->SampleBatch(m)
                                     : random_sampler.SampleBatch(m, rng);
   };
@@ -525,94 +366,56 @@ TrainResult GanTrainer::Train(const TrainDataSource& source, Rng* rng,
   size_t iters_this_run = 0;
   for (size_t iter = start_iter; iter < opts_.iterations; ++iter) {
     obs::WallTimer iter_timer;
-    if (label_aware) {
+    if (cond.strata() > 0) {
       // Algorithm 3: one D+G update per label, with label-restricted
-      // real minibatches.
+      // real minibatches; both fake batches share the label.
       double d_loss = 0.0, g_loss = 0.0;
       size_t active = 0;
-      for (size_t y = 0; y < num_labels_; ++y) {
-        auto rows = label_sampler->SampleBatchWithLabel(y, opts_.batch_size,
-                                                        rng);
-        if (rows.empty()) continue;
+      for (size_t y = 0; y < cond.strata(); ++y) {
+        const CondBatch real = cond.DrawStratum(y, opts_.batch_size, rng);
+        if (real.rows.empty()) continue;
         ++active;
-        Matrix real = source.GatherSamples(rows);
-        Matrix cond = OneHotLabels(std::vector<size_t>(rows.size(), y));
-        Matrix z = SampleNoise(rows.size(), rng);
-        Matrix fake = g_->Forward(z, cond, /*training=*/true);
-        d_loss += DiscriminatorStep(real, cond, fake, cond, wasserstein, dp,
-                                    rng);
+        Matrix x = source.GatherSamples(real.rows);
+        Matrix z = SampleNoise(real.rows.size(), rng);
+        Matrix fake = g_->Forward(z, real.cond, /*training=*/true);
+        d_loss += DiscriminatorStep(x, real.cond, fake, real.cond, rng);
         Matrix z2 = SampleNoise(opts_.batch_size, rng);
-        Matrix cond2 =
-            OneHotLabels(std::vector<size_t>(opts_.batch_size, y));
-        g_loss += GeneratorStep(z2, cond2, real, wasserstein, nullptr, rng);
+        g_loss += GeneratorStep(z2, real.cond, x, cond);
       }
-      // Labels with zero records are skipped, not trained — surface the
+      // Strata with zero records are skipped, not trained — surface the
       // count so a starved minority label shows up in telemetry instead
       // of silently degrading the conditional generator.
-      last_starved_labels_ = num_labels_ - active;
-      if (active == 0) {
-        result.health = Status::InvalidArgument(
-            "label-aware training at iteration " + std::to_string(iter + 1) +
-            ": no label has any training records");
-        break;
-      }
+      last_starved_labels_ = cond.strata() - active;
+      DAISY_CHECK(active > 0);  // the source refuses data without records
       result.d_losses.push_back(d_loss / static_cast<double>(active));
       result.g_losses.push_back(g_loss / static_cast<double>(active));
     } else {
       // Algorithms 1/2/4: d_steps discriminator updates, then one
-      // generator update. Under training-by-sampling every batch is a
-      // set of (row, condition) pairs: real rows carry the drawn
-      // category, and the fake batch is conditioned identically so the
-      // discriminator compares like with like (CTGAN).
+      // generator update. The condition source pairs each real batch
+      // with its conditions and draws the fake batch's.
       double d_loss = 0.0;
       const size_t d_steps = std::max<size_t>(1, opts_.d_steps);
       for (size_t s = 0; s < d_steps; ++s) {
-        Matrix real, real_cond, fake_cond;
-        if (tbs) {
-          const auto draws =
-              tbs_sampler->SampleBatch(opts_.batch_size, rng);
-          std::vector<size_t> rows(draws.size());
-          for (size_t i = 0; i < draws.size(); ++i) rows[i] = draws[i].row;
-          real = source.GatherSamples(rows);
-          real_cond = TbsCond(draws);
-          fake_cond = real_cond;
-        } else {
-          auto rows = sample_rows(opts_.batch_size);
-          real = source.GatherSamples(rows);
-          real_cond = gather_cond(rows);
-          fake_cond = random_cond(opts_.batch_size);
-        }
+        const CondBatch real =
+            cond.DrawReal(opts_.batch_size, sample_rows, rng);
+        const Matrix fake_cond =
+            cond.DrawFakeCond(real, opts_.batch_size, rng);
+        Matrix x = source.GatherSamples(real.rows);
         Matrix z = SampleNoise(opts_.batch_size, rng);
         Matrix fake = g_->Forward(z, fake_cond, /*training=*/true);
-        d_loss += DiscriminatorStep(real, real_cond, fake, fake_cond,
-                                    wasserstein, dp, rng);
+        d_loss += DiscriminatorStep(x, real.cond, fake, fake_cond, rng);
       }
       result.d_losses.push_back(d_loss / static_cast<double>(d_steps));
 
       // The ref batch is drawn even under Wasserstein (where it goes
       // unused) so the sampler stream position per iteration is
       // algorithm-independent.
-      std::vector<TrainingBySamplingSampler::Draw> g_draws;
-      Matrix real_ref, cond;
-      if (tbs) {
-        g_draws = tbs_sampler->SampleBatch(opts_.batch_size, rng);
-        cond = TbsCond(g_draws);
-        if (!wasserstein) {
-          std::vector<size_t> rows(g_draws.size());
-          for (size_t i = 0; i < g_draws.size(); ++i)
-            rows[i] = g_draws[i].row;
-          real_ref = source.GatherSamples(rows);
-        }
-      } else {
-        auto ref_rows = sample_rows(opts_.batch_size);
-        real_ref = wasserstein ? Matrix()
-                               : source.GatherSamples(ref_rows);
-        cond = random_cond(opts_.batch_size);
-      }
+      const CondBatch ref = cond.DrawReal(opts_.batch_size, sample_rows, rng);
+      const Matrix g_cond = cond.DrawFakeCond(ref, opts_.batch_size, rng);
+      const Matrix real_ref =
+          wasserstein_ ? Matrix() : source.GatherSamples(ref.rows);
       Matrix z = SampleNoise(opts_.batch_size, rng);
-      result.g_losses.push_back(GeneratorStep(z, cond, real_ref, wasserstein,
-                                              tbs ? &g_draws : nullptr,
-                                              rng));
+      result.g_losses.push_back(GeneratorStep(z, g_cond, real_ref, cond));
     }
 
     obs::MetricRecord rec;
@@ -623,7 +426,7 @@ TrainResult GanTrainer::Train(const TrainDataSource& source, Rng* rng,
     rec.d_grad_norm = last_d_grad_norm_;
     rec.g_grad_norm = last_g_grad_norm_;
     rec.param_norm = nn::GlobalParamNorm(g_->Params());
-    rec.starved_labels = label_aware ? last_starved_labels_ : 0;
+    rec.starved_labels = cond.strata() > 0 ? last_starved_labels_ : 0;
     rec.iter_ms = iter_timer.ElapsedMs();
     rec.wall_ms = run_timer.ElapsedMs();
     rec.threads = par::NumThreads();

@@ -20,13 +20,13 @@
 #include "data/table.h"
 #include "nn/optimizer.h"
 #include "obs/metrics.h"
+#include "synth/condition.h"
 #include "synth/config.h"
 #include "synth/dp_engine.h"
-#include "synth/heads.h"
-#include "synth/sampler.h"
 #include "synth/discriminator.h"
 #include "synth/generator.h"
 #include "synth/kl_regularizer.h"
+#include "synth/sampler.h"
 #include "synth/train_source.h"
 #include "transform/record_transformer.h"
 
@@ -36,8 +36,8 @@ namespace daisy::synth {
 /// snapshots for validation-based model selection (paper §6.2).
 ///
 /// Health contract: `health` is OK when all requested iterations ran;
-/// otherwise it describes why training stopped early (divergence
-/// detected by the sentinel, or an empty-label table under CTrain).
+/// otherwise why training stopped early or never started (divergence
+/// detected by the sentinel, refused data, an unusable checkpoint).
 /// The loss traces and `completed_iters` cover only healthy
 /// iterations — no NaN/Inf ever lands in them while the sentinel is
 /// enabled — and the last snapshot is the last healthy generator
@@ -66,8 +66,8 @@ class GanTrainer {
              const transform::RecordTransformer* transformer,
              const GanOptions& options);
 
-  /// Trains on `table` (already the training split). The table must be
-  /// labeled when options.conditional or algo == kCTrain. When `sink`
+  /// Trains on `table` (already the training split); data the
+  /// condition source refuses is an InvalidArgument health. When `sink`
   /// is non-null it receives one obs::MetricRecord every
   /// options.log_every iterations (losses, global grad norms, generator
   /// param norm, wall-clock timings); the divergence sentinel
@@ -84,40 +84,34 @@ class GanTrainer {
   TrainResult Train(const TrainDataSource& source, Rng* rng,
                     obs::MetricSink* sink = nullptr);
 
+  /// Same loop with a caller-built condition source (MakeConditionSource
+  /// over `source`, e.g. with parent rows); the networks' cond width
+  /// must equal cond.dim().
+  TrainResult Train(const TrainDataSource& source,
+                    const ConditionSource& cond, Rng* rng,
+                    obs::MetricSink* sink = nullptr);
+
  private:
   // One discriminator update on given real rows + equally sized fake
-  // batch; returns the discriminator loss. Wasserstein flag switches
-  // between BCE-with-logits and critic score losses. When dp is set,
-  // the update is delegated to DpDiscriminatorStep.
+  // batch; returns the discriminator loss: BCE-with-logits, or the
+  // critic score under WTrain/DPTrain. Under DPTrain the gradient comes
+  // from DpSgdEngine (options.dp_engine picks the implementation).
   double DiscriminatorStep(const Matrix& real, const Matrix& real_cond,
                            const Matrix& fake, const Matrix& fake_cond,
-                           bool wasserstein, bool dp, Rng* rng);
-
-  // DP-SGD discriminator update (Algorithm 4): per-sample clipping to
-  // dp_grad_bound, then noised-sum averaging, delegated to DpSgdEngine
-  // (options.dp_engine picks the reference, replica-parallel or
-  // vectorized implementation; kAuto takes the fastest supported).
-  double DpDiscriminatorStep(const Matrix& real, const Matrix& real_cond,
-                             const Matrix& fake, const Matrix& fake_cond,
-                             bool wasserstein, Rng* rng);
+                           Rng* rng);
 
   // One generator update; returns the generator loss. `real_ref` is a
-  // real minibatch for the KL warm-up (empty to skip the term). Under
-  // training-by-sampling `draws` carries the batch's (block, category)
-  // conditions and the loss gains the conditional cross-entropy term
-  // (opts_.tbs_ce_weight) that penalizes generated rows whose
-  // conditioned softmax block ignores the requested category.
-  double GeneratorStep(
-      const Matrix& z, const Matrix& cond, const Matrix& real_ref,
-      bool wasserstein,
-      const std::vector<TrainingBySamplingSampler::Draw>* draws, Rng* rng);
+  // real minibatch for the KL warm-up (empty to skip the term). The
+  // condition source adds its own loss term for the batch generated
+  // under `cond` (TBS's conditional cross-entropy).
+  double GeneratorStep(const Matrix& z, const Matrix& cond,
+                       const Matrix& real_ref, const ConditionSource& source);
 
   Matrix SampleNoise(size_t m, Rng* rng) const;
-  Matrix OneHotLabels(const std::vector<size_t>& labels) const;
-  // Cond matrix for a training-by-sampling batch: row i is all-zero
-  // except a 1.0 at blocks[draw.block].cond_offset + draw.category.
-  Matrix TbsCond(
-      const std::vector<TrainingBySamplingSampler::Draw>& draws) const;
+
+  // A run that stops before its first iteration: `why` as health, the
+  // current generator as the last snapshot.
+  TrainResult StopBeforeTraining(Status why, obs::MetricSink* sink);
 
   // Snapshots the complete mutable training state after `completed`
   // iterations: G+D parameter values and buffers, both optimizer
@@ -144,15 +138,11 @@ class GanTrainer {
   const transform::RecordTransformer* transformer_;
   GanOptions opts_;
   KlRegularizer kl_;
-  size_t num_labels_ = 0;
-
-  // Cond-vector layout under training-by-sampling (empty otherwise);
-  // set once per Train call from the transformer segments.
-  std::vector<CondBlock> tbs_blocks_;
+  const bool wasserstein_;  // WTrain/DPTrain: critic losses, RMSProp, clipping
 
   // Telemetry captured by the step functions: the global grad norm
   // right after the backward pass (before the optimizer applies it).
-  // With multiple D steps (or labels) per iteration, the last step's
+  // With multiple D steps (or strata) per iteration, the last step's
   // value is what gets logged.
   double last_d_grad_norm_ = 0.0;
   double last_g_grad_norm_ = 0.0;

@@ -14,6 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include "data/generators/realistic.h"
+#include "synth/synthesizer.h"
+
 #ifndef DAISY_CLI_BIN
 #error "DAISY_CLI_BIN must point at the daisy_cli executable"
 #endif
@@ -111,6 +114,50 @@ TEST(CliFlagsTest, UnknownCommandIsRejected) {
 TEST(CliFlagsTest, ExitCodeIsTwoForUsageErrors) {
   const RunResult r = RunBinary(DAISY_CLI_BIN, {"synth", "--bogus", "1"});
   EXPECT_EQ(r.exit_code, 2);
+}
+
+// Inputs the trainer refuses exit 1 with the reason — never a signal.
+TEST(CliFlagsTest, HeaderOnlyCsvIsRefused) {
+  const std::string csv = ::testing::TempDir() + "cli_header_only_" +
+                          std::to_string(getpid()) + ".csv";
+  std::ofstream(csv) << "a,b,label\n";
+  for (const std::string label : {"", "label"}) {
+    std::vector<std::string> args = {"synth", "--input", csv, "--output",
+                                     csv + ".out", "--iterations", "2"};
+    if (!label.empty()) args.insert(args.end(), {"--label", label});
+    const RunResult r = RunBinary(DAISY_CLI_BIN, args);
+    EXPECT_EQ(r.exit_code, 1) << "label '" << label << "'";
+    EXPECT_NE(r.stderr_text.find("empty table"), std::string::npos)
+        << "stderr was: " << r.stderr_text;
+  }
+  std::remove(csv.c_str());
+}
+
+// A model saved from a parent-conditioned fit (a relational child
+// table's) needs parent rows to generate; `generate` says so.
+TEST(CliFlagsTest, GenerateRefusesParentConditionedModel) {
+  Rng rng(3);
+  const data::Table train = data::MakeAdultSim(120, &rng);
+  synth::GanOptions opts;
+  opts.iterations = 3;
+  opts.batch_size = 16;
+  opts.g_hidden = {16};
+  opts.d_hidden = {16};
+  opts.noise_dim = 4;
+  synth::TableSynthesizer child(opts, {});
+  ASSERT_TRUE(
+      child.FitConditioned(train, Matrix::Randn(train.num_records(), 3, &rng))
+          .ok());
+  const std::string model = ::testing::TempDir() + "cli_parent_model_" +
+                            std::to_string(getpid()) + ".daisy";
+  ASSERT_TRUE(child.Save(model).ok());
+  const RunResult r =
+      RunBinary(DAISY_CLI_BIN, {"generate", "--model", model, "--output",
+                                model + ".csv", "--n", "5"});
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.stderr_text.find("parent-conditioned"), std::string::npos)
+      << "stderr was: " << r.stderr_text;
+  std::remove(model.c_str());
 }
 
 TEST(ServeFlagsTest, UnknownFlagIsRejected) {

@@ -243,6 +243,32 @@ TEST(RegistryTest, RejectsCorruptModelAtLoad) {
   EXPECT_TRUE(registry.Load("adult", file).ok());
 }
 
+// A parent-conditioned model (a relational child table's, saved through
+// the public Save) cannot draw its own conditions: the registry refuses
+// it at Load instead of aborting on the first GEN.
+TEST(RegistryTest, RejectsParentConditionedModel) {
+  Rng rng(41);
+  const data::Table train = data::MakeAdultSim(120, &rng);
+  synth::GanOptions opts;
+  opts.iterations = 3;
+  opts.batch_size = 16;
+  opts.g_hidden = {16};
+  opts.d_hidden = {16};
+  opts.noise_dim = 4;
+  synth::TableSynthesizer child(opts, {});
+  const Matrix parent_rows = Matrix::Randn(train.num_records(), 3, &rng);
+  ASSERT_TRUE(child.FitConditioned(train, parent_rows).ok());
+  const std::string file = FreshDir("serve_parent_model") + "/child.daisy";
+  ASSERT_TRUE(child.Save(file).ok());
+
+  ModelRegistry registry;
+  const Status st = registry.Load("child", file);
+  EXPECT_EQ(st.code(), Status::Code::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("parent-conditioned"), std::string::npos)
+      << st.message();
+  EXPECT_EQ(registry.Find("child"), nullptr);
+}
+
 TEST(RegistryTest, RejectsShapeMismatchedCheckpoint) {
   // A checkpoint from a differently-sized network has a valid checksum
   // but wrong matrix shapes; the overlay must reject it untouched.

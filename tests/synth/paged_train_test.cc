@@ -255,8 +255,8 @@ TEST(PagedTrainTest, PagedFitIsBitwiseAtEveryBudgetAndThreadCount) {
 }
 
 TEST(PagedTrainTest, ConditionalTrainingWorksOverPagedTables) {
-  // ctrain exercises the label-aware path: labels come from
-  // PagedTable::ReadLabels and conditional batches gather by label.
+  // ctrain exercises the label-aware path: labels come from the paged
+  // label column and conditional batches gather by label.
   const data::Table table = SmallTable();
   const std::string dir = FreshDir("paged_ctrain");
   auto paged = PagedCopy(table, dir, 37, 3, false);

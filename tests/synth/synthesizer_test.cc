@@ -1,10 +1,16 @@
 // End-to-end TableSynthesizer tests across the design space: every
 // generator architecture x training algorithm combination must train
 // and produce schema-valid synthetic tables.
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "data/columnar.h"
 #include "data/generators/realistic.h"
 #include "data/generators/sdata.h"
 #include "synth/dp_accountant.h"
@@ -179,6 +185,58 @@ TEST(SynthesizerTest, WorksOnPurelyNumericalData) {
   synth.Fit(train);
   Rng gen_rng(3);
   ExpectValidTable(synth.Generate(100, &gen_rng), train, 100);
+}
+
+// Data the condition source cannot train on comes back as a Status from
+// either Fit overload, before the transformer fit — never an abort.
+TEST(SynthesizerTest, EmptyTableIsRefusedWithStatus) {
+  Rng rng(27);
+  const data::Table empty(data::MakeAdultSim(10, &rng).schema());
+  TableSynthesizer synth(FastOptions(), {});
+  const Status st = synth.Fit(empty);
+  EXPECT_EQ(st.code(), Status::Code::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("empty table"), std::string::npos)
+      << st.message();
+}
+
+TEST(SynthesizerTest, EmptyPagedTableIsRefusedWithStatus) {
+  Rng rng(28);
+  const data::Table empty(data::MakeAdultSim(10, &rng).schema());
+  const std::string path = ::testing::TempDir() + "daisy_empty_fit_" +
+                           std::to_string(::getpid()) + ".dcol";
+  ASSERT_TRUE(data::WriteColumnar(empty, path, /*page_rows=*/64).ok());
+  auto paged = data::PagedTable::Open(path, {});
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  TableSynthesizer synth(FastOptions(), {});
+  const Status st = synth.Fit(*paged.value());
+  EXPECT_EQ(st.code(), Status::Code::kInvalidArgument) << st.ToString();
+  std::remove(path.c_str());
+}
+
+TEST(SynthesizerTest, LabelConditioningOnUnlabeledTableIsRefused) {
+  Rng rng(29);
+  data::SDataNumOptions nopts;
+  nopts.num_records = 50;
+  const data::Table labeled = data::MakeSDataNum(nopts, &rng);
+  std::vector<data::Attribute> attrs;
+  for (size_t j = 0; j < labeled.num_attributes(); ++j)
+    attrs.push_back(labeled.schema().attribute(j));
+  data::Table unlabeled{data::Schema(attrs)};
+  for (size_t i = 0; i < labeled.num_records(); ++i) {
+    std::vector<double> rec(labeled.num_attributes());
+    for (size_t j = 0; j < rec.size(); ++j) rec[j] = labeled.value(i, j);
+    unlabeled.AppendRecord(rec);
+  }
+  for (const TrainAlgo algo : {TrainAlgo::kVTrain, TrainAlgo::kCTrain}) {
+    GanOptions opts = FastOptions();
+    opts.algo = algo;
+    opts.conditional = true;
+    TableSynthesizer synth(opts, {});
+    const Status st = synth.Fit(unlabeled);
+    EXPECT_EQ(st.code(), Status::Code::kInvalidArgument) << st.ToString();
+    EXPECT_NE(st.message().find("labeled table"), std::string::npos)
+        << st.message();
+  }
 }
 
 TEST(DpAccountantTest, EpsilonDecreasesWithNoise) {

@@ -249,6 +249,16 @@ TEST(TbsGuardTest, ConditionalPlusTbsAborts) {
                "DAISY_CHECK");
 }
 
+// kCTrain conditions on the label just as `conditional` does, so the
+// same rule refuses it at construction — never a fit whose saved model
+// Load then refuses.
+TEST(TbsGuardTest, CTrainPlusTbsAborts) {
+  GanOptions opts = TbsOptions();
+  opts.algo = TrainAlgo::kCTrain;
+  EXPECT_DEATH(TableSynthesizer(opts, transform::TransformOptions{}),
+               "DAISY_CHECK");
+}
+
 // ---------------------------------------------------------------------------
 // The acceptance claim: on a 1:1000 Zipf table, training-by-sampling
 // strictly improves BOTH heavy-tail metrics over uniform sampling, at

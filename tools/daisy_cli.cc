@@ -271,11 +271,9 @@ int RunSynth(const Args& args) {
       return Usage();
     opts.shuffle_chunk_rows = static_cast<size_t>(
         std::max(1L, args.GetInt("chunk-rows", 4096)));
-    if (opts.sampler == daisy::synth::SamplerKind::kTrainingBySampling &&
-        opts.algo == daisy::synth::TrainAlgo::kCTrain) {
-      std::fprintf(stderr,
-                   "--sampler tbs is not supported with --algo ctrain "
-                   "(ctrain already samples label-aware)\n");
+    if (auto kind = daisy::synth::ResolveConditionKind(opts, false);
+        !kind.ok()) {
+      std::fprintf(stderr, "%s\n", kind.status().ToString().c_str());
       return 1;
     }
 
@@ -300,6 +298,10 @@ int RunSynth(const Args& args) {
                 algo.c_str(), opts.iterations);
     const Status health = paged_input ? synth.Fit(*paged, logger.get())
                                       : synth.Fit(table, logger.get());
+    if (!synth.fitted()) {
+      std::fprintf(stderr, "cannot train: %s\n", health.ToString().c_str());
+      return 1;
+    }
     if (!health.ok()) {
       std::fprintf(stderr,
                    "training stopped early: %s\n"
@@ -427,6 +429,10 @@ int RunGenerate(const Args& args) {
   if (!loaded.ok()) {
     std::fprintf(stderr, "error loading model: %s\n",
                  loaded.status().ToString().c_str());
+    return 1;
+  }
+  if (const Status st = loaded.value()->CheckStandalone(); !st.ok()) {
+    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
     return 1;
   }
   Rng gen_rng(static_cast<uint64_t>(args.GetInt("seed", 17)) ^ 0xBEEF);
