@@ -201,20 +201,6 @@ Matrix& Matrix::AddRowBroadcast(const Matrix& row_vec) {
   return *this;
 }
 
-Matrix Matrix::Apply(const std::function<double(double)>& f) const {
-  Matrix out = *this;
-  out.ApplyInPlace(f);
-  return out;
-}
-
-void Matrix::ApplyInPlace(const std::function<double(double)>& f) {
-  // f goes through std::function (indirect call per element), so the
-  // grain is smaller than for the raw arithmetic loops.
-  par::ParallelFor(0, data_.size(), kElemGrain / 4, [&](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) data_[i] = f(data_[i]);
-  });
-}
-
 double Matrix::Sum() const {
   double s = 0.0;
   for (double v : data_) s += v;

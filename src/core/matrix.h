@@ -6,7 +6,6 @@
 #define DAISY_CORE_MATRIX_H_
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -79,16 +78,6 @@ class Matrix {
 
   /// Adds a 1 x cols row vector to every row (broadcast).
   Matrix& AddRowBroadcast(const Matrix& row_vec);
-
-  /// Applies f to every element, returning a new matrix. Large
-  /// matrices are processed in parallel, so f must be a pure function
-  /// of its argument (no mutable captured state). COLD PATH ONLY: f is
-  /// an indirect std::function call per element — training/serving hot
-  /// loops (activations, losses) go through the dispatched SIMD
-  /// kernels in core/kernels/ instead.
-  Matrix Apply(const std::function<double(double)>& f) const;
-  /// Applies f in place. Same purity and cold-path caveats as Apply.
-  void ApplyInPlace(const std::function<double(double)>& f);
 
   /// rows x 1 vector of per-row squared L2 norms.
   Matrix RowSquaredNorms() const;

@@ -541,27 +541,6 @@ Result<double> PagedTable::ValueAt(size_t record, size_t attr) const {
   return (*page.value())[record % page_rows_];
 }
 
-Status PagedTable::GatherColumn(size_t attr, const std::vector<size_t>& rows,
-                                double* out) const {
-  if (attr >= num_cols_)
-    return Status::InvalidArgument("dcol column index out of range");
-  // Bucket accesses by page so each page is faulted at most once per
-  // call — correct and cheap even with page_budget == 1.
-  std::map<size_t, std::vector<size_t>> by_group;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i] >= num_rows_)
-      return Status::InvalidArgument("dcol record index out of range");
-    by_group[rows[i] / page_rows_].push_back(i);
-  }
-  for (const auto& [group, idxs] : by_group) {
-    auto page = FaultPage(group, attr);
-    if (!page.ok()) return page.status();
-    const std::vector<double>& values = *page.value();
-    for (size_t i : idxs) out[i] = values[rows[i] - group * page_rows_];
-  }
-  return Status::OK();
-}
-
 Result<Matrix> PagedTable::GatherRows(const std::vector<size_t>& rows) const {
   Matrix out(rows.size(), num_cols_);
   std::map<size_t, std::vector<size_t>> by_group;
@@ -597,28 +576,6 @@ Status PagedTable::ScanColumn(size_t attr, size_t begin, size_t end,
     begin += take;
   }
   return Status::OK();
-}
-
-Result<std::vector<size_t>> PagedTable::ReadLabels() const {
-  if (!schema_.has_label())
-    return Status::FailedPrecondition("dcol table has no label column");
-  const size_t label_col = schema_.label_index();
-  const size_t domain = schema_.num_labels();
-  std::vector<size_t> labels(num_rows_);
-  std::vector<double> window;
-  constexpr size_t kWindow = 1 << 16;
-  for (size_t begin = 0; begin < num_rows_; begin += kWindow) {
-    const size_t end = std::min(num_rows_, begin + kWindow);
-    window.resize(end - begin);
-    DAISY_RETURN_IF_ERROR(ScanColumn(label_col, begin, end, window.data()));
-    for (size_t i = 0; i < window.size(); ++i) {
-      const long long idx = std::llround(window[i]);
-      if (idx < 0 || idx >= static_cast<long long>(domain))
-        return Status::InvalidArgument("dcol label out of domain: " + path_);
-      labels[begin + i] = static_cast<size_t>(idx);
-    }
-  }
-  return labels;
 }
 
 Result<Table> PagedTable::ToTable() const {

@@ -165,12 +165,6 @@ class PagedTable {
   /// One cell through the page cache.
   Result<double> ValueAt(size_t record, size_t attr) const;
 
-  /// out[i] = cell(rows[i], attr). Faults each needed page at most
-  /// once per call (accesses are bucketed by page), so the call is
-  /// correct and efficient even with page_budget == 1.
-  Status GatherColumn(size_t attr, const std::vector<size_t>& rows,
-                      double* out) const;
-
   /// Dense raw-cell gather: m x num_attributes, row i = record
   /// rows[i]. Work proceeds column by column through the cache.
   Result<Matrix> GatherRows(const std::vector<size_t>& rows) const;
@@ -179,10 +173,6 @@ class PagedTable {
   /// (caller provides end - begin doubles). Bypasses the cache.
   Status ScanColumn(size_t attr, size_t begin, size_t end,
                     double* out) const;
-
-  /// Label (category index) per record, streamed from the label
-  /// column. Requires schema().has_label().
-  Result<std::vector<size_t>> ReadLabels() const;
 
   /// Full materialization (tests / small tables).
   Result<Table> ToTable() const;

@@ -138,8 +138,4 @@ Table MakeDatasetByName(const std::string& name, size_t n, Rng* rng) {
   return Table();
 }
 
-std::vector<std::string> LabeledDatasetNames() {
-  return {"htru2", "digits", "adult", "covtype", "sat", "anuran", "census"};
-}
-
 }  // namespace daisy::data

@@ -43,9 +43,6 @@ Table MakeBingSim(size_t n, Rng* rng);
 /// Lookup by name ("adult", "covtype", ...); aborts on unknown names.
 Table MakeDatasetByName(const std::string& name, size_t n, Rng* rng);
 
-/// All labeled dataset names, low-dimensional first.
-std::vector<std::string> LabeledDatasetNames();
-
 }  // namespace daisy::data
 
 #endif  // DAISY_DATA_GENERATORS_REALISTIC_H_

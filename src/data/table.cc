@@ -55,13 +55,6 @@ std::vector<size_t> Table::LabelCounts() const {
   return counts;
 }
 
-std::vector<size_t> Table::RecordsWithLabel(size_t label_value) const {
-  std::vector<size_t> out;
-  for (size_t i = 0; i < num_records(); ++i)
-    if (label(i) == label_value) out.push_back(i);
-  return out;
-}
-
 double Table::AttributeMin(size_t attr) const {
   DAISY_CHECK(num_records() > 0);
   double m = cells_(0, attr);

@@ -52,9 +52,6 @@ class Table {
   /// Count of records per label value.
   std::vector<size_t> LabelCounts() const;
 
-  /// Indices of records carrying the given label.
-  std::vector<size_t> RecordsWithLabel(size_t label_value) const;
-
   /// Min / max of a numerical attribute over all records.
   double AttributeMin(size_t attr) const;
   double AttributeMax(size_t attr) const;

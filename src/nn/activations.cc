@@ -117,26 +117,6 @@ Matrix Softmax::Backward(const Matrix& grad_out) {
   return SoftmaxRowsBackward(cached_output_, grad_out);
 }
 
-std::unique_ptr<Module> ReLU::Clone() const {
-  return std::make_unique<ReLU>();
-}
-
-std::unique_ptr<Module> LeakyReLU::Clone() const {
-  return std::make_unique<LeakyReLU>(alpha_);
-}
-
-std::unique_ptr<Module> Tanh::Clone() const {
-  return std::make_unique<Tanh>();
-}
-
-std::unique_ptr<Module> Sigmoid::Clone() const {
-  return std::make_unique<Sigmoid>();
-}
-
-std::unique_ptr<Module> Softmax::Clone() const {
-  return std::make_unique<Softmax>();
-}
-
 Matrix SoftmaxRows(const Matrix& x) {
   // A zero-column input has no row maximum to read; the only honest
   // softmax over an empty support is the empty matrix. Degenerate GMM

@@ -15,7 +15,6 @@ class ReLU : public Module {
   Matrix Forward(const Matrix& x, bool training) override;
   Matrix InferenceForward(const Matrix& x) const override;
   Matrix Backward(const Matrix& grad_out) override;
-  std::unique_ptr<Module> Clone() const override;
 
  private:
   Matrix cached_input_;
@@ -28,7 +27,6 @@ class LeakyReLU : public Module {
   Matrix Forward(const Matrix& x, bool training) override;
   Matrix InferenceForward(const Matrix& x) const override;
   Matrix Backward(const Matrix& grad_out) override;
-  std::unique_ptr<Module> Clone() const override;
 
  private:
   double alpha_;
@@ -41,7 +39,6 @@ class Tanh : public Module {
   Matrix Forward(const Matrix& x, bool training) override;
   Matrix InferenceForward(const Matrix& x) const override;
   Matrix Backward(const Matrix& grad_out) override;
-  std::unique_ptr<Module> Clone() const override;
 
  private:
   Matrix cached_output_;
@@ -53,7 +50,6 @@ class Sigmoid : public Module {
   Matrix Forward(const Matrix& x, bool training) override;
   Matrix InferenceForward(const Matrix& x) const override;
   Matrix Backward(const Matrix& grad_out) override;
-  std::unique_ptr<Module> Clone() const override;
 
  private:
   Matrix cached_output_;
@@ -65,7 +61,6 @@ class Softmax : public Module {
   Matrix Forward(const Matrix& x, bool training) override;
   Matrix InferenceForward(const Matrix& x) const override;
   Matrix Backward(const Matrix& grad_out) override;
-  std::unique_ptr<Module> Clone() const override;
 
  private:
   Matrix cached_output_;

@@ -105,13 +105,4 @@ Matrix BatchNorm1d::Backward(const Matrix& grad_out) {
   return gx;
 }
 
-std::unique_ptr<Module> BatchNorm1d::Clone() const {
-  auto copy = std::make_unique<BatchNorm1d>(*this);
-  copy->gamma_.ZeroGrad();
-  copy->beta_.ZeroGrad();
-  copy->cached_xhat_ = Matrix();
-  copy->cached_inv_std_ = Matrix();
-  return copy;
-}
-
 }  // namespace daisy::nn

@@ -21,7 +21,6 @@ class BatchNorm1d : public Module {
   std::vector<Matrix*> Buffers() override {
     return {&running_mean_, &running_var_};
   }
-  std::unique_ptr<Module> Clone() const override;
 
  private:
   size_t features_;

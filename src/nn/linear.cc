@@ -36,12 +36,4 @@ Matrix Linear::PropagateDelta(const Matrix& grad_out) const {
   return grad_out.MatMulTranspose(weight_.value);
 }
 
-std::unique_ptr<Module> Linear::Clone() const {
-  auto copy = std::make_unique<Linear>(*this);
-  copy->cached_input_ = Matrix();
-  copy->weight_.ZeroGrad();
-  copy->bias_.ZeroGrad();
-  return copy;
-}
-
 }  // namespace daisy::nn

@@ -17,7 +17,6 @@ class Linear : public Module {
   Matrix InferenceForward(const Matrix& x) const override;
   Matrix Backward(const Matrix& grad_out) override;
   std::vector<Parameter*> Params() override { return {&weight_, &bias_}; }
-  std::unique_ptr<Module> Clone() const override;
 
   size_t in_features() const { return in_; }
   size_t out_features() const { return out_; }

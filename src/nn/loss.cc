@@ -47,19 +47,4 @@ double BceWithLogitsLoss(const Matrix& logits, const Matrix& targets,
   return loss / n;
 }
 
-double MseLoss(const Matrix& pred, const Matrix& target, Matrix* grad) {
-  DAISY_CHECK(pred.SameShape(target));
-  const double n = static_cast<double>(pred.size());
-  double loss = 0.0;
-  *grad = Matrix(pred.rows(), pred.cols());
-  for (size_t r = 0; r < pred.rows(); ++r) {
-    for (size_t c = 0; c < pred.cols(); ++c) {
-      const double d = pred(r, c) - target(r, c);
-      loss += d * d;
-      (*grad)(r, c) = 2.0 * d / n;
-    }
-  }
-  return loss / n;
-}
-
 }  // namespace daisy::nn

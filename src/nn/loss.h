@@ -15,9 +15,6 @@ double BceLoss(const Matrix& probs, const Matrix& targets, Matrix* grad);
 double BceWithLogitsLoss(const Matrix& logits, const Matrix& targets,
                          Matrix* grad);
 
-/// Mean squared error: mean((x - t)^2).
-double MseLoss(const Matrix& pred, const Matrix& target, Matrix* grad);
-
 /// The generator's non-saturating "log D" trick is computed inside the
 /// trainers; these helpers cover the loss pieces shared across them.
 

@@ -5,7 +5,6 @@
 #ifndef DAISY_NN_MODULE_H_
 #define DAISY_NN_MODULE_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -60,29 +59,10 @@ class Module {
   /// statistics) that model persistence must round-trip.
   virtual std::vector<Matrix*> Buffers() { return {}; }
 
-  /// Deep, independent replica of this layer: same hyper-parameters,
-  /// parameter values and buffers copied, gradients zeroed, forward
-  /// caches empty. Replicas let data-parallel code (the DP-SGD replica
-  /// engine) run concurrent forward/backward passes without sharing
-  /// any mutable state. Layers that do not support replication return
-  /// nullptr (the default); callers must fall back to a serial path.
-  virtual std::unique_ptr<Module> Clone() const { return nullptr; }
-
   void ZeroGrad() {
     for (Parameter* p : Params()) p->ZeroGrad();
   }
 };
-
-/// Collects parameters of many modules into one flat list.
-inline std::vector<Parameter*> CollectParams(
-    const std::vector<Module*>& modules) {
-  std::vector<Parameter*> out;
-  for (Module* m : modules) {
-    auto ps = m->Params();
-    out.insert(out.end(), ps.begin(), ps.end());
-  }
-  return out;
-}
 
 }  // namespace daisy::nn
 

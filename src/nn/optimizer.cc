@@ -218,15 +218,6 @@ void DpSgdAggregator::AccumulateClippedSum(const std::vector<Matrix>& grads,
   samples_ += samples;
 }
 
-void DpSgdAggregator::MergeFrom(const DpSgdAggregator& other) {
-  DAISY_CHECK(other.sum_.size() == sum_.size());
-  for (size_t i = 0; i < sum_.size(); ++i) {
-    DAISY_CHECK(other.sum_[i].SameShape(sum_[i]));
-    sum_[i] += other.sum_[i];
-  }
-  samples_ += other.samples_;
-}
-
 void DpSgdAggregator::Reset() {
   for (Matrix& m : sum_) m.Fill(0.0);
   samples_ = 0;

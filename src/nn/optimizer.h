@@ -125,15 +125,9 @@ class DpSgdAggregator {
   /// Adds an ALREADY-CLIPPED sum of `samples` per-sample gradients
   /// (shapes matching the params this aggregator was built from). Used
   /// by the vectorized DP engine, which forms the clipped sum with
-  /// batched matrix products, and by replica merges.
+  /// batched matrix products.
   void AccumulateClippedSum(const std::vector<Matrix>& grads,
                             size_t samples);
-
-  /// Folds another aggregator's partial sum into this one. Both must
-  /// have been built from identically-shaped parameter lists. Callers
-  /// merge partials in a fixed (chunk) order to keep results
-  /// independent of thread count.
-  void MergeFrom(const DpSgdAggregator& other);
 
   /// Clears the running sum and sample count for reuse across steps
   /// (avoids reallocating the shadow matrices every minibatch).

@@ -66,20 +66,6 @@ class Sequential : public Module {
   size_t num_layers() const { return layers_.size(); }
   Module* layer(size_t i) { return layers_[i].get(); }
 
-  /// Typed replica: clones every layer in order, or nullptr as soon as
-  /// one layer does not support replication.
-  std::unique_ptr<Sequential> CloneStack() const {
-    auto out = std::make_unique<Sequential>();
-    for (const auto& layer : layers_) {
-      auto c = layer->Clone();
-      if (c == nullptr) return nullptr;
-      out->Append(std::move(c));
-    }
-    return out;
-  }
-
-  std::unique_ptr<Module> Clone() const override { return CloneStack(); }
-
  private:
   std::vector<std::unique_ptr<Module>> layers_;
 };

@@ -135,22 +135,4 @@ double PearsonCorrelation(const std::vector<double>& x,
   return sxy / denom;
 }
 
-Descriptive Describe(const std::vector<double>& values) {
-  DAISY_CHECK(!values.empty());
-  Descriptive d;
-  d.min = values[0];
-  d.max = values[0];
-  double sum = 0.0;
-  for (double v : values) {
-    d.min = std::min(d.min, v);
-    d.max = std::max(d.max, v);
-    sum += v;
-  }
-  d.mean = sum / static_cast<double>(values.size());
-  double var = 0.0;
-  for (double v : values) var += (v - d.mean) * (v - d.mean);
-  d.stddev = std::sqrt(var / static_cast<double>(values.size()));
-  return d;
-}
-
 }  // namespace daisy::stats

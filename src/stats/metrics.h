@@ -39,12 +39,6 @@ std::vector<double> HistogramWithOutliers(const std::vector<double>& values,
 double PearsonCorrelation(const std::vector<double>& x,
                           const std::vector<double>& y);
 
-/// Basic descriptive statistics.
-struct Descriptive {
-  double min = 0, max = 0, mean = 0, stddev = 0;
-};
-Descriptive Describe(const std::vector<double>& values);
-
 }  // namespace daisy::stats
 
 #endif  // DAISY_STATS_METRICS_H_

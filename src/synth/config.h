@@ -24,15 +24,16 @@ enum class DiscriminatorArch { kMlp, kLstm, kBiLstm, kCnn };
 /// Training algorithm (paper Table 1).
 enum class TrainAlgo { kVTrain, kWTrain, kCTrain, kDPTrain };
 
-/// How DPTrain computes its clipped per-sample gradient sum. All
+/// How DPTrain computes its clipped per-sample gradient sum. Both
 /// engines implement the SAME mechanism (clip each record's gradient to
 /// c_g, sum, noise the sum) and differ only in floating-point summation
-/// grouping; each is bit-identical across thread counts.
+/// grouping; each is bit-identical across thread counts. An explicit
+/// kVectorized on a discriminator other than the MLP is refused with a
+/// Status (synth/dp_engine.h, ResolveDpEngine).
 enum class DpEngineKind {
-  kAuto,             ///< Vectorized if supported, else replica, else serial.
-  kPerSample,        ///< Reference: one backward pass per record.
-  kReplicaParallel,  ///< Per-record passes on per-chunk replicas, parallel.
-  kVectorized,       ///< Batched norms + scaled GEMMs (Linear-only stacks).
+  kAuto,        ///< Vectorized if supported, else per-sample.
+  kPerSample,   ///< Reference: one backward pass per record.
+  kVectorized,  ///< Batched norms + scaled GEMMs (Linear-only stacks).
 };
 
 /// Minibatch sampler for the non-label-aware algorithms (Figure 2's

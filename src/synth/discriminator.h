@@ -4,7 +4,6 @@
 #ifndef DAISY_SYNTH_DISCRIMINATOR_H_
 #define DAISY_SYNTH_DISCRIMINATOR_H_
 
-#include <memory>
 #include <vector>
 
 #include "core/matrix.h"
@@ -34,13 +33,6 @@ class Discriminator {
   /// mirroring Generator::Buffers; checkpoints capture these so a
   /// resumed discriminator scores exactly like the original.
   virtual std::vector<Matrix*> Buffers() { return {}; }
-
-  /// Deep replica with identical parameter values, zeroed gradients and
-  /// empty caches, or nullptr when the architecture does not support
-  /// replication. The DP-SGD replica engine runs concurrent per-sample
-  /// backward passes on replicas; callers must fall back to a serial
-  /// path on nullptr.
-  virtual std::unique_ptr<Discriminator> Clone() const { return nullptr; }
 
   /// The plain Sequential stack computing logit = body([x | cond]) when
   /// the whole discriminator is such a stack, else nullptr. When the

@@ -15,13 +15,12 @@
 // single record's influence on it — sensitivity would stay
 // Theta(c_g) while the noise shrank with B, under-noising by ~B.)
 //
-// The DpSgdEngine execution strategies (per-sample reference,
-// replica-parallel, vectorized; synth/dp_engine.h) do not change this
-// accounting: all three clip EVERY record's gradient to c_g before it
-// enters the sum and noise the sum once, so the per-record sensitivity
-// is exactly c_g regardless of which engine — or how many threads —
-// produced the sum. They differ only in floating-point summation
-// grouping.
+// The DpSgdEngine execution strategies (per-sample reference and
+// vectorized; synth/dp_engine.h) do not change this accounting: both
+// clip EVERY record's gradient to c_g before it enters the sum and
+// noise the sum once, so the per-record sensitivity is exactly c_g
+// regardless of which engine — or how many threads — produced the sum.
+// They differ only in floating-point summation grouping.
 #ifndef DAISY_SYNTH_DP_ACCOUNTANT_H_
 #define DAISY_SYNTH_DP_ACCOUNTANT_H_
 

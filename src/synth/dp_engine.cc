@@ -3,7 +3,6 @@
 #include <cmath>
 #include <utility>
 
-#include "core/parallel.h"
 #include "nn/per_sample.h"
 
 namespace daisy::synth {
@@ -58,46 +57,32 @@ double RecordHalf(Discriminator* net, const Matrix& x, const Matrix& cond,
 
 }  // namespace
 
+Result<DpEngineKind> ResolveDpEngine(Discriminator* d,
+                                     DpEngineKind requested) {
+  switch (requested) {
+    case DpEngineKind::kAuto:
+      return VectorizedSupported(d) ? DpEngineKind::kVectorized
+                                    : DpEngineKind::kPerSample;
+    case DpEngineKind::kVectorized:
+      if (!VectorizedSupported(d))
+        return Status::InvalidArgument(
+            "the vectorized DP engine needs a discriminator that is one "
+            "Linear/activation stack (the MLP); use the per-sample or auto "
+            "engine");
+      return requested;
+    case DpEngineKind::kPerSample:
+      return requested;
+  }
+  return Status::InvalidArgument("unknown DP engine kind");
+}
+
 DpSgdEngine::DpSgdEngine(Discriminator* d, double max_norm,
                          double noise_scale, DpEngineKind requested)
     : d_(d), max_norm_(max_norm), noise_scale_(noise_scale),
-      kind_(requested), agg_(d->Params(), max_norm) {
-  switch (requested) {
-    case DpEngineKind::kAuto: {
-      if (VectorizedSupported(d_)) {
-        kind_ = DpEngineKind::kVectorized;
-        break;
-      }
-      auto probe = d_->Clone();
-      if (probe != nullptr) {
-        kind_ = DpEngineKind::kReplicaParallel;
-        partials_.push_back(std::make_unique<nn::DpSgdAggregator>(
-            probe->Params(), max_norm_));
-        replicas_.push_back(std::move(probe));
-        break;
-      }
-      kind_ = DpEngineKind::kPerSample;
-      break;
-    }
-    case DpEngineKind::kVectorized:
-      DAISY_CHECK(VectorizedSupported(d_));
-      break;
-    case DpEngineKind::kReplicaParallel:
-      EnsureReplicas(1);  // fails loudly if Clone is unsupported
-      break;
-    case DpEngineKind::kPerSample:
-      break;
-  }
-}
-
-void DpSgdEngine::EnsureReplicas(size_t n) {
-  while (replicas_.size() < n) {
-    auto rep = d_->Clone();
-    DAISY_CHECK(rep != nullptr);
-    partials_.push_back(
-        std::make_unique<nn::DpSgdAggregator>(rep->Params(), max_norm_));
-    replicas_.push_back(std::move(rep));
-  }
+      agg_(d->Params(), max_norm) {
+  const Result<DpEngineKind> kind = ResolveDpEngine(d_, requested);
+  DAISY_CHECK(kind.ok());
+  kind_ = kind.value();
 }
 
 double DpSgdEngine::Step(const Matrix& real, const Matrix& real_cond,
@@ -113,9 +98,6 @@ double DpSgdEngine::Step(const Matrix& real, const Matrix& real_cond,
   switch (kind_) {
     case DpEngineKind::kPerSample:
       loss = StepPerSample(real, real_cond, fake, fake_cond, wasserstein);
-      break;
-    case DpEngineKind::kReplicaParallel:
-      loss = StepReplica(real, real_cond, fake, fake_cond, wasserstein);
       break;
     case DpEngineKind::kVectorized:
       loss = StepVectorized(real, real_cond, fake, fake_cond, wasserstein);
@@ -151,49 +133,6 @@ double DpSgdEngine::StepPerSample(const Matrix& real, const Matrix& real_cond,
     last_sample_norms_[i] = agg_.AccumulateSample(params);
   }
   return loss;
-}
-
-double DpSgdEngine::StepReplica(const Matrix& real, const Matrix& real_cond,
-                                const Matrix& fake, const Matrix& fake_cond,
-                                bool wasserstein) {
-  const size_t m = real.rows();
-  const size_t num_chunks = (m + kChunk - 1) / kChunk;
-  EnsureReplicas(num_chunks);
-  const std::vector<nn::Parameter*> master = d_->Params();
-  std::vector<double> chunk_loss(num_chunks, 0.0);
-
-  // Chunk c always covers records [c*kChunk, ...) and always lands on
-  // replica / aggregator c: the work partition and every accumulation
-  // grouping are pure functions of m, never of the thread count.
-  par::ParallelForIndexed(0, m, kChunk, [&](size_t c, size_t b, size_t e) {
-    Discriminator* rep = replicas_[c].get();
-    nn::DpSgdAggregator* part = partials_[c].get();
-    part->Reset();
-    const std::vector<nn::Parameter*> params = rep->Params();
-    for (size_t p = 0; p < params.size(); ++p)
-      params[p]->value = master[p]->value;
-    Matrix x_row;
-    Matrix c_row;
-    Matrix grad(1, 1);
-    double lsum = 0.0;
-    for (size_t i = b; i < e; ++i) {
-      rep->ZeroGrad();
-      lsum += RecordHalf(rep, real, real_cond, i, /*real_half=*/true,
-                         wasserstein, &x_row, &c_row, &grad);
-      lsum += RecordHalf(rep, fake, fake_cond, i, /*real_half=*/false,
-                         wasserstein, &x_row, &c_row, &grad);
-      last_sample_norms_[i] = part->AccumulateSample(params);
-    }
-    chunk_loss[c] = lsum;
-  });
-
-  // Fixed ascending-chunk reduction.
-  double loss = 0.0;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    agg_.MergeFrom(*partials_[c]);
-    loss += chunk_loss[c];
-  }
-  return loss / static_cast<double>(m);
 }
 
 double DpSgdEngine::StepVectorized(const Matrix& real,

@@ -1,54 +1,52 @@
-// Batch-parallel / vectorized DP-SGD discriminator step (the DPTrain
-// hot loop). Every engine computes the SAME mechanism — per-record
-// gradient clipped to c_g, clipped gradients summed, Gaussian noise
-// N(0, (sigma_n c_g)^2) added to the sum, sum divided by B — so the
-// per-record L2 sensitivity bound of synth/dp_accountant.h (exactly
-// c_g) is engine-independent. The engines differ only in how the
-// clipped sum is produced:
+// Vectorized DP-SGD discriminator step (the DPTrain hot loop) and its
+// per-record reference. Both engines compute the SAME mechanism —
+// per-record gradient clipped to c_g, clipped gradients summed,
+// Gaussian noise N(0, (sigma_n c_g)^2) added to the sum, sum divided
+// by B — so the per-record L2 sensitivity bound of
+// synth/dp_accountant.h (exactly c_g) is engine-independent. The
+// engines differ only in how the clipped sum is produced:
 //
-//   kPerSample        B forward/backward pairs, one record at a time —
-//                     the reference implementation (and the bitwise
-//                     twin of the original serial trainer loop).
-//   kReplicaParallel  The batch is split into fixed kChunk-record
-//                     chunks; each chunk runs the per-record loop on
-//                     its own discriminator replica, accumulating into
-//                     a chunk-local aggregator; partials merge in
-//                     ascending chunk order. The chunk partition is a
-//                     pure function of the batch size, so results are
-//                     bit-identical for every DAISY_THREADS value.
-//   kVectorized       For Linear-only stacks: ONE batched forward +
-//                     delta-propagation per half yields every
-//                     per-record gradient implicitly (nn/per_sample.h);
-//                     per-record norms come from the outer-product
-//                     identity |x d^T|_F^2 = |x|^2 |d|^2, and the
-//                     clipped sum from one scale-rows + GEMM per layer.
-//                     O(layers) batched GEMMs instead of 2B backward
-//                     passes.
+//   kPerSample   B forward/backward pairs, one record at a time — the
+//                reference implementation (and the bitwise twin of the
+//                original serial trainer loop). Runs any discriminator.
+//   kVectorized  For Linear-only stacks: ONE batched forward +
+//                delta-propagation per half yields every per-record
+//                gradient implicitly (nn/per_sample.h); per-record
+//                norms come from the outer-product identity
+//                |x d^T|_F^2 = |x|^2 |d|^2, and the clipped sum from
+//                one scale-rows + GEMM per layer. O(layers) batched
+//                GEMMs instead of 2B backward passes.
+//
+// kAuto resolves to kVectorized when the discriminator supports it and
+// to kPerSample otherwise (ResolveDpEngine). Both engines are
+// bit-identical for every DAISY_THREADS value.
 #ifndef DAISY_SYNTH_DP_ENGINE_H_
 #define DAISY_SYNTH_DP_ENGINE_H_
 
-#include <memory>
 #include <vector>
 
 #include "core/matrix.h"
 #include "core/rng.h"
+#include "core/status.h"
 #include "nn/optimizer.h"
 #include "synth/config.h"
 #include "synth/discriminator.h"
 
 namespace daisy::synth {
 
+/// The engine `requested` runs as on `d` — the one place engine
+/// support is decided. kAuto is kVectorized when `d` supports it and
+/// kPerSample otherwise; an explicit kVectorized on a discriminator
+/// that is not a plain Linear/activation stack is InvalidArgument.
+Result<DpEngineKind> ResolveDpEngine(Discriminator* d,
+                                     DpEngineKind requested);
+
 class DpSgdEngine {
  public:
-  /// Records per chunk in the replica engine. Fixed (never derived from
-  /// the thread count) so the accumulation grouping — and therefore
-  /// every bit of the result — is identical for any DAISY_THREADS.
-  static constexpr size_t kChunk = 8;
-
-  /// Resolves `requested` against what `d` supports. kAuto picks the
-  /// fastest supported engine (vectorized > replica > per-sample);
-  /// explicitly requesting an unsupported engine is a fatal error.
-  /// `d` must outlive the engine.
+  /// Runs the engine ResolveDpEngine(d, requested) picks, which must
+  /// resolve (an unsupported request is a programming error here;
+  /// GanTrainer refuses it with a Status first). `d` must outlive the
+  /// engine.
   DpSgdEngine(Discriminator* d, double max_norm, double noise_scale,
               DpEngineKind requested);
 
@@ -76,15 +74,9 @@ class DpSgdEngine {
   double StepPerSample(const Matrix& real, const Matrix& real_cond,
                        const Matrix& fake, const Matrix& fake_cond,
                        bool wasserstein);
-  double StepReplica(const Matrix& real, const Matrix& real_cond,
-                     const Matrix& fake, const Matrix& fake_cond,
-                     bool wasserstein);
   double StepVectorized(const Matrix& real, const Matrix& real_cond,
                         const Matrix& fake, const Matrix& fake_cond,
                         bool wasserstein);
-
-  /// Grows the replica / chunk-aggregator pools to `n` entries.
-  void EnsureReplicas(size_t n);
 
   Discriminator* d_;
   double max_norm_;
@@ -92,11 +84,6 @@ class DpSgdEngine {
   DpEngineKind kind_;
 
   nn::DpSgdAggregator agg_;
-
-  // Replica engine state, cached across steps (replica c serves chunk
-  // c; its parameter values are refreshed from the master each Step).
-  std::vector<std::unique_ptr<Discriminator>> replicas_;
-  std::vector<std::unique_ptr<nn::DpSgdAggregator>> partials_;
 
   // Reusable per-record scratch rows for the serial reference path
   // (hoisted out of the inner loop; see Matrix::CopyRowFrom).

@@ -92,13 +92,4 @@ std::vector<nn::Parameter*> MlpDiscriminator::Params() {
   return body_.Params();
 }
 
-std::unique_ptr<Discriminator> MlpDiscriminator::Clone() const {
-  auto body = body_.CloneStack();
-  if (body == nullptr) return nullptr;
-  std::unique_ptr<MlpDiscriminator> copy(
-      new MlpDiscriminator(sample_dim_, cond_dim_));
-  copy->body_ = std::move(*body);
-  return copy;
-}
-
 }  // namespace daisy::synth

@@ -52,14 +52,9 @@ class MlpDiscriminator : public Discriminator {
   Matrix Backward(const Matrix& grad_logit) override;
   std::vector<nn::Parameter*> Params() override;
   std::vector<Matrix*> Buffers() override { return body_.Buffers(); }
-  std::unique_ptr<Discriminator> Clone() const override;
   nn::Sequential* FastPathBody() override { return &body_; }
 
  private:
-  // Shell for Clone(): dims only, body filled in by the caller.
-  MlpDiscriminator(size_t sample_dim, size_t cond_dim)
-      : sample_dim_(sample_dim), cond_dim_(cond_dim) {}
-
   size_t sample_dim_;
   size_t cond_dim_;
   nn::Sequential body_;

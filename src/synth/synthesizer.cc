@@ -79,6 +79,8 @@ Status TableSynthesizer::FitFrom(const data::Table* table,
   DAISY_RETURN_IF_ERROR(cond.status());
   cond_ = cond.take();
   BuildNetworks();
+  if (opts_.algo == TrainAlgo::kDPTrain)
+    DAISY_RETURN_IF_ERROR(ResolveDpEngine(d_.get(), opts_.dp_engine).status());
   fitted_ = true;
 
   GanTrainer trainer(g_.get(), d_.get(), transformer_.get(), opts_);

@@ -37,8 +37,9 @@ class TableSynthesizer {
   /// iterations ran; a descriptive error when the divergence sentinel
   /// stopped training early — in which case the generator holds the
   /// last healthy snapshot and Generate still works. Data the
-  /// condition source refuses (MakeConditionSource) is InvalidArgument
-  /// and leaves the synthesizer unfitted.
+  /// condition source refuses (MakeConditionSource), and a DP engine the
+  /// discriminator cannot run (ResolveDpEngine), are InvalidArgument
+  /// and leave the synthesizer unfitted.
   Status Fit(const data::Table& train, obs::MetricSink* sink = nullptr);
 
   /// Out-of-core Fit over a paged .dcol table: transformer statistics

@@ -43,8 +43,12 @@ GanTrainer::GanTrainer(Generator* generator, Discriminator* discriminator,
     d_opt_ = std::make_unique<nn::Adam>(d_->Params(), opts_.lr_d);
   }
   if (opts_.algo == TrainAlgo::kDPTrain) {
-    dp_engine_ = std::make_unique<DpSgdEngine>(
-        d_, opts_.dp_grad_bound, opts_.dp_noise_scale, opts_.dp_engine);
+    const Result<DpEngineKind> engine = ResolveDpEngine(d_, opts_.dp_engine);
+    if (engine.ok())
+      dp_engine_ = std::make_unique<DpSgdEngine>(
+          d_, opts_.dp_grad_bound, opts_.dp_noise_scale, engine.value());
+    else
+      refusal_ = engine.status();
   }
 }
 
@@ -307,6 +311,7 @@ TrainResult GanTrainer::Train(const TrainDataSource& source,
                               const ConditionSource& cond, Rng* rng,
                               obs::MetricSink* sink) {
   DAISY_CHECK(g_->cond_dim() == cond.dim());
+  if (!refusal_.ok()) return StopBeforeTraining(refusal_, sink);
   TrainResult result;
   const size_t snapshot_every =
       std::max<size_t>(1, opts_.iterations / std::max<size_t>(1, opts_.snapshots));

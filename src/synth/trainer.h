@@ -67,7 +67,8 @@ class GanTrainer {
              const GanOptions& options);
 
   /// Trains on `table` (already the training split); data the
-  /// condition source refuses is an InvalidArgument health. When `sink`
+  /// condition source refuses, or a DP engine the discriminator cannot
+  /// run (ResolveDpEngine), is an InvalidArgument health. When `sink`
   /// is non-null it receives one obs::MetricRecord every
   /// options.log_every iterations (losses, global grad norms, generator
   /// param norm, wall-clock timings); the divergence sentinel
@@ -152,7 +153,11 @@ class GanTrainer {
 
   std::unique_ptr<nn::Optimizer> g_opt_;
   std::unique_ptr<nn::Optimizer> d_opt_;
-  std::unique_ptr<DpSgdEngine> dp_engine_;  // non-null iff algo == kDPTrain
+  // Non-null iff algo == kDPTrain and the requested engine resolved.
+  // When it did not, refusal_ says why and every Train stops before
+  // training.
+  std::unique_ptr<DpSgdEngine> dp_engine_;
+  Status refusal_;
 };
 
 }  // namespace daisy::synth

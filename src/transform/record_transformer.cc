@@ -225,14 +225,6 @@ Matrix RecordTransformer::Transform(const data::Table& table) const {
   return out;
 }
 
-Matrix RecordTransformer::TransformRows(const data::Table& table,
-                                        const std::vector<size_t>& rows) const {
-  Matrix out(rows.size(), sample_dim_);
-  for (size_t i = 0; i < rows.size(); ++i)
-    EncodeRecord(table, rows[i], out.row(i));
-  return out;
-}
-
 data::Table RecordTransformer::InverseTransform(const Matrix& samples) const {
   DAISY_CHECK(samples.cols() == sample_dim_);
   const kern::KernelTable& kt = kern::Active();

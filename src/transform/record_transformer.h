@@ -105,10 +105,6 @@ class RecordTransformer {
   /// Encodes every record into a row of the returned n x d matrix.
   Matrix Transform(const data::Table& table) const;
 
-  /// Encodes a subset of records.
-  Matrix TransformRows(const data::Table& table,
-                       const std::vector<size_t>& rows) const;
-
   /// Decodes samples back into records under schema(). Values are
   /// clamped into valid ranges; categorical blocks decode via argmax.
   data::Table InverseTransform(const Matrix& samples) const;

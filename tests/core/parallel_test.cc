@@ -107,7 +107,6 @@ TEST_F(ParallelTest, MatrixKernelsBitIdenticalAcrossThreadCounts) {
     out.push_back(a.MatMulTranspose(bt));
     out.push_back(a.ColSum());
     out.push_back(a.CWiseMul(at2));
-    out.push_back(a.Apply([](double v) { return v * 1.7 - 0.3; }));
     Matrix acc = a;
     acc += at2;
     acc -= a;

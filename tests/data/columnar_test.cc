@@ -155,11 +155,6 @@ TEST(ColumnarTest, PointAndBulkAccessorsAgree) {
   ASSERT_TRUE(p.ScanColumn(0, 10, 30, scan.data()).ok());
   for (size_t i = 0; i < scan.size(); ++i)
     EXPECT_EQ(scan[i], table.value(10 + i, 0));
-
-  // ReadLabels matches Labels.
-  auto labels = p.ReadLabels();
-  ASSERT_TRUE(labels.ok());
-  EXPECT_EQ(labels.value(), table.Labels());
 }
 
 TEST(ColumnarTest, ConvertMatchesReadCsvBitwise) {

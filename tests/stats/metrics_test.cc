@@ -127,13 +127,5 @@ TEST(PearsonTest, ConstantSeriesGivesZero) {
   EXPECT_DOUBLE_EQ(PearsonCorrelation({1, 1, 1}, {1, 2, 3}), 0.0);
 }
 
-TEST(DescribeTest, BasicStatistics) {
-  const auto d = Describe({1.0, 2.0, 3.0, 4.0});
-  EXPECT_DOUBLE_EQ(d.min, 1.0);
-  EXPECT_DOUBLE_EQ(d.max, 4.0);
-  EXPECT_DOUBLE_EQ(d.mean, 2.5);
-  EXPECT_NEAR(d.stddev, std::sqrt(1.25), 1e-12);
-}
-
 }  // namespace
 }  // namespace daisy::stats

@@ -1,8 +1,9 @@
-// DpSgdEngine contract tests: the three execution strategies compute
-// the same clipped-and-noised mechanism (vectorized/replica match the
-// per-sample reference to 1e-12), every strategy is bit-identical
-// across thread counts, and per-record clipping bounds one record's
-// influence on the pre-noise sum by 2 * c_g.
+// DpSgdEngine contract tests: both execution strategies compute the
+// same clipped-and-noised mechanism (vectorized matches the per-sample
+// reference to 1e-12), each is bit-identical across thread counts,
+// per-record clipping bounds one record's influence on the pre-noise
+// sum by 2 * c_g, and ResolveDpEngine picks per-sample for critics the
+// vectorized engine cannot run and refuses an explicit request for it.
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -11,6 +12,8 @@
 
 #include "core/parallel.h"
 #include "data/generators/sdata.h"
+#include "synth/cnn_nets.h"
+#include "synth/lstm_nets.h"
 #include "synth/mlp_nets.h"
 #include "synth/trainer.h"
 
@@ -89,12 +92,37 @@ TEST(DpEngineTest, AutoResolvesToVectorizedForMlp) {
   EXPECT_EQ(engine.kind(), DpEngineKind::kVectorized);
 }
 
+// LSTM and CNN critics are not one Linear/activation stack: kAuto runs
+// them per-sample, and an explicit vectorized request is a Status.
+TEST(DpEngineTest, AutoResolvesToPerSampleForLstmAndCnn) {
+  Rng rng(2);
+  data::SDataCatOptions copts;
+  copts.num_records = 40;
+  const data::Table table = data::MakeSDataCat(copts, &rng);
+  const auto tf =
+      transform::RecordTransformer::Fit(table, transform::TransformOptions{},
+                                        &rng);
+  LstmDiscriminator lstm(tf.segments(), 0, 8, &rng);
+  CnnDiscriminator cnn(4, 0, &rng);
+  for (Discriminator* d : std::vector<Discriminator*>{&lstm, &cnn}) {
+    const Result<DpEngineKind> autokind =
+        ResolveDpEngine(d, DpEngineKind::kAuto);
+    ASSERT_TRUE(autokind.ok()) << autokind.status().ToString();
+    EXPECT_EQ(autokind.value(), DpEngineKind::kPerSample);
+    EXPECT_EQ(DpSgdEngine(d, 1.0, 1.0, DpEngineKind::kAuto).kind(),
+              DpEngineKind::kPerSample);
+    const Result<DpEngineKind> vec =
+        ResolveDpEngine(d, DpEngineKind::kVectorized);
+    EXPECT_EQ(vec.status().code(), Status::Code::kInvalidArgument);
+  }
+}
+
 class DpEngineEquivalence : public ::testing::TestWithParam<bool> {};
 
 TEST_P(DpEngineEquivalence, VectorizedMatchesPerSampleReference) {
   const bool wasserstein = GetParam();
   Rng data_rng(7);
-  const size_t m = 33, dim = 6;  // odd batch: partial last replica chunk
+  const size_t m = 33, dim = 6;
   Matrix real = Matrix::Randn(m, dim, &data_rng);
   Matrix fake = Matrix::Randn(m, dim, &data_rng);
 
@@ -115,25 +143,6 @@ TEST_P(DpEngineEquivalence, VectorizedMatchesPerSampleReference) {
                 kTol * std::max(1.0, ref.sum_norm));
     EXPECT_NEAR(ref.loss, vec.loss, kTol * std::max(1.0, std::fabs(ref.loss)));
   }
-}
-
-TEST_P(DpEngineEquivalence, ReplicaMatchesPerSampleReference) {
-  const bool wasserstein = GetParam();
-  Rng data_rng(8);
-  const size_t m = 19, dim = 5;
-  Matrix real = Matrix::Randn(m, dim, &data_rng);
-  Matrix fake = Matrix::Randn(m, dim, &data_rng);
-
-  StepResult ref = RunStep(DpEngineKind::kPerSample, 4, real, Matrix(), fake,
-                           Matrix(), wasserstein, 0.7, 0.0);
-  StepResult rep = RunStep(DpEngineKind::kReplicaParallel, 4, real, Matrix(),
-                           fake, Matrix(), wasserstein, 0.7, 0.0);
-  ExpectClose(ref.grads, rep.grads, kTol);
-  for (size_t i = 0; i < m; ++i) {
-    const double scale = std::max(1.0, ref.sample_norms[i]);
-    EXPECT_NEAR(ref.sample_norms[i], rep.sample_norms[i], kTol * scale);
-  }
-  EXPECT_NEAR(ref.loss, rep.loss, kTol * std::max(1.0, std::fabs(ref.loss)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Losses, DpEngineEquivalence,
@@ -164,8 +173,7 @@ TEST(DpEngineTest, EveryEngineIsBitIdenticalAcrossThreadCounts) {
   Matrix fake = Matrix::Randn(m, dim, &data_rng);
 
   for (DpEngineKind kind :
-       {DpEngineKind::kPerSample, DpEngineKind::kReplicaParallel,
-        DpEngineKind::kVectorized}) {
+       {DpEngineKind::kPerSample, DpEngineKind::kVectorized}) {
     std::vector<StepResult> runs;
     for (size_t threads : {1u, 2u, 7u}) {
       par::SetNumThreads(threads);

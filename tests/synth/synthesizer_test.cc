@@ -199,6 +199,21 @@ TEST(SynthesizerTest, EmptyTableIsRefusedWithStatus) {
       << st.message();
 }
 
+// An explicit vectorized DP engine on a critic it cannot run is refused
+// by Fit, which leaves the synthesizer unfitted.
+TEST(SynthesizerTest, UnsupportedDpEngineIsRefusedWithStatus) {
+  Rng rng(29);
+  const data::Table train = data::MakeAdultSim(300, &rng);
+  GanOptions opts = FastOptions();
+  opts.algo = TrainAlgo::kDPTrain;
+  opts.discriminator = DiscriminatorArch::kLstm;
+  opts.dp_engine = DpEngineKind::kVectorized;
+  TableSynthesizer synth(opts, {});
+  const Status st = synth.Fit(train);
+  EXPECT_EQ(st.code(), Status::Code::kInvalidArgument) << st.ToString();
+  EXPECT_FALSE(synth.fitted());
+}
+
 TEST(SynthesizerTest, EmptyPagedTableIsRefusedWithStatus) {
   Rng rng(28);
   const data::Table empty(data::MakeAdultSim(10, &rng).schema());

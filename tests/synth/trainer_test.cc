@@ -10,6 +10,7 @@
 #include "data/generators/sdata.h"
 #include "obs/metrics.h"
 #include "stats/metrics.h"
+#include "synth/lstm_nets.h"
 #include "synth/mlp_nets.h"
 #include "synth/trainer.h"
 
@@ -404,6 +405,23 @@ TEST(TrainerTest, EmptyTableReturnsStatusNotAbort) {
   EXPECT_EQ(result.completed_iters, 0u);
   ASSERT_EQ(result.snapshots.size(), 1u);  // initial state, iter 0
   EXPECT_EQ(result.snapshot_iters.back(), 0u);
+}
+
+// The vectorized DP engine runs only Linear/activation critics; asking
+// for it with an LSTM critic is a refused run, not an abort.
+TEST(TrainerTest, UnsupportedDpEngineReturnsStatusNotAbort) {
+  Rng rng(23);
+  data::Table table = SmallTable(&rng);
+  Nets nets = BuildNets(table, 0, &rng);
+  LstmDiscriminator lstm(nets.transformer->segments(), 0, 8, &rng);
+  GanOptions opts = SmallOptions(TrainAlgo::kDPTrain);
+  opts.dp_engine = DpEngineKind::kVectorized;
+  GanTrainer trainer(nets.g.get(), &lstm, nets.transformer.get(), opts);
+  TrainResult result = trainer.Train(table, &rng);
+  EXPECT_EQ(result.health.code(), Status::Code::kInvalidArgument)
+      << result.health.ToString();
+  EXPECT_EQ(result.completed_iters, 0u);
+  EXPECT_TRUE(result.d_losses.empty());
 }
 
 TEST(TrainerTest, DisabledSentinelLetsNanThrough) {

@@ -180,19 +180,5 @@ TEST(RecordTransformerTest, DecodeClampsOutOfRangeValues) {
   EXPECT_EQ(back.category(0, 1), 2u);  // clamped to last category
 }
 
-TEST(RecordTransformerTest, TransformRowsSubset) {
-  data::Table t = MixedTable();
-  Rng rng(15);
-  TransformOptions opts;
-  auto tf = RecordTransformer::Fit(t, opts, &rng);
-  Matrix all = tf.Transform(t);
-  Matrix subset = tf.TransformRows(t, {5, 10});
-  ASSERT_EQ(subset.rows(), 2u);
-  for (size_t c = 0; c < subset.cols(); ++c) {
-    EXPECT_DOUBLE_EQ(subset(0, c), all(5, c));
-    EXPECT_DOUBLE_EQ(subset(1, c), all(10, c));
-  }
-}
-
 }  // namespace
 }  // namespace daisy::transform
