@@ -15,14 +15,18 @@
 #include "nn/optimizer.h"
 #include "nn/sequential.h"
 #include "obs/metrics.h"
-#include "obs/sentinel.h"
+#include "synth/config.h"
+#include "synth/generator.h"
 #include "synth/heads.h"
 #include "synth/mlp_nets.h"
 #include "transform/record_transformer.h"
 
 namespace daisy::baselines {
 
-struct MedGanOptions {
+/// The loop knobs (LoopOptions) count pretraining epochs (telemetry tag
+/// "medgan.pretrain", checkpoint phase 0) and adversarial iterations
+/// (tag "medgan", phase 1); max_iters_per_run counts both together.
+struct MedGanOptions : synth::LoopOptions {
   size_t latent_dim = 24;
   std::vector<size_t> hidden = {64};
   /// Autoencoder pretraining epochs.
@@ -35,23 +39,6 @@ struct MedGanOptions {
   /// applied to the generator step, exactly as in VTrain; medGAN is
   /// just as prone to marginal collapse without it at this scale.
   double kl_weight = 1.0;
-  /// Telemetry cadence: pretraining logs every log_every epochs (run
-  /// tag "medgan.pretrain"), the adversarial phase every log_every
-  /// iterations (tag "medgan").
-  size_t log_every = 1;
-  /// Divergence sentinel thresholds, checked every epoch/iteration.
-  obs::SentinelOptions sentinel;
-
-  /// Crash-safe checkpointing (see GanOptions for the contract).
-  /// Checkpoints carry the phase (0 = autoencoder pretraining, counted
-  /// in epochs; 1 = adversarial training, counted in iterations), so a
-  /// resumed run re-enters the right loop. max_iters_per_run counts
-  /// epochs and iterations together.
-  size_t checkpoint_every = 0;
-  std::string checkpoint_dir;
-  size_t checkpoint_keep = 3;
-  bool resume = false;
-  size_t max_iters_per_run = 0;
 
   uint64_t seed = 31;
 };
@@ -65,12 +52,20 @@ class MedGanSynthesizer {
   /// from both phases. Returns OK, or why the sentinel stopped the
   /// run — in which case the generation-path parameters are rolled
   /// back to the last healthy epoch/iteration of the failing phase, so
-  /// Generate() still samples from sane weights.
+  /// Generate() still samples from sane weights. A checkpoint that does
+  /// not fit the run (with resume set) is refused before training and
+  /// leaves medGAN unfitted.
   Status Fit(const data::Table& train, obs::MetricSink* sink = nullptr);
   data::Table Generate(size_t n, Rng* rng);
 
   /// Autoencoder reconstruction loss after pretraining (for tests).
   double pretrain_loss() const { return pretrain_loss_; }
+
+  /// True once Fit trained (even if it stopped early).
+  bool fitted() const { return fitted_; }
+
+  /// Every parameter's current value, autoencoder first (for tests).
+  synth::StateDict ParamState();
 
   /// True when the last Fit stopped early on max_iters_per_run.
   bool paused() const { return paused_; }

@@ -3,11 +3,9 @@
 #include <cmath>
 #include <memory>
 
-#include "ckpt/checkpoint.h"
 #include "core/parallel.h"
 #include "nn/loss.h"
-#include "obs/timer.h"
-#include "synth/generator.h"
+#include "synth/train_loop.h"
 
 namespace daisy::baselines {
 
@@ -24,7 +22,6 @@ Status PateGanSynthesizer::Fit(const data::Table& train,
                                obs::MetricSink* sink) {
   DAISY_CHECK(!fitted_);
   DAISY_CHECK(train.num_records() >= opts_.num_teachers);
-  fitted_ = true;
 
   transformer_ = std::make_unique<transform::RecordTransformer>(
       transform::RecordTransformer::Fit(train, topts_, &rng_));
@@ -107,102 +104,32 @@ Status PateGanSynthesizer::Fit(const data::Table& train,
   const double vote_noise_scale = 2.0 / std::max(opts_.lambda, 1e-12);
   const double half = static_cast<double>(opts_.num_teachers) / 2.0;
 
-  const size_t log_every = std::max<size_t>(1, opts_.log_every);
-  const obs::DivergenceSentinel sentinel(opts_.sentinel);
-  obs::WallTimer run_timer;
-  // Mirrors GanTrainer: restore the last healthy generator (params AND
-  // batch-norm running stats) on a sentinel trip so Generate() never
-  // samples from diverged weights.
-  synth::StateDict last_healthy = synth::GetState(generator_->Params());
-  synth::StateDict last_healthy_buffers =
-      synth::GetBufferState(generator_->Buffers());
-
   // Everything that mutates inside the training loop, for checkpoints:
-  // generator + student + all teachers, with their batch-norm buffers.
-  std::vector<nn::Parameter*> all_params = generator_->Params();
-  for (auto* p : student_->Params()) all_params.push_back(p);
+  // generator + student + all teachers, with their batch-norm buffers,
+  // and the k+1 rng streams (train_rng first, then the teachers). The
+  // sentinel rolls back the generator (params AND batch-norm running
+  // stats) so Generate() never samples from diverged weights.
+  synth::LoopPhase phase;
+  phase.tag = "pategan";
+  phase.iterations = opts_.iterations;
+  phase.healthy_params = generator_->Params();
+  phase.healthy_buffers = generator_->Buffers();
+  phase.params = phase.healthy_params;
+  for (auto* p : student_->Params()) phase.params.push_back(p);
   for (auto& t : teachers_)
-    for (auto* p : t->Params()) all_params.push_back(p);
-  std::vector<Matrix*> all_buffers = generator_->Buffers();
-  for (auto* b : student_->Buffers()) all_buffers.push_back(b);
+    for (auto* p : t->Params()) phase.params.push_back(p);
+  phase.buffers = phase.healthy_buffers;
+  for (auto* b : student_->Buffers()) phase.buffers.push_back(b);
   for (auto& t : teachers_)
-    for (auto* b : t->Buffers()) all_buffers.push_back(b);
-  // The k+1 rng streams are concatenated into one word vector:
-  // train_rng first, then the teachers in order.
-  constexpr size_t kRngWords = 6;
-  const auto pack_rngs = [&]() {
-    std::vector<uint64_t> words = train_rng.GetState();
-    for (auto& tr : teacher_rngs) {
-      const std::vector<uint64_t> w = tr.GetState();
-      words.insert(words.end(), w.begin(), w.end());
-    }
-    return words;
-  };
+    for (auto* b : t->Buffers()) phase.buffers.push_back(b);
+  phase.optimizers = {g_opt_.get(), student_opt_.get()};
+  for (auto& topt : teacher_opts_) phase.optimizers.push_back(topt.get());
+  phase.rngs = {&train_rng};
+  for (Rng& tr : teacher_rngs) phase.rngs.push_back(&tr);
+  phase.extras = {&epsilon_spent_};
 
-  std::unique_ptr<ckpt::CheckpointStore> store;
-  if (!opts_.checkpoint_dir.empty())
-    store = std::make_unique<ckpt::CheckpointStore>(opts_.checkpoint_dir,
-                                                    opts_.checkpoint_keep);
-
-  size_t start_iter = 0;
-  if (opts_.resume && store != nullptr) {
-    auto loaded = store->LoadLatest();
-    if (loaded.ok()) {
-      const ckpt::TrainCheckpoint& c = loaded.value();
-      if (c.run != "pategan")
-        return Status::InvalidArgument("checkpoint is for run '" + c.run +
-                                       "', not 'pategan'");
-      if (c.phase != 0 || c.total_iters != opts_.iterations ||
-          c.seed != opts_.seed || c.iter > c.total_iters)
-        return Status::InvalidArgument(
-            "pategan checkpoint does not match the configured run "
-            "(iterations/seed/iteration counter)");
-      if (!synth::ShapesMatch(all_params, c.params) ||
-          !synth::BufferShapesMatch(all_buffers, c.buffers) ||
-          !synth::ShapesMatch(generator_->Params(), c.healthy_params) ||
-          !synth::BufferShapesMatch(generator_->Buffers(), c.healthy_buffers))
-        return Status::InvalidArgument(
-            "pategan checkpoint shapes do not match these networks");
-      if (c.optimizer_state.size() != 2 + opts_.num_teachers ||
-          c.extra.size() != 1 ||
-          c.rng_state.size() != kRngWords * (1 + opts_.num_teachers))
-        return Status::InvalidArgument("pategan checkpoint payload mismatch");
-      DAISY_RETURN_IF_ERROR(LoadOptimizerBlob(
-          g_opt_.get(), c.optimizer_state[0], "pategan generator"));
-      DAISY_RETURN_IF_ERROR(LoadOptimizerBlob(
-          student_opt_.get(), c.optimizer_state[1], "pategan student"));
-      for (size_t t = 0; t < opts_.num_teachers; ++t)
-        DAISY_RETURN_IF_ERROR(LoadOptimizerBlob(
-            teacher_opts_[t].get(), c.optimizer_state[2 + t],
-            "pategan teacher"));
-      {
-        auto first = c.rng_state.begin();
-        DAISY_RETURN_IF_ERROR(train_rng.SetState(
-            std::vector<uint64_t>(first, first + kRngWords)));
-        for (size_t t = 0; t < opts_.num_teachers; ++t) {
-          first += kRngWords;
-          DAISY_RETURN_IF_ERROR(teacher_rngs[t].SetState(
-              std::vector<uint64_t>(first, first + kRngWords)));
-        }
-      }
-      synth::SetState(all_params, c.params);
-      synth::SetBufferState(all_buffers, c.buffers);
-      last_healthy = c.healthy_params;
-      last_healthy_buffers = c.healthy_buffers;
-      epsilon_spent_ = c.extra[0];
-      start_iter = c.iter;
-      if (sink != nullptr)
-        DAISY_RETURN_IF_ERROR(sink->ResumeAt(c.telemetry_records));
-    } else if (loaded.status().code() != Status::Code::kNotFound) {
-      return loaded.status();
-    }
-  }
-
-  size_t iters_this_run = 0;
-  for (size_t iter = start_iter; iter < opts_.iterations; ++iter) {
-    obs::WallTimer iter_timer;
-    double student_loss = 0.0, g_loss = 0.0;
-    double student_grad_norm = 0.0, g_grad_norm = 0.0;
+  phase.step = [&](size_t) {
+    obs::MetricRecord rec;
     // ---- Teachers: real (from own partition) vs fake --------------
     // Batches are precomputed serially in teacher order (the
     // generator's batch norm updates running stats on every training
@@ -264,9 +191,9 @@ Status PateGanSynthesizer::Fit(const data::Table& train,
       student_->ZeroGrad();
       Matrix logits = student_->Forward(fake, Matrix(), true);
       Matrix grad;
-      student_loss = nn::BceWithLogitsLoss(logits, labels, &grad);
+      rec.d_loss = nn::BceWithLogitsLoss(logits, labels, &grad);
       student_->Backward(grad);
-      student_grad_norm = nn::GlobalGradNorm(student_->Params());
+      rec.d_grad_norm = nn::GlobalGradNorm(student_->Params());
       student_opt_->Step();
     }
 
@@ -279,102 +206,38 @@ Status PateGanSynthesizer::Fit(const data::Table& train,
       Matrix fake = generator_->Forward(z, Matrix(), true);
       Matrix logits = student_->Forward(fake, Matrix(), true);
       Matrix grad_logits;
-      g_loss = nn::BceWithLogitsLoss(logits, Matrix(logits.rows(), 1, 1.0),
-                                     &grad_logits);
+      rec.g_loss = nn::BceWithLogitsLoss(
+          logits, Matrix(logits.rows(), 1, 1.0), &grad_logits);
       Matrix grad_fake = student_->Backward(grad_logits);
       if (anchor_) {
-        g_loss += anchor_->Compute(anchor_targets_, fake,
-                                   opts_.marginal_weight, &grad_fake);
+        rec.g_loss += anchor_->Compute(anchor_targets_, fake,
+                                       opts_.marginal_weight, &grad_fake);
       }
       generator_->Backward(grad_fake);
-      g_grad_norm = nn::GlobalGradNorm(generator_->Params());
+      rec.g_grad_norm = nn::GlobalGradNorm(generator_->Params());
       g_opt_->Step();
     }
+    return rec;
+  };
 
-    obs::MetricRecord rec;
-    rec.run = "pategan";
-    rec.iter = iter + 1;
-    rec.d_loss = student_loss;
-    rec.g_loss = g_loss;
-    rec.d_grad_norm = student_grad_norm;
-    rec.g_grad_norm = g_grad_norm;
-    rec.param_norm = nn::GlobalParamNorm(generator_->Params());
-    rec.iter_ms = iter_timer.ElapsedMs();
-    rec.wall_ms = run_timer.ElapsedMs();
-    rec.threads = par::NumThreads();
-    rec.seed = opts_.seed;
+  synth::TrainLoop loop(opts_, "pategan", opts_.seed, /*num_phases=*/1, sink);
+  const synth::LoopOutcome out = loop.Run(phase);
+  fitted_ = !out.refused;
+  paused_ = out.paused;
+  return out.health;
+}
 
-    const Status health = sentinel.Check(rec);
-    if (!health.ok()) {
-      if (sink != nullptr) {
-        sink->Log(rec);
-        sink->Flush();
-      }
-      // Durable fallback: if even the in-memory baseline is poisoned,
-      // prefer the newest on-disk checkpoint with a finite one.
-      if (store != nullptr && (!synth::AllFinite(last_healthy) ||
-                               !synth::AllFinite(last_healthy_buffers))) {
-        auto fc = store->LoadLatestWhere([&](const ckpt::TrainCheckpoint& c) {
-          return synth::ShapesMatch(generator_->Params(), c.healthy_params) &&
-                 synth::BufferShapesMatch(generator_->Buffers(),
-                                          c.healthy_buffers) &&
-                 synth::AllFinite(c.healthy_params) &&
-                 synth::AllFinite(c.healthy_buffers);
-        });
-        if (fc.ok()) {
-          last_healthy = fc.value().healthy_params;
-          last_healthy_buffers = fc.value().healthy_buffers;
-        }
-      }
-      synth::SetState(generator_->Params(), last_healthy);
-      synth::SetBufferState(generator_->Buffers(), last_healthy_buffers);
-      return health;
-    }
-    last_healthy = synth::GetState(generator_->Params());
-    last_healthy_buffers = synth::GetBufferState(generator_->Buffers());
-    if (sink != nullptr &&
-        ((iter + 1) % log_every == 0 || iter + 1 == opts_.iterations)) {
-      sink->Log(rec);
-    }
-
-    if (store != nullptr && opts_.checkpoint_every > 0 &&
-        (iter + 1) % opts_.checkpoint_every == 0) {
-      obs::MetricRecord ckpt_rec = rec;
-      ckpt_rec.run += ".ckpt";
-      if (sink != nullptr) sink->Log(ckpt_rec);
-      ckpt::TrainCheckpoint c;
-      c.run = "pategan";
-      c.iter = iter + 1;
-      c.total_iters = opts_.iterations;
-      c.seed = opts_.seed;
-      c.telemetry_records = sink != nullptr ? sink->records_logged() : 0;
-      c.rng_state = pack_rngs();
-      c.params = synth::GetState(all_params);
-      c.buffers = synth::GetBufferState(all_buffers);
-      c.optimizer_state = {OptimizerBlob(*g_opt_),
-                           OptimizerBlob(*student_opt_)};
-      for (auto& topt : teacher_opts_)
-        c.optimizer_state.push_back(OptimizerBlob(*topt));
-      c.healthy_params = last_healthy;
-      c.healthy_buffers = last_healthy_buffers;
-      c.extra = {epsilon_spent_};
-      const Status saved = store->Save(c);
-      if (!saved.ok()) {
-        if (sink != nullptr) sink->Flush();
-        return saved;
-      }
-    }
-
-    ++iters_this_run;
-    if (opts_.max_iters_per_run > 0 &&
-        iters_this_run >= opts_.max_iters_per_run &&
-        iter + 1 < opts_.iterations) {
-      paused_ = true;
-      break;
-    }
-  }
-  if (sink != nullptr) sink->Flush();
-  return Status::OK();
+synth::StateDict PateGanSynthesizer::ParamState() {
+  synth::StateDict state = synth::GetState(generator_->Params());
+  const auto append = [&](synth::StateDict s) {
+    for (Matrix& m : s) state.push_back(std::move(m));
+  };
+  append(synth::GetState(student_->Params()));
+  for (auto& t : teachers_) append(synth::GetState(t->Params()));
+  append(synth::GetBufferState(generator_->Buffers()));
+  append(synth::GetBufferState(student_->Buffers()));
+  for (auto& t : teachers_) append(synth::GetBufferState(t->Buffers()));
+  return state;
 }
 
 data::Table PateGanSynthesizer::Generate(size_t n, Rng* rng) {

@@ -16,14 +16,19 @@
 #include "data/table.h"
 #include "nn/optimizer.h"
 #include "obs/metrics.h"
-#include "obs/sentinel.h"
+#include "synth/config.h"
 #include "synth/kl_regularizer.h"
 #include "synth/mlp_nets.h"
 #include "transform/record_transformer.h"
 
 namespace daisy::baselines {
 
-struct PateGanOptions {
+/// The loop knobs (LoopOptions) count iterations. A checkpoint captures
+/// the generator, student, and all k teachers (parameters, optimizer
+/// moments, and batch-norm buffers), the k+1 rng streams, and the
+/// epsilon ledger, so a resumed run replays bit-for-bit and keeps
+/// honest privacy accounting.
+struct PateGanOptions : synth::LoopOptions {
   size_t num_teachers = 5;
   /// Per-query privacy parameter: teacher vote counts get
   /// Laplace(2/lambda) noise and each labeled sample consumes ~lambda
@@ -48,22 +53,6 @@ struct PateGanOptions {
   double marginal_weight = 1.0;
   size_t noise_dim = 16;
   std::vector<size_t> hidden = {64, 64};
-  /// Telemetry cadence in iterations (records go to the Fit sink).
-  size_t log_every = 1;
-  /// Divergence sentinel thresholds, checked every iteration.
-  obs::SentinelOptions sentinel;
-
-  /// Crash-safe checkpointing, in iterations (see GanOptions for the
-  /// contract). A checkpoint captures the generator, student, and all
-  /// k teachers (parameters, optimizer moments, and batch-norm
-  /// buffers), the k+1 rng streams, and the epsilon ledger, so a
-  /// resumed run replays bit-for-bit and keeps honest privacy
-  /// accounting.
-  size_t checkpoint_every = 0;
-  std::string checkpoint_dir;
-  size_t checkpoint_keep = 3;
-  bool resume = false;
-  size_t max_iters_per_run = 0;
 
   uint64_t seed = 29;
 };
@@ -78,6 +67,8 @@ class PateGanSynthesizer {
   /// loss in g_loss). Returns OK, or why the sentinel stopped the
   /// run — in which case the generator is rolled back to the last
   /// healthy iteration, so Generate() still samples from sane weights.
+  /// A checkpoint that does not fit the run (with resume set) is
+  /// refused before training and leaves PATE-GAN unfitted.
   Status Fit(const data::Table& train, obs::MetricSink* sink = nullptr);
   data::Table Generate(size_t n, Rng* rng);
 
@@ -86,6 +77,13 @@ class PateGanSynthesizer {
   /// accountant; monotone in lambda and query count, which is what the
   /// privacy/utility sweeps need.
   double ApproxEpsilonSpent() const { return epsilon_spent_; }
+
+  /// True once Fit trained (even if it stopped early).
+  bool fitted() const { return fitted_; }
+
+  /// Every parameter's then every buffer's current value, generator
+  /// first, then student and teachers (for tests).
+  synth::StateDict ParamState();
 
   /// True when the last Fit stopped early on max_iters_per_run.
   bool paused() const { return paused_; }

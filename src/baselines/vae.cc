@@ -4,12 +4,9 @@
 #include <memory>
 
 #include "baselines/recon_loss.h"
-#include "ckpt/checkpoint.h"
-#include "core/parallel.h"
 #include "nn/activations.h"
 #include "nn/linear.h"
-#include "obs/timer.h"
-#include "synth/generator.h"
+#include "synth/train_loop.h"
 
 namespace daisy::baselines {
 
@@ -24,7 +21,6 @@ VaeSynthesizer::VaeSynthesizer(
 Status VaeSynthesizer::Fit(const data::Table& train,
                            obs::MetricSink* sink) {
   DAISY_CHECK(!fitted_);
-  fitted_ = true;
 
   transformer_ = std::make_unique<transform::RecordTransformer>(
       transform::RecordTransformer::Fit(train, topts_, &rng_));
@@ -63,126 +59,36 @@ Status VaeSynthesizer::Fit(const data::Table& train,
   const size_t n = samples.rows();
   const size_t batches_per_epoch =
       std::max<size_t>(1, n / opts_.batch_size);
-  const size_t log_every = std::max<size_t>(1, opts_.log_every);
-  const obs::DivergenceSentinel sentinel(opts_.sentinel);
-  obs::WallTimer run_timer;
-  // Mirrors GanTrainer: on a sentinel trip the parameters are rolled
-  // back to the last healthy epoch so Generate() never samples from
-  // diverged weights.
-  synth::StateDict last_healthy = synth::GetState(params_);
-  Status health;
 
-  std::unique_ptr<ckpt::CheckpointStore> store;
-  if (!opts_.checkpoint_dir.empty())
-    store = std::make_unique<ckpt::CheckpointStore>(opts_.checkpoint_dir,
-                                                    opts_.checkpoint_keep);
-
-  size_t start_epoch = 0;
-  if (opts_.resume && store != nullptr) {
-    auto loaded = store->LoadLatest();
-    if (loaded.ok()) {
-      const ckpt::TrainCheckpoint& c = loaded.value();
-      if (c.run != "vae")
-        return Status::InvalidArgument("checkpoint is for run '" + c.run +
-                                       "', not 'vae'");
-      if (c.total_iters != opts_.epochs || c.seed != opts_.seed ||
-          c.iter > c.total_iters)
-        return Status::InvalidArgument(
-            "vae checkpoint does not match the configured run "
-            "(epochs/seed/iteration counter)");
-      if (!synth::ShapesMatch(params_, c.params) ||
-          !synth::ShapesMatch(params_, c.healthy_params) || !c.buffers.empty())
-        return Status::InvalidArgument(
-            "vae checkpoint parameter shapes do not match this network");
-      if (c.optimizer_state.size() != 1 || c.extra.size() != 1)
-        return Status::InvalidArgument("vae checkpoint payload mismatch");
-      DAISY_RETURN_IF_ERROR(LoadOptimizerBlob(
-          optimizer_.get(), c.optimizer_state[0], "vae"));
-      DAISY_RETURN_IF_ERROR(train_rng.SetState(c.rng_state));
-      synth::SetState(params_, c.params);
-      last_healthy = c.healthy_params;
-      final_loss_ = c.extra[0];
-      start_epoch = c.iter;
-      if (sink != nullptr)
-        DAISY_RETURN_IF_ERROR(sink->ResumeAt(c.telemetry_records));
-    } else if (loaded.status().code() != Status::Code::kNotFound) {
-      return loaded.status();
-    }
-  }
-
-  size_t epochs_this_run = 0;
-  for (size_t epoch = start_epoch; epoch < opts_.epochs; ++epoch) {
-    obs::WallTimer epoch_timer;
+  synth::LoopPhase phase;
+  phase.tag = "vae";
+  phase.iterations = opts_.epochs;
+  phase.params = params_;
+  phase.healthy_params = params_;
+  phase.optimizers = {optimizer_.get()};
+  phase.rngs = {&train_rng};
+  phase.extras = {&final_loss_};
+  phase.step = [&](size_t) {
     double epoch_loss = 0.0;
     for (size_t b = 0; b < batches_per_epoch; ++b) {
       std::vector<size_t> rows(opts_.batch_size);
       for (auto& r : rows) r = train_rng.UniformInt(n);
       epoch_loss += TrainBatch(samples.GatherRows(rows), &train_rng);
     }
-
     obs::MetricRecord rec;
-    rec.run = "vae";
-    rec.iter = epoch + 1;
     rec.g_loss = epoch_loss / static_cast<double>(batches_per_epoch);
     rec.g_grad_norm = nn::GlobalGradNorm(params_);  // last batch's grads
-    rec.param_norm = nn::GlobalParamNorm(params_);
-    rec.iter_ms = epoch_timer.ElapsedMs();
-    rec.wall_ms = run_timer.ElapsedMs();
-    rec.threads = par::NumThreads();
-    rec.seed = opts_.seed;
-
-    health = sentinel.Check(rec);
-    if (!health.ok()) {
-      if (sink != nullptr) sink->Log(rec);
-      // Durable fallback: if even the in-memory baseline is poisoned,
-      // prefer the newest on-disk checkpoint with a finite one.
-      if (store != nullptr && !synth::AllFinite(last_healthy)) {
-        auto fc = store->LoadLatestWhere([&](const ckpt::TrainCheckpoint& c) {
-          return synth::ShapesMatch(params_, c.healthy_params) &&
-                 synth::AllFinite(c.healthy_params);
-        });
-        if (fc.ok()) last_healthy = fc.value().healthy_params;
-      }
-      synth::SetState(params_, last_healthy);
-      break;
-    }
+    return rec;
+  };
+  phase.on_healthy = [&](const obs::MetricRecord& rec) {
     final_loss_ = rec.g_loss;
-    last_healthy = synth::GetState(params_);
-    if (sink != nullptr &&
-        ((epoch + 1) % log_every == 0 || epoch + 1 == opts_.epochs)) {
-      sink->Log(rec);
-    }
+  };
 
-    if (store != nullptr && opts_.checkpoint_every > 0 &&
-        (epoch + 1) % opts_.checkpoint_every == 0) {
-      obs::MetricRecord ckpt_rec = rec;
-      ckpt_rec.run += ".ckpt";
-      if (sink != nullptr) sink->Log(ckpt_rec);
-      ckpt::TrainCheckpoint c;
-      c.run = "vae";
-      c.iter = epoch + 1;
-      c.total_iters = opts_.epochs;
-      c.seed = opts_.seed;
-      c.telemetry_records = sink != nullptr ? sink->records_logged() : 0;
-      c.rng_state = train_rng.GetState();
-      c.params = synth::GetState(params_);
-      c.optimizer_state = {OptimizerBlob(*optimizer_)};
-      c.healthy_params = last_healthy;
-      c.extra = {final_loss_};
-      health = store->Save(c);
-      if (!health.ok()) break;
-    }
-
-    ++epochs_this_run;
-    if (opts_.max_iters_per_run > 0 &&
-        epochs_this_run >= opts_.max_iters_per_run &&
-        epoch + 1 < opts_.epochs) {
-      paused_ = true;
-      break;
-    }
-  }
-  if (sink != nullptr) sink->Flush();
-  return health;
+  synth::TrainLoop loop(opts_, "vae", opts_.seed, /*num_phases=*/1, sink);
+  const synth::LoopOutcome out = loop.Run(phase);
+  fitted_ = !out.refused;
+  paused_ = out.paused;
+  return out.health;
 }
 
 double VaeSynthesizer::TrainBatch(const Matrix& batch, Rng* rng) {

@@ -11,13 +11,15 @@
 #include "nn/optimizer.h"
 #include "nn/sequential.h"
 #include "obs/metrics.h"
-#include "obs/sentinel.h"
+#include "synth/config.h"
+#include "synth/generator.h"
 #include "synth/heads.h"
 #include "transform/record_transformer.h"
 
 namespace daisy::baselines {
 
-struct VaeOptions {
+/// The loop knobs (LoopOptions) count epochs.
+struct VaeOptions : synth::LoopOptions {
   size_t latent_dim = 16;
   std::vector<size_t> hidden = {96};
   size_t epochs = 30;
@@ -25,22 +27,6 @@ struct VaeOptions {
   double lr = 1e-3;
   /// Weight on the KL term (beta-VAE style; 1.0 = standard ELBO).
   double kl_weight = 1.0;
-  /// Telemetry cadence in epochs (records go to the Fit sink).
-  size_t log_every = 1;
-  /// Divergence sentinel thresholds, checked once per epoch.
-  obs::SentinelOptions sentinel;
-
-  /// Crash-safe checkpointing, in epochs (see GanOptions for the
-  /// contract): with checkpoint_every > 0 and a checkpoint_dir, Fit
-  /// saves an atomic checkpoint every checkpoint_every epochs; with
-  /// resume set it restores the newest valid one and continues
-  /// bit-for-bit. max_iters_per_run pauses Fit cleanly after that many
-  /// epochs in this process (0 = run to completion).
-  size_t checkpoint_every = 0;
-  std::string checkpoint_dir;
-  size_t checkpoint_keep = 3;
-  bool resume = false;
-  size_t max_iters_per_run = 0;
 
   uint64_t seed = 23;
 };
@@ -55,12 +41,20 @@ class VaeSynthesizer {
   /// log_every epochs (loss in g_loss, grad/param norms, timings).
   /// Returns OK, or why the divergence sentinel stopped training — in
   /// which case the parameters are rolled back to the last healthy
-  /// epoch, so Generate() still samples from sane weights.
+  /// epoch, so Generate() still samples from sane weights. A
+  /// checkpoint that does not fit the run (with resume set) is refused
+  /// before training and leaves the VAE unfitted.
   Status Fit(const data::Table& train, obs::MetricSink* sink = nullptr);
   data::Table Generate(size_t n, Rng* rng);
 
   /// Final average training loss (reconstruction + KL), for tests.
   double final_loss() const { return final_loss_; }
+
+  /// True once Fit trained (even if it stopped early).
+  bool fitted() const { return fitted_; }
+
+  /// Every parameter's current value (for tests).
+  synth::StateDict ParamState() const { return synth::GetState(params_); }
 
   /// True when the last Fit stopped early on max_iters_per_run.
   bool paused() const { return paused_; }

@@ -116,7 +116,7 @@ std::vector<uint64_t> Rng::GetState() const {
 }
 
 Status Rng::SetState(const std::vector<uint64_t>& state) {
-  if (state.size() != 6) {
+  if (state.size() != kStateWords) {
     return Status::InvalidArgument("rng state must hold 6 words, got " +
                                    std::to_string(state.size()));
   }

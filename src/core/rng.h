@@ -53,6 +53,7 @@ class Rng {
   /// Restoring via SetState resumes the exact output stream, so a
   /// checkpointed run continues bit-for-bit where it left off.
   std::vector<uint64_t> GetState() const;
+  static constexpr size_t kStateWords = 6;  // GetState().size()
 
   /// Restores state captured by GetState. Rejects wrong-sized vectors
   /// and an all-zero xoshiro state (which would lock the engine at 0).

@@ -3,7 +3,7 @@
 // the baselines) emit records; sinks decide what to do with them —
 // keep them in memory (MemorySink, tests), or stream them to disk as
 // JSONL (RunLogger). Sinks are deliberately dumb: no aggregation, no
-// sampling; cadence is the emitter's job (GanOptions::log_every).
+// sampling; cadence is the emitter's job (LoopOptions::log_every).
 #ifndef DAISY_OBS_METRICS_H_
 #define DAISY_OBS_METRICS_H_
 
@@ -43,8 +43,9 @@ class MetricSink {
 
   virtual void Log(const MetricRecord& record) = 0;
 
-  /// Forces buffered records out (no-op for in-memory sinks). Called
-  /// by the trainers once per run, after the last record.
+  /// Forces buffered records out (no-op for in-memory sinks) and
+  /// reports any record the sink failed to write since it was opened.
+  /// Called by the training loop after each phase's last record.
   virtual Status Flush() { return Status::OK(); }
 
   /// Number of records this sink has accepted so far. Checkpoints

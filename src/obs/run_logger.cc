@@ -305,7 +305,9 @@ void RunLogger::Log(const MetricRecord& record) {
 }
 
 Status RunLogger::Flush() {
-  if (std::fflush(file_) != 0)
+  // The error indicator is sticky: it also reports a Log whose write
+  // failed, even if this fflush has nothing left to push.
+  if (std::fflush(file_) != 0 || std::ferror(file_))
     return Status::IOError("flush failed for run log '" + path_ + "'");
   return Status::OK();
 }

@@ -50,11 +50,50 @@ enum class DpEngineKind {
 /// conditioning excludes it (ResolveConditionKind, DESIGN.md §5l).
 enum class SamplerKind { kUniform, kChunkedShuffle, kTrainingBySampling };
 
+/// The training-loop knobs every method shares: GanOptions and the
+/// VAE, medGAN and PATE-GAN options derive from it, and synth::TrainLoop
+/// (train_loop.h) is the one reader. An "iteration" is one loop step:
+/// a generator update for the GANs, an epoch for the VAE and for
+/// medGAN's autoencoder pretraining.
+struct LoopOptions {
+  /// Telemetry cadence: a MetricSink wired into training receives one
+  /// record every log_every iterations (plus the final iteration, and
+  /// the failing record on divergence). The divergence sentinel itself
+  /// runs every iteration regardless.
+  size_t log_every = 1;
+
+  /// Divergence sentinel thresholds (obs/sentinel.h). Set
+  /// sentinel.enabled = false to reproduce the old push-NaNs behavior.
+  obs::SentinelOptions sentinel;
+
+  /// Crash-safe checkpointing (src/ckpt). With checkpoint_every > 0
+  /// and a non-empty checkpoint_dir, the loop writes an atomic,
+  /// checksummed TrainCheckpoint every checkpoint_every iterations and
+  /// keeps the newest checkpoint_keep files. With resume set, training
+  /// restores the newest valid checkpoint in checkpoint_dir (if any)
+  /// and continues bit-for-bit where that run left off: identical
+  /// parameters, rng stream and telemetry as an uninterrupted run. A
+  /// checkpoint that exists but does not fit the run is refused before
+  /// anything is trained.
+  size_t checkpoint_every = 0;
+  std::string checkpoint_dir;
+  size_t checkpoint_keep = 3;
+  bool resume = false;
+
+  /// Preemption budget: when > 0, training pauses cleanly (no
+  /// rollback, no final-snapshot bookkeeping) after this many
+  /// iterations in the current process, counted across phases, leaving
+  /// completion to a later resumed run. 0 disables. Used by tests and
+  /// budgeted schedulers to split one logical run across processes
+  /// deterministically.
+  size_t max_iters_per_run = 0;
+};
+
 /// Hyper-parameters shared by the architectures and trainers. The
 /// sampler choice (Figure 2's Sampler box) is implied by the training
 /// algorithm: kCTrain uses label-aware sampling, everything else uses
 /// `sampler` (uniform by default).
-struct GanOptions {
+struct GanOptions : LoopOptions {
   GeneratorArch generator = GeneratorArch::kMlp;
   DiscriminatorArch discriminator = DiscriminatorArch::kMlp;
   TrainAlgo algo = TrainAlgo::kVTrain;
@@ -109,35 +148,6 @@ struct GanOptions {
   /// Number of evaluation snapshots over the run (paper divides
   /// training into 10 epochs and selects the best on validation).
   size_t snapshots = 10;
-
-  /// Telemetry cadence: when a MetricSink is wired into Train, it
-  /// receives one record every log_every iterations (plus the final
-  /// iteration, and the failing record on divergence). The divergence
-  /// sentinel itself runs every iteration regardless.
-  size_t log_every = 1;
-
-  /// Divergence sentinel thresholds (obs/sentinel.h). Set
-  /// sentinel.enabled = false to reproduce the old push-NaNs behavior.
-  obs::SentinelOptions sentinel;
-
-  /// Crash-safe checkpointing (src/ckpt). With checkpoint_every > 0
-  /// and a non-empty checkpoint_dir, the trainer writes an atomic,
-  /// checksummed TrainCheckpoint every checkpoint_every iterations and
-  /// keeps the newest checkpoint_keep files. With resume set, training
-  /// restores the newest valid checkpoint in checkpoint_dir (if any)
-  /// and continues bit-for-bit where that run left off: identical
-  /// parameters, rng stream and telemetry as an uninterrupted run.
-  size_t checkpoint_every = 0;
-  std::string checkpoint_dir;
-  size_t checkpoint_keep = 3;
-  bool resume = false;
-
-  /// Preemption budget: when > 0, the trainer pauses cleanly (no
-  /// rollback, no final-snapshot bookkeeping) after this many
-  /// iterations in the current process, leaving completion to a later
-  /// resumed run. 0 disables. Used by tests and budgeted schedulers to
-  /// split one logical run across processes deterministically.
-  size_t max_iters_per_run = 0;
 
   /// Worker threads for the Matrix kernels during training and
   /// generation. 0 keeps the process-wide default (the DAISY_THREADS

@@ -81,12 +81,14 @@ Status TableSynthesizer::FitFrom(const data::Table* table,
   BuildNetworks();
   if (opts_.algo == TrainAlgo::kDPTrain)
     DAISY_RETURN_IF_ERROR(ResolveDpEngine(d_.get(), opts_.dp_engine).status());
-  fitted_ = true;
 
   GanTrainer trainer(g_.get(), d_.get(), transformer_.get(), opts_);
   Rng train_rng = rng_.Split();
   result_ = trainer.Train(*data, *cond_, &train_rng, sink);
   cond_->EndTraining();
+  // A refused resume trained nothing: the model stays unfitted.
+  if (result_.refused) return result_.health;
+  fitted_ = true;
   // On divergence the trainer has already rolled the generator back to
   // the last healthy snapshot, so this is always a sane state.
   final_state_ = GetState(g_->Params());

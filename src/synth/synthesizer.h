@@ -39,7 +39,8 @@ class TableSynthesizer {
   /// last healthy snapshot and Generate still works. Data the
   /// condition source refuses (MakeConditionSource), and a DP engine the
   /// discriminator cannot run (ResolveDpEngine), are InvalidArgument
-  /// and leave the synthesizer unfitted.
+  /// and leave the synthesizer unfitted, as does a checkpoint that
+  /// does not fit the run when GanOptions::resume is set.
   Status Fit(const data::Table& train, obs::MetricSink* sink = nullptr);
 
   /// Out-of-core Fit over a paged .dcol table: transformer statistics

@@ -15,7 +15,6 @@
 #include <memory>
 #include <vector>
 
-#include "ckpt/checkpoint.h"
 #include "core/rng.h"
 #include "data/table.h"
 #include "nn/optimizer.h"
@@ -36,8 +35,10 @@ namespace daisy::synth {
 /// snapshots for validation-based model selection (paper §6.2).
 ///
 /// Health contract: `health` is OK when all requested iterations ran;
-/// otherwise why training stopped early or never started (divergence
-/// detected by the sentinel, refused data, an unusable checkpoint).
+/// otherwise why training stopped early (divergence detected by the
+/// sentinel, a failed checkpoint save) or, with `refused`, never
+/// started (refused data or DP engine, a checkpoint that does not fit
+/// the run).
 /// The loss traces and `completed_iters` cover only healthy
 /// iterations — no NaN/Inf ever lands in them while the sentinel is
 /// enabled — and the last snapshot is the last healthy generator
@@ -50,9 +51,10 @@ struct TrainResult {
   std::vector<size_t> snapshot_iters;
   Status health;                       // OK, or why the run stopped early
   size_t completed_iters = 0;          // healthy iterations applied
+  bool refused = false;                // nothing trained; see `health`
 
   /// True when the run stopped early because it exhausted
-  /// GanOptions::max_iters_per_run (health stays OK). A paused run did
+  /// LoopOptions::max_iters_per_run (health stays OK). A paused run did
   /// no rollback / final-snapshot bookkeeping; resume it from its
   /// checkpoint directory to finish.
   bool paused = false;
@@ -110,29 +112,9 @@ class GanTrainer {
 
   Matrix SampleNoise(size_t m, Rng* rng) const;
 
-  // A run that stops before its first iteration: `why` as health, the
-  // current generator as the last snapshot.
-  TrainResult StopBeforeTraining(Status why, obs::MetricSink* sink);
-
-  // Snapshots the complete mutable training state after `completed`
-  // iterations: G+D parameter values and buffers, both optimizer
-  // blobs, the rng engine, loss traces / snapshots accumulated so far,
-  // the sentinel baselines and the telemetry cursor.
-  ckpt::TrainCheckpoint MakeCheckpoint(size_t completed, uint64_t cursor,
-                                       const TrainResult& result,
-                                       const StateDict& last_healthy,
-                                       const StateDict& last_healthy_buffers,
-                                       Rng* rng);
-
-  // Applies a checkpoint produced by MakeCheckpoint. Validates run
-  // tag, configured length, seed and every shape BEFORE mutating
-  // anything, so a mismatched or hostile checkpoint leaves the trainer
-  // untouched.
-  Status RestoreFromCheckpoint(const ckpt::TrainCheckpoint& c, Rng* rng,
-                               obs::MetricSink* sink, TrainResult* result,
-                               StateDict* last_healthy,
-                               StateDict* last_healthy_buffers,
-                               size_t* start_iter);
+  // A run that never starts (refused data, DP engine or resume): `why`
+  // as health, the untouched generator as the only snapshot.
+  TrainResult StopBeforeTraining(Status why);
 
   Generator* g_;
   Discriminator* d_;
@@ -147,9 +129,6 @@ class GanTrainer {
   // value is what gets logged.
   double last_d_grad_norm_ = 0.0;
   double last_g_grad_norm_ = 0.0;
-  // CTrain only: labels with zero training records in the last
-  // iteration (skipped silently before; now surfaced per record).
-  size_t last_starved_labels_ = 0;
 
   std::unique_ptr<nn::Optimizer> g_opt_;
   std::unique_ptr<nn::Optimizer> d_opt_;

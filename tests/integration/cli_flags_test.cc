@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "data/csv.h"
 #include "data/generators/realistic.h"
 #include "synth/synthesizer.h"
 
@@ -158,6 +160,68 @@ TEST(CliFlagsTest, GenerateRefusesParentConditionedModel) {
   EXPECT_NE(r.stderr_text.find("parent-conditioned"), std::string::npos)
       << "stderr was: " << r.stderr_text;
   std::remove(model.c_str());
+}
+
+// A checkpoint directory that does not fit the run is refused before
+// training: exit 1 and no --output — never rows from untrained weights.
+// `writer` fills the directory, `reader` is refused by it.
+void ExpectResumeRefused(const std::string& writer,
+                         const std::string& reader) {
+  const std::string dir = ::testing::TempDir() + "cli_refused_" + writer +
+                          "_" + reader + "_" + std::to_string(getpid());
+  Rng rng(5);
+  const std::string csv = dir + ".csv";
+  ASSERT_TRUE(data::WriteCsv(data::MakeAdultSim(120, &rng), csv).ok());
+  const auto synth = [&](const std::string& method, const std::string& out,
+                         bool resume) {
+    std::vector<std::string> args = {
+        "synth", "--input", csv, "--output", out, "--method", method,
+        "--iterations", "4", "--checkpoint-every", "2", "--checkpoint-dir",
+        dir};
+    if (resume) args.push_back("--resume");
+    return RunBinary(DAISY_CLI_BIN, args);
+  };
+  ASSERT_EQ(synth(writer, dir + ".first.csv", false).exit_code, 0);
+  const std::string out = dir + ".out.csv";
+  const RunResult r = synth(reader, out, true);
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.stderr_text.find("cannot train"), std::string::npos)
+      << "stderr was: " << r.stderr_text;
+  EXPECT_FALSE(std::ifstream(out).good()) << "refused run wrote " << out;
+  std::filesystem::remove_all(dir);
+  for (const std::string& f : {csv, dir + ".first.csv", out})
+    std::remove(f.c_str());
+}
+
+TEST(CliFlagsTest, GanRefusesAVaeCheckpointDir) {
+  ExpectResumeRefused("vae", "gan");
+}
+
+TEST(CliFlagsTest, VaeRefusesAGanCheckpointDir) {
+  ExpectResumeRefused("gan", "vae");
+}
+
+TEST(CliFlagsTest, MedGanRefusesAGanCheckpointDir) {
+  ExpectResumeRefused("gan", "medgan");
+}
+
+// Telemetry the logger cannot write fails the run.
+TEST(CliFlagsTest, LostTelemetryExitsOne) {
+  std::FILE* probe = std::fopen("/dev/full", "w");
+  if (probe == nullptr) GTEST_SKIP() << "/dev/full is not available";
+  std::fclose(probe);
+  Rng rng(5);
+  const std::string csv = ::testing::TempDir() + "cli_full_" +
+                          std::to_string(getpid()) + ".csv";
+  ASSERT_TRUE(data::WriteCsv(data::MakeAdultSim(120, &rng), csv).ok());
+  const RunResult r = RunBinary(
+      DAISY_CLI_BIN, {"synth", "--input", csv, "--output", csv + ".out",
+                      "--iterations", "2", "--log-jsonl", "/dev/full"});
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.stderr_text.find("telemetry lost"), std::string::npos)
+      << "stderr was: " << r.stderr_text;
+  std::remove(csv.c_str());
+  std::remove((csv + ".out").c_str());
 }
 
 TEST(ServeFlagsTest, UnknownFlagIsRejected) {

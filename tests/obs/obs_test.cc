@@ -167,6 +167,21 @@ TEST(RunLoggerTest, OpenFailsOnUnwritablePath) {
   EXPECT_FALSE(opened.ok());
 }
 
+// Every write to /dev/full fails. Log swallows the error, so Flush must
+// report it even when its own fflush has nothing left to push.
+TEST(RunLoggerTest, FlushReportsRecordsLostToAFullDevice) {
+  std::FILE* probe = std::fopen("/dev/full", "w");
+  if (probe == nullptr) GTEST_SKIP() << "/dev/full is not available";
+  std::fclose(probe);
+  auto opened = RunLogger::Open("/dev/full");
+  ASSERT_TRUE(opened.ok());
+  MetricRecord rec;
+  rec.run = "gan.vtrain";
+  rec.iter = 1;
+  opened.value()->Log(rec);
+  EXPECT_FALSE(opened.value()->Flush().ok());
+}
+
 std::string ReadAll(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in),

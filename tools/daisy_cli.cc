@@ -125,6 +125,41 @@ int Usage() {
   return 2;
 }
 
+// The JSONL log is the run's record, so telemetry the logger could not
+// write fails the command. Returns false, after saying why, when
+// records were lost.
+bool TelemetryFlushed(daisy::obs::RunLogger* logger) {
+  if (logger == nullptr) return true;
+  const Status st = logger->Flush();
+  if (!st.ok())
+    std::fprintf(stderr, "telemetry lost: %s\n", st.ToString().c_str());
+  return st.ok();
+}
+
+// How `synth` goes on after Fit: a refused run (the model stays
+// unfitted) or lost telemetry exits 1 before anything is written, a
+// pause exits 0, and a divergence generates from the rolled-back state.
+// Returns the exit code to stop with, or -1 to generate.
+int ReportFit(const Status& health, bool fitted, bool paused,
+              daisy::obs::RunLogger* logger) {
+  if (!fitted) {
+    std::fprintf(stderr, "cannot train: %s\n", health.ToString().c_str());
+    return 1;
+  }
+  if (!TelemetryFlushed(logger)) return 1;
+  if (!health.ok())
+    std::fprintf(stderr,
+                 "training stopped early: %s\n"
+                 "generating from the last healthy snapshot\n",
+                 health.ToString().c_str());
+  if (paused) {
+    std::printf("paused after --max-iters-per-run iterations; "
+                "rerun with --resume to continue\n");
+    return 0;
+  }
+  return -1;
+}
+
 int RunSynth(const Args& args) {
   const std::string input = args.Get("input");
   const std::string output = args.Get("output");
@@ -187,8 +222,6 @@ int RunSynth(const Args& args) {
       paged_input ? paged->num_records() : table.num_records();
 
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 17));
-  const size_t log_every =
-      static_cast<size_t>(std::max(1L, args.GetInt("log-every", 1)));
 
   daisy::transform::TransformOptions topts;
   if (args.Get("cat", "onehot") == "ordinal")
@@ -196,19 +229,23 @@ int RunSynth(const Args& args) {
   if (args.Get("num", "gmm") == "simple")
     topts.numerical = daisy::transform::NumericalNormalization::kSimple;
 
-  // Checkpointing knobs (shared across methods). With --resume the
+  // Training-loop knobs, shared by every method. With --resume the
   // telemetry file is reopened in resume mode: the checkpointed record
   // cursor truncates any tail written by the crashed run, so the final
   // JSONL matches an uninterrupted run line for line.
-  const std::string ckpt_dir = args.Get("checkpoint-dir");
-  const size_t ckpt_every =
+  daisy::synth::LoopOptions loop;
+  loop.log_every =
+      static_cast<size_t>(std::max(1L, args.GetInt("log-every", 1)));
+  loop.checkpoint_dir = args.Get("checkpoint-dir");
+  loop.checkpoint_every =
       static_cast<size_t>(std::max(0L, args.GetInt("checkpoint-every", 0)));
-  const size_t ckpt_keep =
+  loop.checkpoint_keep =
       static_cast<size_t>(std::max(1L, args.GetInt("checkpoint-keep", 3)));
-  const bool resume = !args.Get("resume").empty();
-  const size_t max_iters_per_run = static_cast<size_t>(
+  loop.resume = !args.Get("resume").empty();
+  loop.max_iters_per_run = static_cast<size_t>(
       std::max(0L, args.GetInt("max-iters-per-run", 0)));
-  if ((ckpt_every > 0 || resume) && ckpt_dir.empty()) {
+  if ((loop.checkpoint_every > 0 || loop.resume) &&
+      loop.checkpoint_dir.empty()) {
     std::fprintf(stderr,
                  "--checkpoint-every/--resume require --checkpoint-dir\n");
     return 1;
@@ -217,8 +254,9 @@ int RunSynth(const Args& args) {
   std::unique_ptr<daisy::obs::RunLogger> logger;
   const std::string log_path = args.Get("log-jsonl");
   if (!log_path.empty()) {
-    auto opened = resume ? daisy::obs::RunLogger::OpenForResume(log_path)
-                         : daisy::obs::RunLogger::Open(log_path);
+    auto opened = loop.resume
+                      ? daisy::obs::RunLogger::OpenForResume(log_path)
+                      : daisy::obs::RunLogger::Open(log_path);
     if (!opened.ok()) {
       std::fprintf(stderr, "error opening %s: %s\n", log_path.c_str(),
                    opened.status().ToString().c_str());
@@ -240,6 +278,7 @@ int RunSynth(const Args& args) {
 
   if (method == "gan") {
     daisy::synth::GanOptions opts;
+    static_cast<daisy::synth::LoopOptions&>(opts) = loop;
     const std::string arch = args.Get("arch", "mlp");
     if (arch == "lstm") opts.generator = daisy::synth::GeneratorArch::kLstm;
     else if (arch == "cnn") opts.generator = daisy::synth::GeneratorArch::kCnn;
@@ -253,12 +292,6 @@ int RunSynth(const Args& args) {
 
     opts.iterations = static_cast<size_t>(args.GetInt("iterations", 800));
     opts.seed = seed;
-    opts.log_every = log_every;
-    opts.checkpoint_every = ckpt_every;
-    opts.checkpoint_dir = ckpt_dir;
-    opts.checkpoint_keep = ckpt_keep;
-    opts.resume = resume;
-    opts.max_iters_per_run = max_iters_per_run;
     // 0 = keep the process default (DAISY_THREADS env, else hardware).
     opts.num_threads = static_cast<size_t>(args.GetInt("threads", 0));
 
@@ -298,21 +331,10 @@ int RunSynth(const Args& args) {
                 algo.c_str(), opts.iterations);
     const Status health = paged_input ? synth.Fit(*paged, logger.get())
                                       : synth.Fit(table, logger.get());
-    if (!synth.fitted()) {
-      std::fprintf(stderr, "cannot train: %s\n", health.ToString().c_str());
-      return 1;
-    }
-    if (!health.ok()) {
-      std::fprintf(stderr,
-                   "training stopped early: %s\n"
-                   "generating from the last healthy snapshot\n",
-                   health.ToString().c_str());
-    }
-    if (synth.train_result().paused) {
-      std::printf("paused after --max-iters-per-run iterations; "
-                  "rerun with --resume to continue\n");
-      return 0;
-    }
+    if (const int rc = ReportFit(health, synth.fitted(),
+                                 synth.train_result().paused, logger.get());
+        rc >= 0)
+      return rc;
     fake = synth.Generate(n, &gen_rng);
 
     if (!model_path.empty()) {
@@ -326,52 +348,30 @@ int RunSynth(const Args& args) {
     }
   } else if (method == "vae") {
     daisy::baselines::VaeOptions opts;
+    static_cast<daisy::synth::LoopOptions&>(opts) = loop;
     opts.epochs = static_cast<size_t>(args.GetInt("iterations", 30));
     opts.seed = seed;
-    opts.log_every = log_every;
-    opts.checkpoint_every = ckpt_every;
-    opts.checkpoint_dir = ckpt_dir;
-    opts.checkpoint_keep = ckpt_keep;
-    opts.resume = resume;
-    opts.max_iters_per_run = max_iters_per_run;
     daisy::baselines::VaeSynthesizer synth(opts, topts);
     std::printf("training (vae, %zu epochs)...\n", opts.epochs);
     const Status health = synth.Fit(table, logger.get());
-    if (!health.ok())
-      std::fprintf(stderr,
-                   "training stopped early: %s\n"
-                   "generating from the last healthy snapshot\n",
-                   health.ToString().c_str());
-    if (synth.paused()) {
-      std::printf("paused after --max-iters-per-run epochs; "
-                  "rerun with --resume to continue\n");
-      return 0;
-    }
+    if (const int rc =
+            ReportFit(health, synth.fitted(), synth.paused(), logger.get());
+        rc >= 0)
+      return rc;
     fake = synth.Generate(n, &gen_rng);
   } else {  // medgan
     daisy::baselines::MedGanOptions opts;
+    static_cast<daisy::synth::LoopOptions&>(opts) = loop;
     opts.gan_iterations = static_cast<size_t>(args.GetInt("iterations", 300));
     opts.seed = seed;
-    opts.log_every = log_every;
-    opts.checkpoint_every = ckpt_every;
-    opts.checkpoint_dir = ckpt_dir;
-    opts.checkpoint_keep = ckpt_keep;
-    opts.resume = resume;
-    opts.max_iters_per_run = max_iters_per_run;
     daisy::baselines::MedGanSynthesizer synth(opts, topts);
     std::printf("training (medgan, %zu AE epochs + %zu GAN iterations)...\n",
                 opts.ae_epochs, opts.gan_iterations);
     const Status health = synth.Fit(table, logger.get());
-    if (!health.ok())
-      std::fprintf(stderr,
-                   "training stopped early: %s\n"
-                   "generating from the last healthy snapshot\n",
-                   health.ToString().c_str());
-    if (synth.paused()) {
-      std::printf("paused after --max-iters-per-run epochs/iterations; "
-                  "rerun with --resume to continue\n");
-      return 0;
-    }
+    if (const int rc =
+            ReportFit(health, synth.fitted(), synth.paused(), logger.get());
+        rc >= 0)
+      return rc;
     fake = synth.Generate(n, &gen_rng);
   }
 
@@ -514,6 +514,7 @@ int RunEval(const Args& args) {
                  result.status().ToString().c_str());
     return 1;
   }
+  if (!TelemetryFlushed(logger.get())) return 1;
   std::printf("evaluation suite (lower is better except DCR):\n");
   for (const auto& m : result.value().metrics)
     std::printf("  %-28s %10.4f   (%.1f ms)\n", m.name.c_str(), m.value,
@@ -687,6 +688,7 @@ int RunTrainRel(const Args& args) {
                  health.ToString().c_str());
     return 1;
   }
+  if (!TelemetryFlushed(logger.get())) return 1;
   const Status save_st = synth.Save(output);
   if (!save_st.ok()) {
     std::fprintf(stderr, "error saving bundle: %s\n",
@@ -830,6 +832,7 @@ int RunEvalRel(const Args& args) {
                  result.status().ToString().c_str());
     return 1;
   }
+  if (!TelemetryFlushed(logger.get())) return 1;
   std::printf("relational suite (fk_validity: higher is better; "
               "others: lower):\n");
   for (const auto& m : result.value().metrics)
