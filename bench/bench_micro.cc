@@ -1,12 +1,18 @@
 // Substrate micro-benchmarks (google-benchmark): the building blocks
 // whose cost dominates the experiment harness — matrix multiplication,
-// GMM fitting, record transformation, LSTM stepping, decision-tree
-// fitting, and AQP query execution.
+// GMM fitting (in memory and over a paged table), page checksums,
+// record transformation, LSTM stepping, decision-tree fitting, and AQP
+// query execution.
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
+#include <filesystem>
+
+#include "core/durable.h"
 #include "core/kernels/kernels.h"
 #include "core/matrix.h"
 #include "core/parallel.h"
+#include "data/columnar.h"
 #include "nn/activations.h"
 #include "data/generators/realistic.h"
 #include "eval/aqp.h"
@@ -215,6 +221,46 @@ void BM_GmmFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GmmFit)->Arg(1000)->Arg(10000);
+
+// The out-of-core GMM fit: one 50k-row skewed numeric column in a
+// paged .dcol (4096-row pages, page budget 16), fitted through
+// RecordTransformer::FitStreaming with the default EM options.
+void BM_GmmFitStreaming(benchmark::State& state) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "daisy_bench_micro";
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "gmm_column.dcol").string();
+  Rng rng(7);
+  data::Table table(data::Schema({data::Attribute::Numerical("x")}));
+  for (int64_t i = 0; i < state.range(0); ++i)
+    table.AppendRecord({rng.Uniform() < 0.7
+                            ? 10.0 * std::exp(rng.Gaussian(0.0, 0.6))
+                            : rng.Gaussian(60.0, 5.0)});
+  if (!data::WriteColumnar(table, path, 4096).ok()) std::abort();
+  data::PagedTable::Options popts;
+  popts.page_budget = 16;
+  auto paged = data::PagedTable::Open(path, popts);
+  if (!paged.ok()) std::abort();
+  for (auto _ : state) {
+    Rng fit_rng(3);
+    benchmark::DoNotOptimize(transform::RecordTransformer::FitStreaming(
+        *paged.value(), transform::TransformOptions{}, &fit_rng));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_GmmFitStreaming)->Arg(50000)->Unit(benchmark::kMillisecond);
+
+// The CRC32 every .dcol page load, verify pass and convert runs.
+void BM_Crc32(benchmark::State& state) {
+  std::vector<unsigned char> page(state.range(0));
+  for (size_t i = 0; i < page.size(); ++i)
+    page[i] = static_cast<unsigned char>(i * 131u + 7u);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(Crc32(page.data(), page.size()));
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(32768);
 
 void BM_TransformTable(benchmark::State& state) {
   Rng rng(4);

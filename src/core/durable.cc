@@ -44,20 +44,36 @@ uint64_t Fnv1a64(const char* data, size_t size) {
 }
 
 uint32_t Crc32(const void* data, size_t len) {
-  static const auto* table = [] {
-    static uint32_t t[256];
+  // Slicing-by-8: t[0] is the byte-at-a-time table; t[s][b] advances
+  // t[0][b] through s more zero bytes, so one step folds in 8 bytes.
+  static const auto* t = [] {
+    static uint32_t tables[8][256];
     for (uint32_t n = 0; n < 256; ++n) {
       uint32_t crc = n;
       for (int k = 0; k < 8; ++k)
         crc = (crc >> 1) ^ (0xEDB88320u & (~(crc & 1u) + 1u));
-      t[n] = crc;
+      tables[0][n] = crc;
     }
-    return t;
+    for (uint32_t n = 0; n < 256; ++n)
+      for (int s = 1; s < 8; ++s)
+        tables[s][n] = (tables[s - 1][n] >> 8) ^
+                       tables[0][tables[s - 1][n] & 0xFFu];
+    return tables;
   }();
   const unsigned char* p = static_cast<const unsigned char*>(data);
+  const auto le32 = [](const unsigned char* b) {
+    return uint32_t{b[0]} | uint32_t{b[1]} << 8 | uint32_t{b[2]} << 16 |
+           uint32_t{b[3]} << 24;
+  };
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i)
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  for (; len >= 8; p += 8, len -= 8) {
+    const uint32_t lo = le32(p) ^ crc;
+    const uint32_t hi = le32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++p, --len) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 

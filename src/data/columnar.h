@@ -153,6 +153,8 @@ class PagedTable {
   size_t num_records() const { return num_rows_; }
   size_t num_attributes() const { return schema_.num_attributes(); }
   size_t page_rows() const { return page_rows_; }
+  /// Maximum resident pages (Options::page_budget, clamped to >= 1).
+  size_t page_budget() const { return opts_.page_budget; }
   /// Pages per column (== row groups).
   size_t num_groups() const { return num_groups_; }
   const std::string& path() const { return path_; }

@@ -27,6 +27,11 @@ void WriteAll(int fd, const std::string& bytes) {
   }
 }
 
+// Longest request line accepted. A peer that sends more without a
+// newline gets "ERR line too long" and its connection is shut down, so
+// a flood cannot grow the server's memory.
+constexpr size_t kMaxLineBytes = 64 * 1024;
+
 }  // namespace
 
 SocketServer::SocketServer(const ModelRegistry* registry, ServeEngine* engine,
@@ -88,7 +93,7 @@ void SocketServer::HandleConnection(int fd) {
   char tmp[4096];
   for (;;) {
     size_t nl;
-    while ((nl = buf.find('\n')) != std::string::npos) {
+    while ((nl = buf.find('\n')) != std::string::npos && nl <= kMaxLineBytes) {
       std::string line = buf.substr(0, nl);
       buf.erase(0, nl + 1);
       if (!line.empty() && line.back() == '\r') line.pop_back();
@@ -162,6 +167,13 @@ void SocketServer::HandleConnection(int fd) {
         }
       }
     }
+    if (buf.size() > kMaxLineBytes) {
+      WriteAll(fd, "ERR line too long\n");
+      // The fd stays open (and listed) until Stop() closes it; the
+      // shutdown is what the peer sees as EOF.
+      ::shutdown(fd, SHUT_RDWR);
+      break;
+    }
     const ssize_t n = ::read(fd, tmp, sizeof(tmp));
     if (n <= 0) break;  // EOF, error, or Stop()'s shutdown(fd)
     buf.append(tmp, static_cast<size_t>(n));
@@ -182,13 +194,15 @@ void SocketServer::Stop() {
   }
   cv_.notify_all();
 
-  // 1. Stop accepting new connections.
+  // 1. Stop accepting new connections. The shutdown wakes accept();
+  //    the fd is closed and cleared only after the join, because the
+  //    accept loop reads listen_fd_ until it returns.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
 
   // 2. Drain the engine: every GEN accepted before the shutdown
   //    finishes and its reply bytes reach the socket.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <numbers>
 
@@ -12,18 +13,24 @@ namespace daisy::stats {
 
 namespace {
 
-double LogNormalPdf(double v, double mean, double stddev) {
+// log N(v; mean, stddev) from a precomputed log(stddev), in the
+// operation order -0.5*z*z - log(stddev) - 0.5*log(2*pi).
+double LogNormalPdf(double v, double mean, double stddev, double log_sd) {
   const double z = (v - mean) / stddev;
-  return -0.5 * z * z - std::log(stddev) -
-         0.5 * std::log(2.0 * std::numbers::pi);
+  return -0.5 * z * z - log_sd - 0.5 * std::log(2.0 * std::numbers::pi);
 }
 
-double LogSumExp(const std::vector<double>& xs) {
+// The floor keeps a zero weight's log finite.
+double LogWeight(double w) { return std::log(std::max(w, 1e-300)); }
+
+// log(sum_j exp(logp(j))) over j < k, shifted by the max.
+template <typename LogP>
+double LogSumExp(size_t k, const LogP& logp) {
   double mx = -std::numeric_limits<double>::infinity();
-  for (double x : xs) mx = std::max(mx, x);
+  for (size_t j = 0; j < k; ++j) mx = std::max(mx, logp(j));
   if (!std::isfinite(mx)) return mx;
   double s = 0.0;
-  for (double x : xs) s += std::exp(x - mx);
+  for (size_t j = 0; j < k; ++j) s += std::exp(logp(j) - mx);
   return mx + std::log(s);
 }
 
@@ -31,143 +38,11 @@ double LogSumExp(const std::vector<double>& xs) {
 
 Gmm1d Gmm1d::Fit(const std::vector<double>& values, const Options& opts,
                  Rng* rng) {
-  DAISY_CHECK(!values.empty());
-  const size_t k = std::max<size_t>(1, std::min(opts.components, values.size()));
-  const size_t n = values.size();
-
-  Gmm1d gmm;
-  gmm.means_.resize(k);
-  gmm.stddevs_.assign(k, 0.0);
-  gmm.weights_.assign(k, 1.0 / static_cast<double>(k));
-
-  // k-means++-style seeding of the means.
-  gmm.means_[0] = values[rng->UniformInt(n)];
-  std::vector<double> d2(n);
-  for (size_t c = 1; c < k; ++c) {
-    for (size_t i = 0; i < n; ++i) {
-      double best = std::numeric_limits<double>::infinity();
-      for (size_t j = 0; j < c; ++j) {
-        const double d = values[i] - gmm.means_[j];
-        best = std::min(best, d * d);
-      }
-      d2[i] = best;
-    }
-    gmm.means_[c] = values[rng->Categorical(d2)];
-  }
-
-  double global_var = 0.0, global_mean = 0.0;
-  for (double v : values) global_mean += v;
-  global_mean /= static_cast<double>(n);
-  for (double v : values) global_var += (v - global_mean) * (v - global_mean);
-  global_var /= static_cast<double>(n);
-  const double init_sd =
-      std::max(opts.min_stddev, std::sqrt(global_var / static_cast<double>(k)));
-  for (auto& s : gmm.stddevs_) s = init_sd;
-
-  std::vector<std::vector<double>> resp(n, std::vector<double>(k));
-  double prev_ll = -std::numeric_limits<double>::infinity();
-  // Rows are independent in the E step and enter the M step only
-  // through sums, so both fan out over fixed-size row chunks; per-chunk
-  // partials are reduced in ascending chunk order, keeping every result
-  // bit-identical for any thread count (the partition depends only on
-  // n). The grain amortizes dispatch over the per-row k*LogNormalPdf
-  // work.
-  constexpr size_t kRowGrain = 256;
-  const size_t num_chunks = (n + kRowGrain - 1) / kRowGrain;
-  std::vector<double> ll_part(num_chunks);
-  std::vector<std::vector<double>> nj_part(num_chunks);
-  std::vector<std::vector<double>> mu_part(num_chunks);
-  std::vector<std::vector<double>> var_part(num_chunks);
-  for (size_t iter = 0; iter < opts.max_iters; ++iter) {
-    // E step: responsibilities per row (disjoint writes) plus chunked
-    // log-likelihood partials.
-    par::ParallelForIndexed(0, n, kRowGrain,
-                            [&](size_t c, size_t b, size_t e) {
-      std::vector<double> logp(k);
-      double lsum = 0.0;
-      for (size_t i = b; i < e; ++i) {
-        for (size_t j = 0; j < k; ++j)
-          logp[j] = std::log(std::max(gmm.weights_[j], 1e-300)) +
-                    LogNormalPdf(values[i], gmm.means_[j], gmm.stddevs_[j]);
-        const double lse = LogSumExp(logp);
-        lsum += lse;
-        for (size_t j = 0; j < k; ++j) resp[i][j] = std::exp(logp[j] - lse);
-      }
-      ll_part[c] = lsum;
-    });
-    double ll = 0.0;
-    for (size_t c = 0; c < num_chunks; ++c) ll += ll_part[c];
-
-    // M step, pass 1: chunked (nj, sum resp*v) partials for every
-    // component at once.
-    par::ParallelForIndexed(0, n, kRowGrain,
-                            [&](size_t c, size_t b, size_t e) {
-      nj_part[c].assign(k, 0.0);
-      mu_part[c].assign(k, 0.0);
-      for (size_t i = b; i < e; ++i)
-        for (size_t j = 0; j < k; ++j) {
-          nj_part[c][j] += resp[i][j];
-          mu_part[c][j] += resp[i][j] * values[i];
-        }
-    });
-    std::vector<double> nj(k, 0.0);
-    std::vector<double> mu(k, 0.0);
-    for (size_t c = 0; c < num_chunks; ++c)
-      for (size_t j = 0; j < k; ++j) {
-        nj[j] += nj_part[c][j];
-        mu[j] += mu_part[c][j];
-      }
-
-    // Serial per-component resolution, ascending j so dead-component
-    // reseeds consume the rng in the same order as the serial code.
-    std::vector<bool> alive(k, false);
-    for (size_t j = 0; j < k; ++j) {
-      if (nj[j] < 1e-10) {
-        // Dead component: re-seed at a random point.
-        gmm.means_[j] = values[rng->UniformInt(n)];
-        gmm.stddevs_[j] = init_sd;
-        gmm.weights_[j] = 1.0 / static_cast<double>(n);
-        continue;
-      }
-      alive[j] = true;
-      mu[j] /= nj[j];
-    }
-
-    // M step, pass 2: variances around the final means.
-    par::ParallelForIndexed(0, n, kRowGrain,
-                            [&](size_t c, size_t b, size_t e) {
-      var_part[c].assign(k, 0.0);
-      for (size_t i = b; i < e; ++i)
-        for (size_t j = 0; j < k; ++j) {
-          const double d = values[i] - mu[j];
-          var_part[c][j] += resp[i][j] * d * d;
-        }
-    });
-    for (size_t j = 0; j < k; ++j) {
-      if (!alive[j]) continue;
-      double var = 0.0;
-      for (size_t c = 0; c < num_chunks; ++c) var += var_part[c][j];
-      var /= nj[j];
-      gmm.means_[j] = mu[j];
-      gmm.stddevs_[j] = std::max(opts.min_stddev, std::sqrt(var));
-      gmm.weights_[j] = nj[j] / static_cast<double>(n);
-    }
-    // Renormalize: the dead-component reseed above assigns 1/n without
-    // taking that mass from anyone, so the weights only sum to 1 up to
-    // reseeds. Responsibilities, LogLikelihood and Sample all assume a
-    // proper mixture.
-    double wsum = 0.0;
-    for (double w : gmm.weights_) wsum += w;
-    if (wsum > 0.0)
-      for (auto& w : gmm.weights_) w /= wsum;
-    if (std::fabs(ll - prev_ll) < opts.tol * static_cast<double>(n)) break;
-    prev_ll = ll;
-  }
-  return gmm;
+  return FitStreaming(VectorSource(values), opts, rng);
 }
 
 Gmm1d Gmm1d::FitStreaming(const ValueSource& values, const Options& opts,
-                          Rng* rng) {
+                          Rng* rng, size_t cache_rows) {
   const size_t n = values.size();
   DAISY_CHECK(n > 0);
   const size_t k = std::max<size_t>(1, std::min(opts.components, n));
@@ -179,8 +54,9 @@ Gmm1d Gmm1d::FitStreaming(const ValueSource& values, const Options& opts,
 
   // Windowed scans: window boundaries are multiples of kRowGrain, so
   // the per-window ParallelForIndexed calls below partition rows into
-  // exactly the chunks Fit's whole-range calls produce, and filling the
-  // same chunk-indexed partials yields bit-identical reductions.
+  // the same chunks a whole-range call would, whatever the window, and
+  // the chunk-indexed partials reduce in one fixed order. The grain
+  // amortizes dispatch over the per-row work of k components.
   constexpr size_t kRowGrain = 256;
   constexpr size_t kWindowRows = 64 * kRowGrain;
   std::vector<double> window(std::min(n, kWindowRows));
@@ -193,12 +69,12 @@ Gmm1d Gmm1d::FitStreaming(const ValueSource& values, const Options& opts,
         }
       };
 
-  // k-means++ seeding with Fit's exact rng stream: one UniformInt for
-  // the first mean, then one Categorical over the min squared
-  // distances per extra component. Rng::Categorical sums the weights
-  // in ascending order, draws Uniform()*total and subtract-scans — and
-  // consumes no Uniform at all when total <= 0 — so it is re-enacted
-  // here as two streaming scans.
+  // k-means++ seeding: one UniformInt for the first mean, then per
+  // extra component the draw Rng::Categorical would make over the min
+  // squared distances. Categorical sums the weights in ascending order,
+  // draws Uniform()*total and subtract-scans — and consumes no Uniform
+  // at all when total <= 0 — so it is re-enacted here as two streaming
+  // scans.
   gmm.means_[0] = values.At(rng->UniformInt(n));
   for (size_t c = 1; c < k; ++c) {
     const auto min_d2 = [&](double v) {
@@ -233,7 +109,7 @@ Gmm1d Gmm1d::FitStreaming(const ValueSource& values, const Options& opts,
     gmm.means_[c] = values.At(pick);
   }
 
-  // Global mean then variance, each a serial ascending scan as in Fit.
+  // Global mean then variance, each a serial ascending scan.
   double global_var = 0.0, global_mean = 0.0;
   for_each_window([&](size_t b, size_t e, const double* vals) {
     for (size_t i = b; i < e; ++i) global_mean += vals[i - b];
@@ -253,40 +129,35 @@ Gmm1d Gmm1d::FitStreaming(const ValueSource& values, const Options& opts,
   std::vector<std::vector<double>> nj_part(num_chunks);
   std::vector<std::vector<double>> mu_part(num_chunks);
   std::vector<std::vector<double>> var_part(num_chunks);
-  std::vector<double> old_means, old_stddevs, old_weights;
+  // Each row's log-sum-exp from scan 1, for scan 2; empty above the cap.
+  std::vector<double> row_lse(n <= cache_rows ? n : 0);
   double prev_ll = -std::numeric_limits<double>::infinity();
   for (size_t iter = 0; iter < opts.max_iters; ++iter) {
-    // The dead-component reseeds below mutate the parameters the E
-    // step just used; the variance scan recomputes responsibilities,
-    // so it needs this pre-update snapshot.
-    old_means = gmm.means_;
-    old_stddevs = gmm.stddevs_;
-    old_weights = gmm.weights_;
+    // Both scans use these E-step parameters: the M step writes the
+    // new ones only after scan 2.
+    gmm.CacheLogTerms();
 
-    // Scan 1: E step fused with M-step pass 1. Per chunk this runs the
-    // same rows in the same order as Fit's two separate loops, and each
-    // accumulator (lsum, nj, mu) sees the same additions in the same
-    // order, so the partials are bit-identical; responsibilities are
-    // recomputed per row instead of being stored n x k.
+    // Scan 1: E step fused with the (nj, sum resp*v) partials; the
+    // responsibilities are never stored.
     for_each_window([&](size_t wb, size_t we, const double* vals) {
       par::ParallelForIndexed(wb, we, kRowGrain,
                               [&](size_t c, size_t b, size_t e) {
         const size_t chunk = wb / kRowGrain + c;
-        std::vector<double> logp(k), r(k);
+        std::vector<double> logp(k);
+        const auto at = [&](size_t j) { return logp[j]; };
         double lsum = 0.0;
         nj_part[chunk].assign(k, 0.0);
         mu_part[chunk].assign(k, 0.0);
         for (size_t i = b; i < e; ++i) {
           const double v = vals[i - wb];
-          for (size_t j = 0; j < k; ++j)
-            logp[j] = std::log(std::max(gmm.weights_[j], 1e-300)) +
-                      LogNormalPdf(v, gmm.means_[j], gmm.stddevs_[j]);
-          const double lse = LogSumExp(logp);
+          for (size_t j = 0; j < k; ++j) logp[j] = gmm.LogJoint(j, v);
+          const double lse = LogSumExp(k, at);
+          if (!row_lse.empty()) row_lse[i] = lse;
           lsum += lse;
-          for (size_t j = 0; j < k; ++j) r[j] = std::exp(logp[j] - lse);
           for (size_t j = 0; j < k; ++j) {
-            nj_part[chunk][j] += r[j];
-            mu_part[chunk][j] += r[j] * v;
+            const double r = std::exp(logp[j] - lse);
+            nj_part[chunk][j] += r;
+            mu_part[chunk][j] += r * v;
           }
         }
         ll_part[chunk] = lsum;
@@ -301,34 +172,22 @@ Gmm1d Gmm1d::FitStreaming(const ValueSource& values, const Options& opts,
         nj[j] += nj_part[c][j];
         mu[j] += mu_part[c][j];
       }
+    const auto dead = [&](size_t j) { return nj[j] < 1e-10; };
+    for (size_t j = 0; j < k; ++j)
+      if (!dead(j)) mu[j] /= nj[j];
 
-    std::vector<bool> alive(k, false);
-    for (size_t j = 0; j < k; ++j) {
-      if (nj[j] < 1e-10) {
-        gmm.means_[j] = values.At(rng->UniformInt(n));
-        gmm.stddevs_[j] = init_sd;
-        gmm.weights_[j] = 1.0 / static_cast<double>(n);
-        continue;
-      }
-      alive[j] = true;
-      mu[j] /= nj[j];
-    }
-
-    // Scan 2: variance partials around the new means, responsibilities
-    // recomputed from the snapshot (bitwise equal to Fit's stored resp:
-    // same inputs, same expressions).
+    // Scan 2: variance partials around the new means.
     for_each_window([&](size_t wb, size_t we, const double* vals) {
       par::ParallelForIndexed(wb, we, kRowGrain,
                               [&](size_t c, size_t b, size_t e) {
         const size_t chunk = wb / kRowGrain + c;
         std::vector<double> logp(k);
+        const auto at = [&](size_t j) { return logp[j]; };
         var_part[chunk].assign(k, 0.0);
         for (size_t i = b; i < e; ++i) {
           const double v = vals[i - wb];
-          for (size_t j = 0; j < k; ++j)
-            logp[j] = std::log(std::max(old_weights[j], 1e-300)) +
-                      LogNormalPdf(v, old_means[j], old_stddevs[j]);
-          const double lse = LogSumExp(logp);
+          for (size_t j = 0; j < k; ++j) logp[j] = gmm.LogJoint(j, v);
+          const double lse = row_lse.empty() ? LogSumExp(k, at) : row_lse[i];
           for (size_t j = 0; j < k; ++j) {
             const double d = v - mu[j];
             var_part[chunk][j] += std::exp(logp[j] - lse) * d * d;
@@ -336,8 +195,16 @@ Gmm1d Gmm1d::FitStreaming(const ValueSource& values, const Options& opts,
         }
       });
     });
+
+    // M step in ascending j, so dead-component reseeds consume the rng
+    // in a fixed order.
     for (size_t j = 0; j < k; ++j) {
-      if (!alive[j]) continue;
+      if (dead(j)) {
+        gmm.means_[j] = values.At(rng->UniformInt(n));
+        gmm.stddevs_[j] = init_sd;
+        gmm.weights_[j] = 1.0 / static_cast<double>(n);
+        continue;
+      }
       double var = 0.0;
       for (size_t c = 0; c < num_chunks; ++c) var += var_part[c][j];
       var /= nj[j];
@@ -345,6 +212,10 @@ Gmm1d Gmm1d::FitStreaming(const ValueSource& values, const Options& opts,
       gmm.stddevs_[j] = std::max(opts.min_stddev, std::sqrt(var));
       gmm.weights_[j] = nj[j] / static_cast<double>(n);
     }
+    // Renormalize: a reseed assigns 1/n without taking that mass from
+    // anyone, so the weights only sum to 1 up to reseeds.
+    // Responsibilities, LogLikelihood and Sample all assume a proper
+    // mixture.
     double wsum = 0.0;
     for (double w : gmm.weights_) wsum += w;
     if (wsum > 0.0)
@@ -352,6 +223,7 @@ Gmm1d Gmm1d::FitStreaming(const ValueSource& values, const Options& opts,
     if (std::fabs(ll - prev_ll) < opts.tol * static_cast<double>(n)) break;
     prev_ll = ll;
   }
+  gmm.CacheLogTerms();
   return gmm;
 }
 
@@ -366,32 +238,51 @@ Gmm1d Gmm1d::FromParams(std::vector<double> means,
   gmm.means_ = std::move(means);
   gmm.stddevs_ = std::move(stddevs);
   gmm.weights_ = std::move(weights);
+  gmm.CacheLogTerms();
   return gmm;
 }
 
+void Gmm1d::CacheLogTerms() {
+  log_weights_.resize(weights_.size());
+  log_stddevs_.resize(stddevs_.size());
+  for (size_t j = 0; j < weights_.size(); ++j) {
+    log_weights_[j] = LogWeight(weights_[j]);
+    log_stddevs_[j] = std::log(stddevs_[j]);
+  }
+}
+
+double Gmm1d::LogJoint(size_t j, double v) const {
+  return log_weights_[j] +
+         LogNormalPdf(v, means_[j], stddevs_[j], log_stddevs_[j]);
+}
+
 std::vector<double> Gmm1d::Responsibilities(double v) const {
-  std::vector<double> logp(means_.size());
-  for (size_t j = 0; j < means_.size(); ++j)
-    logp[j] = std::log(std::max(weights_[j], 1e-300)) +
-              LogNormalPdf(v, means_[j], stddevs_[j]);
-  const double lse = LogSumExp(logp);
+  const double lse = LogLikelihood(v);
   std::vector<double> out(means_.size());
-  for (size_t j = 0; j < means_.size(); ++j) out[j] = std::exp(logp[j] - lse);
+  for (size_t j = 0; j < means_.size(); ++j)
+    out[j] = std::exp(LogJoint(j, v) - lse);
   return out;
 }
 
 size_t Gmm1d::MostLikelyComponent(double v) const {
-  const auto r = Responsibilities(v);
-  return static_cast<size_t>(
-      std::max_element(r.begin(), r.end()) - r.begin());
+  // The exps stay: two components whose log terms differ can still
+  // round to equal responsibilities, and the first of them must win.
+  if (means_.empty()) return 0;
+  const double lse = LogLikelihood(v);
+  size_t best = 0;
+  double best_r = std::exp(LogJoint(0, v) - lse);
+  for (size_t j = 1; j < means_.size(); ++j) {
+    const double r = std::exp(LogJoint(j, v) - lse);
+    if (best_r < r) {
+      best = j;
+      best_r = r;
+    }
+  }
+  return best;
 }
 
 double Gmm1d::LogLikelihood(double v) const {
-  std::vector<double> logp(means_.size());
-  for (size_t j = 0; j < means_.size(); ++j)
-    logp[j] = std::log(std::max(weights_[j], 1e-300)) +
-              LogNormalPdf(v, means_[j], stddevs_[j]);
-  return LogSumExp(logp);
+  return LogSumExp(means_.size(), [&](size_t j) { return LogJoint(j, v); });
 }
 
 double Gmm1d::AvgLogLikelihood(const std::vector<double>& values) const {

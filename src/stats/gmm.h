@@ -3,6 +3,7 @@
 #ifndef DAISY_STATS_GMM_H_
 #define DAISY_STATS_GMM_H_
 
+#include <limits>
 #include <vector>
 
 #include "core/rng.h"
@@ -21,7 +22,7 @@ class ValueSource {
   virtual void Read(size_t begin, size_t end, double* out) const = 0;
 };
 
-/// In-memory adapter over a vector (tests, equivalence checks).
+/// In-memory adapter over a vector (what Fit streams from).
 class VectorSource final : public ValueSource {
  public:
   explicit VectorSource(const std::vector<double>& values)
@@ -48,19 +49,22 @@ class Gmm1d {
 
   Gmm1d() = default;
 
-  /// Fits by EM with k-means++-style initialization of the means.
+  /// Fits by EM with k-means++-style initialization of the means: the
+  /// in-memory entry to FitStreaming, with no cap on its row cache.
   static Gmm1d Fit(const std::vector<double>& values, const Options& opts,
                    Rng* rng);
 
-  /// Out-of-core Fit: streams `values` in fixed windows instead of
-  /// requiring them in memory, holding O(window + n/grain) state. The
-  /// rng consumption order, chunk partition (kRowGrain rows) and every
-  /// ascending-order reduction replicate Fit exactly, so the fitted
-  /// parameters are bitwise identical to Fit on the same sequence, for
-  /// any DAISY_THREADS. Costs one extra pass per EM iteration
-  /// (responsibilities are recomputed rather than stored).
-  static Gmm1d FitStreaming(const ValueSource& values, const Options& opts,
-                            Rng* rng);
+  /// The one EM body. Streams `values` in fixed windows instead of
+  /// requiring them in memory, with EM work fanned out over fixed
+  /// kRowGrain-row chunks whose partials reduce in ascending order, so
+  /// the fitted parameters do not depend on DAISY_THREADS. Each EM
+  /// iteration makes two scans: the E step with the means and weights,
+  /// then the variances around the new means. While n <= `cache_rows`,
+  /// the first scan keeps each row's log-sum-exp (n doubles) for the
+  /// second to reuse; above it, the second scan recomputes it.
+  static Gmm1d FitStreaming(
+      const ValueSource& values, const Options& opts, Rng* rng,
+      size_t cache_rows = std::numeric_limits<size_t>::max());
 
   /// Reconstructs a fitted model from its parameters (persistence).
   static Gmm1d FromParams(std::vector<double> means,
@@ -88,9 +92,16 @@ class Gmm1d {
   double Sample(Rng* rng) const;
 
  private:
+  /// log(weight_j) + log N(v; mean_j, stddev_j).
+  double LogJoint(size_t j, double v) const;
+  /// Fills log_weights_ / log_stddevs_ from the parameters.
+  void CacheLogTerms();
+
   std::vector<double> means_;
   std::vector<double> stddevs_;
   std::vector<double> weights_;
+  std::vector<double> log_weights_;
+  std::vector<double> log_stddevs_;
 };
 
 }  // namespace daisy::stats

@@ -149,10 +149,14 @@ RecordTransformer RecordTransformer::FitStreaming(
     Rng* rng) {
   DAISY_CHECK(table.num_records() > 0);
   ColumnStats stats;
-  stats.fit_gmm = [&table](size_t col, const stats::Gmm1d::Options& gopts,
-                           Rng* r) {
+  // The EM row cache may hold as many doubles as the page cache does,
+  // so a paged fit's peak memory grows by at most one page budget.
+  const size_t cache_rows = table.page_budget() * table.page_rows();
+  stats.fit_gmm = [&table, cache_rows](size_t col,
+                                       const stats::Gmm1d::Options& gopts,
+                                       Rng* r) {
     return stats::Gmm1d::FitStreaming(PagedColumnSource(table, col), gopts,
-                                      r);
+                                      r, cache_rows);
   };
   stats.attr_min = [&table](size_t col) { return table.attribute_min(col); };
   stats.attr_max = [&table](size_t col) { return table.attribute_max(col); };

@@ -79,7 +79,8 @@ class RecordTransformer {
   /// Out-of-core Fit over a paged table: simple-normalization ranges
   /// come from the .dcol footer (written with Table::AttributeMin/Max
   /// accumulation order) and GMM stats from Gmm1d::FitStreaming, which
-  /// scans each numeric column in bounded windows. Consumes the rng in
+  /// scans each numeric column in bounded windows and caches per-row EM
+  /// state only while it fits in one page budget. Consumes the rng in
   /// the same order as Fit, so the fitted state is bitwise identical
   /// to Fit on the equivalent in-memory table.
   static RecordTransformer FitStreaming(const data::PagedTable& table,

@@ -1,9 +1,11 @@
 // Tests for the durable-file layer: hash known-answer vectors, the
 // checksum trailer, whole-file reads, and the atomic write protocol
 // (no temp file survives an abandoned or failed write).
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -28,6 +30,33 @@ TEST(DurableTest, Fnv1a64KnownAnswers) {
 
 TEST(DurableTest, Crc32KnownAnswer) {
   EXPECT_EQ(Crc32("123456789", 9), 0xcbf43926u);
+}
+
+// Bit-at-a-time CRC32 straight from the polynomial.
+uint32_t BitwiseCrc32(const unsigned char* p, size_t len) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k)
+      crc = (crc & 1u) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(DurableTest, Crc32MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Every length 0..300 covers the 8-byte steps and each tail length;
+  // offsets 0..8 cover every alignment of the input pointer.
+  std::vector<unsigned char> buf(8 + 300);
+  uint32_t x = 0x12345678u;
+  for (auto& b : buf) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  for (size_t offset = 0; offset <= 8; ++offset)
+    for (size_t len = 0; len <= 300; ++len)
+      ASSERT_EQ(Crc32(buf.data() + offset, len),
+                BitwiseCrc32(buf.data() + offset, len))
+          << "offset " << offset << " len " << len;
 }
 
 TEST(DurableTest, TrailerRoundTripsAndCatchesFlipsAndCuts) {

@@ -3,6 +3,7 @@
 // concurrent-request determinism contract, graceful-shutdown drain,
 // and the socket server end to end over a real AF_UNIX connection.
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -459,6 +460,32 @@ class Client {
               static_cast<ssize_t>(out.size()));
   }
 
+  // Sends raw bytes, stopping quietly once the peer has closed.
+  void SendRaw(const std::string& bytes) {
+    size_t off = 0;
+    while (off < bytes.size()) {
+      const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
+                               MSG_NOSIGNAL);
+      if (n <= 0) return;
+      off += static_cast<size_t>(n);
+    }
+  }
+
+  // Reads until EOF into `out`; false if `timeout_s` passes with no
+  // data first.
+  bool ReadToEof(std::string* out, int timeout_s) {
+    timeval tv{};
+    tv.tv_sec = timeout_s;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    char tmp[4096];
+    for (;;) {
+      const ssize_t n = ::read(fd_, tmp, sizeof(tmp));
+      if (n == 0) return true;
+      if (n < 0) return false;
+      out->append(tmp, static_cast<size_t>(n));
+    }
+  }
+
   // Reads until the reply terminator ("END\n", "PONG\n" or an ERR
   // line) or EOF.
   std::string ReadReply() {
@@ -526,6 +553,25 @@ TEST_F(SocketServerTest, AnswersProtocolOverSocket) {
   ASSERT_TRUE(other.connected());
   other.Send("GEN adult 10 77");
   EXPECT_EQ(other.ReadReply(), reply);
+}
+
+TEST_F(SocketServerTest, OverlongLineGetsErrThenEof) {
+  // 1 MiB with no newline: past the 64 KiB line cap the server must
+  // answer one ERR line and close, not buffer the flood.
+  Client client(socket_path_);
+  ASSERT_TRUE(client.connected());
+  std::thread flood([&] { client.SendRaw(std::string(1 << 20, 'x')); });
+  std::string reply;
+  const bool eof = client.ReadToEof(&reply, 10);
+  flood.join();
+  EXPECT_TRUE(eof) << "no EOF within the receive timeout";
+  EXPECT_EQ(reply, "ERR line too long\n");
+
+  // The server still serves other peers.
+  Client other(socket_path_);
+  ASSERT_TRUE(other.connected());
+  other.Send("PING");
+  EXPECT_EQ(other.ReadReply(), "PONG\n");
 }
 
 TEST_F(SocketServerTest, ConcurrentClientsGetDeterministicBytes) {
