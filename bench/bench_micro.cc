@@ -20,6 +20,7 @@
 #include "nn/lstm.h"
 #include "stats/gmm.h"
 #include "synth/dp_engine.h"
+#include "synth/lstm_nets.h"
 #include "synth/mlp_nets.h"
 #include "transform/record_transformer.h"
 
@@ -274,19 +275,46 @@ void BM_TransformTable(benchmark::State& state) {
 }
 BENCHMARK(BM_TransformTable)->Arg(1000)->Arg(5000);
 
+// One LSTM cell step, training (StepForward, fills the BPTT cache) or
+// inference (StepInference). Args: {batch, infer}.
 void BM_LstmStep(benchmark::State& state) {
   Rng rng(5);
   const size_t batch = state.range(0);
+  const bool infer = state.range(1) != 0;
   nn::LstmCell cell(32, 64, &rng);
   Matrix x = Matrix::Randn(batch, 32, &rng);
+  const nn::LstmState s = cell.InitialState(batch);
   for (auto _ : state) {
-    cell.ClearCache();
-    auto s = cell.InitialState(batch);
-    benchmark::DoNotOptimize(cell.StepForward(x, s));
+    if (infer) {
+      benchmark::DoNotOptimize(cell.StepInference(x, s));
+    } else {
+      cell.ClearCache();
+      benchmark::DoNotOptimize(cell.StepForward(x, s));
+    }
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
-BENCHMARK(BM_LstmStep)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_LstmStep)
+    ->ArgsProduct({{16, 64, 256}, {0, 1}})
+    ->ArgNames({"batch", "infer"});
+
+// LSTM generator inference over one generation chunk at the shapes of
+// the default LSTM design point: 32 noise, 64 hidden, 32 feature, and
+// one timestep per head unit of the Adult-sim transform (GMM numerics
+// take two).
+void BM_LstmGeneratorInfer(benchmark::State& state) {
+  Rng rng(11);
+  const size_t batch = state.range(0);
+  const data::Table t = data::MakeAdultSim(1000, &rng);
+  const auto tf =
+      transform::RecordTransformer::Fit(t, transform::TransformOptions{}, &rng);
+  const synth::LstmGenerator g(32, 0, 64, 32, tf.segments(), &rng);
+  const Matrix z = Matrix::Randn(batch, 32, &rng);
+  for (auto _ : state) benchmark::DoNotOptimize(g.InferenceForward(z, Matrix()));
+  state.counters["timesteps"] = static_cast<double>(g.num_timesteps());
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_LstmGeneratorInfer)->Arg(512)->Unit(benchmark::kMillisecond);
 
 void BM_DecisionTreeFit(benchmark::State& state) {
   Rng rng(6);

@@ -20,14 +20,7 @@ namespace {
 constexpr size_t kTileJ = 256;
 constexpr size_t kTileP = 64;
 
-// Row-block grain: aim for at least this many flops per ParallelFor
-// chunk so small matrices never pay scheduling overhead. Must depend
-// only on problem shape (never thread count) to keep the partition —
-// and therefore chunk-local accumulation — deterministic.
-size_t RowGrain(size_t flops_per_row) {
-  constexpr size_t kMinFlopsPerChunk = 1 << 15;
-  return std::max<size_t>(1, kMinFlopsPerChunk / std::max<size_t>(1, flops_per_row));
-}
+using par::RowGrain;
 
 // Elementwise ops only fan out when the array is big enough to amortize
 // the pool handoff; each element is touched by exactly one chunk.

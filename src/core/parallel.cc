@@ -1,5 +1,6 @@
 #include "core/parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -157,6 +158,12 @@ void ParallelFor(size_t begin, size_t end, size_t grain,
     return;
   }
   Pool::Instance().Run(begin, end, grain, fn, num_chunks, threads);
+}
+
+size_t RowGrain(size_t flops_per_row) {
+  constexpr size_t kMinFlopsPerChunk = 1 << 15;
+  return std::max<size_t>(1, kMinFlopsPerChunk /
+                                 std::max<size_t>(1, flops_per_row));
 }
 
 size_t NumChunks(size_t begin, size_t end, size_t grain) {

@@ -52,6 +52,13 @@ void ParallelForIndexed(
     size_t begin, size_t end, size_t grain,
     const std::function<void(size_t chunk, size_t, size_t)>& fn);
 
+/// Row-block grain for row-parallel kernels: enough rows for at least
+/// 32k flops per chunk, so small problems never pay scheduling
+/// overhead. A function of the shape alone (never the thread count),
+/// which keeps the partition — and any chunk-local accumulation —
+/// deterministic.
+size_t RowGrain(size_t flops_per_row);
+
 /// Number of chunks ParallelFor / ParallelForIndexed partition
 /// [begin, end) into for the given grain — a pure function of the
 /// range, never of the thread count. Callers that reduce per-chunk

@@ -491,6 +491,9 @@ Status PagedTable::ReadBytes(uint64_t offset, size_t len, void* out) const {
 
 Status PagedTable::LoadPage(size_t group, size_t col,
                             std::vector<double>* out) const {
+  if (group >= num_groups_ || col >= num_cols_)
+    return Status::InvalidArgument("dcol page out of range");
+  ++page_loads_;
   const size_t rows = GroupRows(group);
   const size_t payload = rows * sizeof(double);
   std::vector<unsigned char> buf(PageBytes(rows));

@@ -176,6 +176,14 @@ class PagedTable {
   Status ScanColumn(size_t attr, size_t begin, size_t end,
                     double* out) const;
 
+  /// Reads one page (row group `group` of column `col`) from the file,
+  /// verifying its CRC, into `out`. Bypasses the cache.
+  Status LoadPage(size_t group, size_t col, std::vector<double>* out) const;
+
+  /// Pages read from the file so far, by any path: Open's verify pass,
+  /// cache faults, scans and LoadPage.
+  uint64_t page_loads() const { return page_loads_; }
+
   /// Full materialization (tests / small tables).
   Result<Table> ToTable() const;
 
@@ -191,8 +199,6 @@ class PagedTable {
 
   size_t GroupRows(size_t group) const;
   uint64_t PageOffset(size_t group, size_t col) const;
-  /// Loads (verifying CRC) the page's doubles into `out`.
-  Status LoadPage(size_t group, size_t col, std::vector<double>* out) const;
   /// Cache lookup / fault. Returns the resident payload.
   Result<const std::vector<double>*> FaultPage(size_t group,
                                                size_t col) const;
@@ -220,6 +226,7 @@ class PagedTable {
   mutable std::unordered_map<uint64_t, std::list<CacheEntry>::iterator>
       cache_;
   mutable CacheStats stats_;
+  mutable uint64_t page_loads_ = 0;
 };
 
 }  // namespace daisy::data

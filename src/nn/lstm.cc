@@ -1,18 +1,12 @@
 #include "nn/lstm.h"
 
+#include <algorithm>
 #include <cmath>
 
-#include "core/kernels/lane_ops.h"
+#include "core/kernels/kernels.h"
+#include "core/parallel.h"
 
 namespace daisy::nn {
-
-namespace {
-// Branch-stable sigmoid shared with the SIMD kernel layer: exp only
-// ever sees non-positive arguments, so a -750 gate preactivation
-// saturates to 0 instead of overflowing exp(750) to inf (which made
-// the gate NaN via inf/inf downstream).
-double SigmoidScalar(double v) { return kern::lane::Sigmoid(v); }
-}  // namespace
 
 LstmCell::LstmCell(size_t input_size, size_t hidden_size, Rng* rng)
     : input_size_(input_size), hidden_size_(hidden_size) {
@@ -27,71 +21,80 @@ LstmCell::LstmCell(size_t input_size, size_t hidden_size, Rng* rng)
   for (size_t c = 0; c < hidden_size; ++c) bias_.value(0, hidden_size + c) = 1.0;
 }
 
-LstmState LstmCell::StepForward(const Matrix& x, const LstmState& prev) {
-  DAISY_CHECK(x.cols() == input_size_);
-  DAISY_CHECK(prev.h.cols() == hidden_size_ && prev.c.cols() == hidden_size_);
-  DAISY_CHECK(x.rows() == prev.h.rows());
-  const size_t n = x.rows(), hs = hidden_size_;
+LstmCell::LeadPartial LstmCell::PartialOverLead(const Matrix& lead) const {
+  DAISY_CHECK(lead.cols() <= input_size_);
+  return {lead.cols(), lead.MatMul(weight_.value.RowRange(0, lead.cols()))};
+}
 
+LstmState LstmCell::StepForward(const Matrix& x, const LstmState& prev,
+                                const LeadPartial* lead) {
   StepCache cache;
-  cache.xh = Matrix::HCat(x, prev.h);
-  cache.c_prev = prev.c;
-
-  Matrix pre = cache.xh.MatMul(weight_.value);
-  pre.AddRowBroadcast(bias_.value);
-
-  cache.gates = Matrix(n, 4 * hs);
-  cache.c = Matrix(n, hs);
-  LstmState next;
-  next.h = Matrix(n, hs);
-  next.c = Matrix(n, hs);
-  for (size_t r = 0; r < n; ++r) {
-    for (size_t j = 0; j < hs; ++j) {
-      const double i = SigmoidScalar(pre(r, j));
-      const double f = SigmoidScalar(pre(r, hs + j));
-      const double g = std::tanh(pre(r, 2 * hs + j));
-      const double o = SigmoidScalar(pre(r, 3 * hs + j));
-      cache.gates(r, j) = i;
-      cache.gates(r, hs + j) = f;
-      cache.gates(r, 2 * hs + j) = g;
-      cache.gates(r, 3 * hs + j) = o;
-      const double c = f * prev.c(r, j) + i * g;
-      cache.c(r, j) = c;
-      next.c(r, j) = c;
-      next.h(r, j) = o * std::tanh(c);
-    }
-  }
+  LstmState next = Step(x, prev, lead, &cache);
   cache_.push_back(std::move(cache));
   return next;
 }
 
-LstmState LstmCell::StepInference(const Matrix& x,
-                                  const LstmState& prev) const {
+LstmState LstmCell::StepInference(const Matrix& x, const LstmState& prev,
+                                  const LeadPartial* lead) const {
+  return Step(x, prev, lead, nullptr);
+}
+
+LstmState LstmCell::Step(const Matrix& x, const LstmState& prev,
+                         const LeadPartial* lead, StepCache* cache) const {
   DAISY_CHECK(x.cols() == input_size_);
   DAISY_CHECK(prev.h.cols() == hidden_size_ && prev.c.cols() == hidden_size_);
   DAISY_CHECK(x.rows() == prev.h.rows());
-  const size_t n = x.rows(), hs = hidden_size_;
+  const size_t n = x.rows(), in = input_size_, hs = hidden_size_;
+  const size_t g4 = 4 * hs;
+  const size_t p0 = lead != nullptr ? lead->cols : 0;
+  if (lead != nullptr)
+    DAISY_CHECK(p0 <= in && lead->pre.rows() == n && lead->pre.cols() == g4);
 
-  // Same expressions in the same order as StepForward, minus the cache:
-  // the two paths must agree to the last bit.
-  Matrix xh = Matrix::HCat(x, prev.h);
-  Matrix pre = xh.MatMul(weight_.value);
-  pre.AddRowBroadcast(bias_.value);
-
-  LstmState next;
-  next.h = Matrix(n, hs);
-  next.c = Matrix(n, hs);
-  for (size_t r = 0; r < n; ++r) {
-    for (size_t j = 0; j < hs; ++j) {
-      const double i = SigmoidScalar(pre(r, j));
-      const double f = SigmoidScalar(pre(r, hs + j));
-      const double g = std::tanh(pre(r, 2 * hs + j));
-      const double o = SigmoidScalar(pre(r, 3 * hs + j));
-      const double c = f * prev.c(r, j) + i * g;
-      next.c(r, j) = c;
-      next.h(r, j) = o * std::tanh(c);
-    }
+  if (cache != nullptr) {
+    cache->xh = Matrix::HCat(x, prev.h);
+    cache->c_prev = prev.c;
+    cache->gates = Matrix(n, g4);
   }
+  LstmState next{Matrix(n, hs), Matrix(n, hs)};
+  const Matrix& w = weight_.value;
+  const kern::KernelTable& kt = kern::Active();
+  // Each row is computed whole inside one chunk, so every partition
+  // gives the same bits.
+  par::ParallelFor(0, n, par::RowGrain(2 * (in + hs - p0) * g4),
+                   [&](size_t r0, size_t r1) {
+    std::vector<double> scratch(cache != nullptr ? 0 : g4);
+    for (size_t r = r0; r < r1; ++r) {
+      // Pre-activations: the p-sum over [x | h] · W in ascending p (from
+      // the lead partial when given), then the bias — the operations
+      // xh.MatMul(W) + bias performs per element.
+      double* pre = cache != nullptr ? cache->gates.row(r) : scratch.data();
+      if (lead != nullptr)
+        std::copy_n(lead->pre.row(r), g4, pre);
+      else
+        std::fill_n(pre, g4, 0.0);
+      kt.gemm_panel(x.row(r) + p0, w.row(p0), g4, in - p0, pre, g4);
+      kt.gemm_panel(prev.h.row(r), w.row(in), g4, hs, pre, g4);
+      kt.add(bias_.value.data(), pre, g4);
+
+      // Gates i, f, o through the kernel table's sigmoid (bitwise equal
+      // to lane::Sigmoid on every ISA: exp only sees -|v|, so a -750
+      // pre-activation saturates to 0 instead of overflowing). g and
+      // tanh(c) stay libm. `pre` ends holding the post-activation i, f,
+      // g, o that StepBackward reads back.
+      kt.sigmoid(pre, pre, 2 * hs);
+      kt.sigmoid(pre + 3 * hs, pre + 3 * hs, hs);
+      const double* c_prev = prev.c.row(r);
+      double* c = next.c.row(r);
+      double* h = next.h.row(r);
+      for (size_t j = 0; j < hs; ++j) {
+        const double g = std::tanh(pre[2 * hs + j]);
+        pre[2 * hs + j] = g;
+        c[j] = pre[hs + j] * c_prev[j] + pre[j] * g;
+        h[j] = pre[3 * hs + j] * std::tanh(c[j]);
+      }
+    }
+  });
+  if (cache != nullptr) cache->c = next.c;
   return next;
 }
 

@@ -29,14 +29,31 @@ class LstmCell {
   size_t input_size() const { return input_size_; }
   size_t hidden_size() const { return hidden_size_; }
 
-  /// One timestep. Pushes the step's cache onto the BPTT stack.
-  LstmState StepForward(const Matrix& x, const LstmState& prev);
+  /// Gate pre-activation partial of leading input columns that hold
+  /// the same values at every step (the LSTM generator's re-fed noise
+  /// z): lead · W[0, lead.cols()), computed once per sequence. A step
+  /// given it starts each output element's p-sum from the partial and
+  /// carries on over the remaining columns in ascending order — the
+  /// same additions, from the same 0.0, as the full product, so the
+  /// bits do not change.
+  struct LeadPartial {
+    size_t cols = 0;
+    Matrix pre;  // batch x 4*hidden
+  };
+  LeadPartial PartialOverLead(const Matrix& lead) const;
 
-  /// Inference-only timestep: identical gate arithmetic to StepForward
-  /// but const and cache-free — nothing is pushed onto the BPTT stack,
-  /// so it is safe to call concurrently from many threads on one shared
+  /// One timestep. Pushes the step's cache onto the BPTT stack. When
+  /// `lead` is given, x's first lead->cols columns must be the ones it
+  /// was computed from.
+  LstmState StepForward(const Matrix& x, const LstmState& prev,
+                        const LeadPartial* lead = nullptr);
+
+  /// Inference-only timestep: the same gate body as StepForward but
+  /// const and cache-free — nothing is pushed onto the BPTT stack, so
+  /// it is safe to call concurrently from many threads on one shared
   /// cell. StepBackward must never follow a StepInference.
-  LstmState StepInference(const Matrix& x, const LstmState& prev) const;
+  LstmState StepInference(const Matrix& x, const LstmState& prev,
+                          const LeadPartial* lead = nullptr) const;
 
   /// Reverse of the most recent un-popped StepForward. `grad_h` /
   /// `grad_c` are dLoss/dh_t and dLoss/dc_t; outputs are dLoss/dx plus
@@ -69,6 +86,12 @@ class LstmCell {
     Matrix c_prev;  // batch x hidden
     Matrix c;       // batch x hidden
   };
+
+  /// The step both public variants run: the gate GEMM (from `lead`
+  /// when given), the bias, then the gates, row by row. Fills `cache`
+  /// when non-null.
+  LstmState Step(const Matrix& x, const LstmState& prev,
+                 const LeadPartial* lead, StepCache* cache) const;
 
   size_t input_size_;
   size_t hidden_size_;

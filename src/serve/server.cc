@@ -78,14 +78,45 @@ void SocketServer::AcceptLoop() {
   for (;;) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) return;  // listener closed: shutting down
+    ReapFinished();
     std::lock_guard<std::mutex> lock(mu_);
     if (stopped_) {
       ::close(fd);
       return;
     }
-    open_fds_.push_back(fd);
-    connections_.emplace_back([this, fd] { HandleConnection(fd); });
+    // The reader cannot retire before this insert completes: Retire
+    // needs mu_.
+    connections_.emplace(fd, std::thread([this, fd] {
+                           HandleConnection(fd);
+                           Retire(fd);
+                         }));
   }
+}
+
+void SocketServer::Retire(int fd) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = connections_.find(fd);
+    finished_.push_back(std::move(it->second));
+    connections_.erase(it);
+    // Closed under mu_, so Stop() never shuts down a reused fd number.
+    ::close(fd);
+  }
+  cv_.notify_all();
+}
+
+void SocketServer::ReapFinished() {
+  std::vector<std::thread> done;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    done.swap(finished_);
+  }
+  for (auto& t : done) t.join();
+}
+
+size_t SocketServer::tracked_threads() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return connections_.size() + finished_.size();
 }
 
 void SocketServer::HandleConnection(int fd) {
@@ -169,9 +200,13 @@ void SocketServer::HandleConnection(int fd) {
     }
     if (buf.size() > kMaxLineBytes) {
       WriteAll(fd, "ERR line too long\n");
-      // The fd stays open (and listed) until Stop() closes it; the
-      // shutdown is what the peer sees as EOF.
+      // The shutdown is what the peer sees as EOF, and it fails the
+      // peer's further sends, so the drain below reads at most what is
+      // already queued. Closing over unread bytes would turn the
+      // peer's EOF into ECONNRESET.
       ::shutdown(fd, SHUT_RDWR);
+      while (::read(fd, tmp, sizeof(tmp)) > 0) {
+      }
       break;
     }
     const ssize_t n = ::read(fd, tmp, sizeof(tmp));
@@ -208,19 +243,14 @@ void SocketServer::Stop() {
   //    finishes and its reply bytes reach the socket.
   engine_->Drain();
 
-  // 3. Unblock idle readers and join every connection thread.
-  std::vector<std::thread> conns;
+  // 3. Unblock idle readers, wait until each has closed its fd and
+  //    retired, then join every connection thread.
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
-    conns.swap(connections_);
+    std::unique_lock<std::mutex> lock(mu_);
+    for (const auto& conn : connections_) ::shutdown(conn.first, SHUT_RDWR);
+    cv_.wait(lock, [&] { return connections_.empty(); });
   }
-  for (auto& t : conns) t.join();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const int fd : open_fds_) ::close(fd);
-    open_fds_.clear();
-  }
+  ReapFinished();
   ::unlink(socket_path_.c_str());
 }
 

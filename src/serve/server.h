@@ -4,6 +4,10 @@
 // written by the engine's scheduler thread while the reader blocks
 // until the job is done, so writes to one socket are never interleaved.
 //
+// A connection that ends closes its own fd at once; its thread is
+// joined at the next accept (or by Stop()), so a long-running server
+// holds fds and threads only for live connections.
+//
 // Shutdown (SHUTDOWN verb or Stop()): the listener closes, queued jobs
 // drain to completion, open connections are shut down, and every
 // thread is joined — no request accepted before the shutdown is ever
@@ -16,6 +20,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "serve/engine.h"
@@ -44,9 +49,18 @@ class SocketServer {
 
   const std::string& socket_path() const { return socket_path_; }
 
+  /// Connection threads not yet joined: the live ones plus those that
+  /// ended since the last accept.
+  size_t tracked_threads();
+
  private:
   void AcceptLoop();
   void HandleConnection(int fd);
+  /// Ends connection `fd`: closes it and queues its thread to be
+  /// joined. Runs last on that thread.
+  void Retire(int fd);
+  /// Joins the threads of connections that have ended.
+  void ReapFinished();
 
   const ModelRegistry* registry_;
   ServeEngine* engine_;
@@ -58,8 +72,10 @@ class SocketServer {
   std::condition_variable cv_;
   bool shutdown_requested_ = false;
   bool stopped_ = false;
-  std::vector<std::thread> connections_;
-  std::vector<int> open_fds_;
+  // Live connections: fd -> reader thread. A reader that ends moves
+  // its thread to finished_ and closes its fd, under mu_.
+  std::unordered_map<int, std::thread> connections_;
+  std::vector<std::thread> finished_;
 };
 
 }  // namespace daisy::serve

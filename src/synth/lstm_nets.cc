@@ -1,5 +1,6 @@
 #include "synth/lstm_nets.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "nn/activations.h"
@@ -25,6 +26,28 @@ LstmGenerator::LstmGenerator(
     heads_.emplace_back(feature_size, unit, rng);
 }
 
+namespace {
+
+// The first step's input [z | f_prev = 0 | cond]. Later steps only
+// overwrite the f_prev columns (SetFeedback).
+Matrix FirstStepInput(const Matrix& z, size_t feature_size,
+                      const Matrix& cond, size_t cond_dim) {
+  Matrix x = Matrix::HCat(z, Matrix(z.rows(), feature_size));
+  return cond_dim > 0 ? Matrix::HCat(x, cond) : x;
+}
+
+void SetFeedback(const Matrix& f, size_t offset, Matrix* x) {
+  for (size_t r = 0; r < f.rows(); ++r)
+    std::copy_n(f.row(r), f.cols(), x->row(r) + offset);
+}
+
+void ScatterHead(const Matrix& out, const HeadUnit& u, Matrix* sample) {
+  for (size_t r = 0; r < out.rows(); ++r)
+    std::copy_n(out.row(r), u.width, sample->row(r) + u.offset);
+}
+
+}  // namespace
+
 Matrix LstmGenerator::Forward(const Matrix& z, const Matrix& cond,
                               bool /*training*/) {
   DAISY_CHECK(z.cols() == noise_dim_);
@@ -33,27 +56,23 @@ Matrix LstmGenerator::Forward(const Matrix& z, const Matrix& cond,
   step_h_.clear();
   step_f_.clear();
 
+  // z is re-fed at every step, so its gate partial is taken once.
+  const nn::LstmCell::LeadPartial lead = cell_.PartialOverLead(z);
   nn::LstmState state = cell_.InitialState(batch);
-  Matrix f_prev(batch, feature_size_);
+  Matrix x = FirstStepInput(z, feature_size_, cond, cond_dim_);
   Matrix sample(batch, sample_dim_);
 
   for (auto& head : heads_) {
-    Matrix x = Matrix::HCat(z, f_prev);
-    if (cond_dim_ > 0) x = Matrix::HCat(x, cond);
-    state = cell_.StepForward(x, state);
+    state = cell_.StepForward(x, state, &lead);
 
     Matrix pre_f = state.h.MatMul(fproj_w_.value);
     pre_f.AddRowBroadcast(fproj_b_.value);
     Matrix f = nn::TanhMat(pre_f);
     step_h_.push_back(state.h);
-    step_f_.push_back(f);
 
-    const Matrix out = head.Forward(f);
-    const HeadUnit& u = head.unit();
-    for (size_t r = 0; r < batch; ++r)
-      for (size_t c = 0; c < u.width; ++c)
-        sample(r, u.offset + c) = out(r, c);
-    f_prev = std::move(f);
+    ScatterHead(head.Forward(f), head.unit(), &sample);
+    SetFeedback(f, noise_dim_, &x);
+    step_f_.push_back(std::move(f));
   }
   return sample;
 }
@@ -63,27 +82,22 @@ Matrix LstmGenerator::InferenceForward(const Matrix& z,
   DAISY_CHECK(z.cols() == noise_dim_);
   const size_t batch = z.rows();
 
-  // Mirrors Forward step-for-step (StepInference shares StepForward's
-  // gate arithmetic) so the two paths agree to the last bit.
+  // Mirrors Forward step-for-step (StepInference runs StepForward's
+  // gate body) so the two paths agree to the last bit.
+  const nn::LstmCell::LeadPartial lead = cell_.PartialOverLead(z);
   nn::LstmState state = cell_.InitialState(batch);
-  Matrix f_prev(batch, feature_size_);
+  Matrix x = FirstStepInput(z, feature_size_, cond, cond_dim_);
   Matrix sample(batch, sample_dim_);
 
   for (const auto& head : heads_) {
-    Matrix x = Matrix::HCat(z, f_prev);
-    if (cond_dim_ > 0) x = Matrix::HCat(x, cond);
-    state = cell_.StepInference(x, state);
+    state = cell_.StepInference(x, state, &lead);
 
     Matrix pre_f = state.h.MatMul(fproj_w_.value);
     pre_f.AddRowBroadcast(fproj_b_.value);
-    Matrix f = nn::TanhMat(pre_f);
+    const Matrix f = nn::TanhMat(pre_f);
 
-    const Matrix out = head.InferenceForward(f);
-    const HeadUnit& u = head.unit();
-    for (size_t r = 0; r < batch; ++r)
-      for (size_t c = 0; c < u.width; ++c)
-        sample(r, u.offset + c) = out(r, c);
-    f_prev = std::move(f);
+    ScatterHead(head.InferenceForward(f), head.unit(), &sample);
+    SetFeedback(f, noise_dim_, &x);
   }
   return sample;
 }

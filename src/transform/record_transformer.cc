@@ -116,33 +116,30 @@ RecordTransformer RecordTransformer::Fit(const data::Table& table,
   return FitImpl(table.schema(), options, rng, stats);
 }
 
-namespace {
+size_t PagedColumnSource::size() const { return table_.num_records(); }
 
-// One column of a paged table as a streaming value source. Scans go
-// straight to disk (no cache churn); the rare point lookups (k-means++
-// reseeds) fault through the table's page cache. IO errors abort: the
-// file's checksums were verified at Open, so a failure here is a
-// hardware/filesystem fault, not bad data.
-class PagedColumnSource final : public stats::ValueSource {
- public:
-  PagedColumnSource(const data::PagedTable& table, size_t col)
-      : table_(table), col_(col) {}
-  size_t size() const override { return table_.num_records(); }
-  double At(size_t i) const override {
-    auto v = table_.ValueAt(i, col_);
-    DAISY_CHECK(v.ok());
-    return v.value();
+double PagedColumnSource::At(size_t i) const {
+  auto v = table_.ValueAt(i, col_);
+  DAISY_CHECK(v.ok());
+  return v.value();
+}
+
+void PagedColumnSource::Read(size_t begin, size_t end, double* out) const {
+  DAISY_CHECK(begin <= end && end <= size());
+  const size_t page_rows = table_.page_rows();
+  while (begin < end) {
+    const size_t group = begin / page_rows;
+    if (group != page_group_) {
+      DAISY_CHECK(table_.LoadPage(group, col_, &page_).ok());
+      page_group_ = group;
+    }
+    const size_t first = group * page_rows;
+    const size_t take = std::min(end, first + page_.size()) - begin;
+    std::copy_n(page_.data() + (begin - first), take, out);
+    out += take;
+    begin += take;
   }
-  void Read(size_t begin, size_t end, double* out) const override {
-    DAISY_CHECK(table_.ScanColumn(col_, begin, end, out).ok());
-  }
-
- private:
-  const data::PagedTable& table_;
-  size_t col_;
-};
-
-}  // namespace
+}
 
 RecordTransformer RecordTransformer::FitStreaming(
     const data::PagedTable& table, const TransformOptions& options,

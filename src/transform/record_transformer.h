@@ -66,6 +66,29 @@ struct AttrSegment {
   stats::Gmm1d gmm;  // kGmmNumeric only
 };
 
+/// One column of a paged table as a streaming value source (what
+/// RecordTransformer::FitStreaming fits each GMM from). Reads load
+/// whole pages and keep the last one, so a scan in windows smaller
+/// than a page reads and checksums each page once; the rare point
+/// lookups (k-means++ reseeds) fault through the table's page cache.
+/// IO errors abort: the file's checksums were verified at Open, so a
+/// failure here is a hardware/filesystem fault, not bad data. One
+/// source per thread.
+class PagedColumnSource final : public stats::ValueSource {
+ public:
+  PagedColumnSource(const data::PagedTable& table, size_t col)
+      : table_(table), col_(col) {}
+  size_t size() const override;
+  double At(size_t i) const override;
+  void Read(size_t begin, size_t end, double* out) const override;
+
+ private:
+  const data::PagedTable& table_;
+  size_t col_;
+  mutable std::vector<double> page_;  // row group page_group_ of col_
+  mutable size_t page_group_ = static_cast<size_t>(-1);
+};
+
 /// Fits per-attribute statistics on a table, then maps records to
 /// samples and back. Thread-compatible after Fit.
 class RecordTransformer {

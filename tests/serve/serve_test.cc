@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <memory>
@@ -572,6 +573,45 @@ TEST_F(SocketServerTest, OverlongLineGetsErrThenEof) {
   ASSERT_TRUE(other.connected());
   other.Send("PING");
   EXPECT_EQ(other.ReadReply(), "PONG\n");
+}
+
+size_t OpenFdCount() {
+  size_t n = 0;
+  for (const auto& entry : fs::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST_F(SocketServerTest, FinishedConnectionsReleaseFdsAndThreads) {
+  // Each ended connection must close its fd and have its thread
+  // joined, not hold both until Stop(): after 1000 connect/close
+  // cycles the process's fd count is back where it started and the
+  // server tracks one thread.
+  auto cycle = [&] {
+    Client client(socket_path_);
+    ASSERT_TRUE(client.connected());
+    client.Send("PING");  // the reply proves the server accepted it
+    ASSERT_EQ(client.ReadReply(), "PONG\n");
+  };
+  // A reader closes its fd on its own thread once its peer hangs up.
+  auto settled_fds = [](size_t want) {
+    for (int ms = 0; ms < 10000 && OpenFdCount() > want; ms += 10)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    return OpenFdCount();
+  };
+  const size_t fds_before = OpenFdCount();
+  for (int i = 0; i < 1000; ++i) {
+    cycle();
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(settled_fds(fds_before), fds_before);
+  // Every reader has ended, so the next accept joins all their
+  // threads and only the new connection's is left.
+  cycle();
+  EXPECT_EQ(settled_fds(fds_before), fds_before);
+  EXPECT_EQ(server_->tracked_threads(), 1u);
 }
 
 TEST_F(SocketServerTest, ConcurrentClientsGetDeterministicBytes) {

@@ -13,6 +13,7 @@
 
 #include "core/parallel.h"
 #include "data/columnar.h"
+#include "transform/record_transformer.h"
 
 namespace daisy::stats {
 namespace {
@@ -365,35 +366,18 @@ std::vector<GoldenCase> GoldenCases() {
   return cases;
 }
 
-// One column of a paged table: scans bypass the page cache, point
-// lookups (reseeds) fault through it.
-class PagedColumn final : public ValueSource {
- public:
-  explicit PagedColumn(const data::PagedTable& table) : table_(table) {}
-  size_t size() const override { return table_.num_records(); }
-  double At(size_t i) const override {
-    auto v = table_.ValueAt(i, 0);
-    EXPECT_TRUE(v.ok());
-    return v.ok() ? v.value() : 0.0;
-  }
-  void Read(size_t begin, size_t end, double* out) const override {
-    EXPECT_TRUE(table_.ScanColumn(0, begin, end, out).ok());
-  }
-
- private:
-  const data::PagedTable& table_;
-};
-
 std::unique_ptr<data::PagedTable> WritePaged(const std::vector<double>& values,
-                                             const std::string& name) {
+                                             const std::string& name,
+                                             size_t page_rows = 1000) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::path(::testing::TempDir()) / "gmm_golden";
   fs::create_directories(dir);
   const std::string path = (dir / (name + ".dcol")).string();
   data::Table table(data::Schema({data::Attribute::Numerical("x")}, -1));
   for (double v : values) table.AppendRecord({v});
-  // 1000-row pages: the 16,384-row windows straddle page boundaries.
-  EXPECT_TRUE(data::WriteColumnar(table, path, 1000).ok());
+  // 1000-row pages (the default): the 16,384-row windows straddle page
+  // boundaries.
+  EXPECT_TRUE(data::WriteColumnar(table, path, page_rows).ok());
   data::PagedTable::Options popts;
   popts.page_budget = 4;
   auto opened = data::PagedTable::Open(path, popts);
@@ -438,12 +422,41 @@ TEST(GmmGoldenTest, EveryEntryAndCacheCapMatchesPinnedBits) {
         SCOPED_TRACE("paged cap=" + std::to_string(cap));
         Rng rng(c.rng_seed);
         ExpectGolden(
-            Gmm1d::FitStreaming(PagedColumn(*paged), c.opts, &rng, cap), &rng,
-            c.want);
+            Gmm1d::FitStreaming(transform::PagedColumnSource(*paged, 0),
+                                c.opts, &rng, cap),
+            &rng, c.want);
       }
     }
   }
   par::SetNumThreads(0);
+}
+
+// Pages larger than FitStreaming's 16,384-row windows: every EM scan
+// must still read and checksum each page once, not once per window.
+TEST(GmmPagedTest, EachPageLoadsOncePerEmScan) {
+  constexpr size_t kPageRows = 32768;
+  Rng data_rng(8);
+  const std::vector<double> values =
+      TwoModeData(&data_rng, 3 * kPageRows - 1000, -2.0, 3.0, 1.0);
+  auto paged = WritePaged(values, "big_pages", kPageRows);
+  ASSERT_NE(paged, nullptr);
+  ASSERT_EQ(paged->num_groups(), 3u);
+  Gmm1d::Options opts;
+  opts.tol = 0.0;  // no early stop: exactly max_iters iterations
+  // Page loads by scans: all loads less the page-cache faults of the
+  // point lookups (k-means++ picks), which only the first fit misses.
+  uint64_t loads[2];
+  for (size_t iters : {1u, 3u}) {
+    opts.max_iters = iters;
+    Rng rng(9);
+    const uint64_t before = paged->page_loads();
+    const uint64_t misses = paged->cache_stats().misses;
+    Gmm1d::FitStreaming(transform::PagedColumnSource(*paged, 0), opts, &rng);
+    loads[iters / 2] = (paged->page_loads() - before) -
+                       (paged->cache_stats().misses - misses);
+  }
+  // Two more iterations are two scans each.
+  EXPECT_EQ(loads[1] - loads[0], 2u * 2u * paged->num_groups());
 }
 
 // ---------------------------------------------------------------------

@@ -1,9 +1,13 @@
 // Shape, range, and gradient-flow tests for the three generator /
 // discriminator families.
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
+#include "core/durable.h"
+#include "core/kernels/kernels.h"
+#include "core/parallel.h"
 #include "data/generators/realistic.h"
 #include "synth/cnn_nets.h"
 #include "synth/lstm_nets.h"
@@ -153,6 +157,53 @@ TEST(LstmGeneratorTest, GradientCheckThroughTwoAttributes) {
     if (++checked >= 10) break;
   }
   EXPECT_GE(checked, 5u);
+}
+
+// Training and inference run the same LSTM step, so for any ISA and
+// thread count both must give the same sample bits, and those bits are
+// pinned. noise_dim 80 puts the 64-wide GEMM p-tile boundary inside
+// the re-fed noise columns; batch 37 is not a multiple of the 4-wide
+// kernel lanes.
+TEST(LstmGeneratorTest, InferenceForwardMatchesForwardBitwise) {
+  const auto segs = FitSegments(true, true);
+  struct Case {
+    size_t cond_dim;
+    uint64_t digest;  // Fnv1a64 of the sample bytes, pinned before the
+                      // step took the noise partial and kernel sigmoids
+  };
+  const Case cases[] = {{0, 0xfcee66b636f8ca77ULL}, {3, 0x0c8699ea415d042dULL}};
+  std::vector<kern::Isa> isas = {kern::Isa::kScalar};
+  if (kern::IsaAvailable(kern::Isa::kAvx2)) isas.push_back(kern::Isa::kAvx2);
+  for (const Case& c : cases) {
+    Rng rng(21 + c.cond_dim);
+    LstmGenerator g(80, c.cond_dim, 24, 16, segs, &rng);
+    const size_t batch = 37;
+    const Matrix z = Matrix::Randn(batch, 80, &rng);
+    Matrix cond(batch, c.cond_dim);
+    for (size_t r = 0; r < batch && c.cond_dim > 0; ++r)
+      cond(r, r % c.cond_dim) = 1.0;
+    for (kern::Isa isa : isas) {
+      kern::SetIsaForTesting(isa);
+      for (size_t threads : {1u, 3u}) {
+        par::SetNumThreads(threads);
+        const Matrix trained = g.Forward(z, cond, true);
+        const Matrix inferred = g.InferenceForward(z, cond);
+        ASSERT_TRUE(trained.SameShape(inferred));
+        EXPECT_EQ(std::memcmp(trained.data(), inferred.data(),
+                              trained.size() * sizeof(double)),
+                  0)
+            << "cond_dim " << c.cond_dim << ", " << kern::IsaName(isa)
+            << ", " << threads << " threads";
+        EXPECT_EQ(Fnv1a64(reinterpret_cast<const char*>(inferred.data()),
+                          inferred.size() * sizeof(double)),
+                  c.digest)
+            << "cond_dim " << c.cond_dim << ", " << kern::IsaName(isa)
+            << ", " << threads << " threads";
+      }
+    }
+  }
+  kern::ResetIsaForTesting();
+  par::SetNumThreads(0);
 }
 
 TEST(LstmDiscriminatorTest, SeqToOneShapes) {
