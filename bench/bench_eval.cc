@@ -13,6 +13,7 @@
 #include "data/generators/realistic.h"
 #include "data/generators/skewed.h"
 #include "eval/aqp.h"
+#include "eval/classifier.h"
 #include "eval/fidelity.h"
 #include "eval/privacy.h"
 #include "eval/random_forest.h"
@@ -135,6 +136,34 @@ void BM_EvalSuite(benchmark::State& state) {
 BENCHMARK(BM_EvalSuite)
     ->ArgsProduct({{1000, 4000}, {1, 2, 4}})
     ->ArgNames({"rows", "threads"})
+    ->Unit(benchmark::kMillisecond);
+
+// One utility classifier's Fit (paper §6.2) on an Adult-sim table at one
+// thread, so the time is the algorithm's cost. Args are {kind, rows};
+// kind follows eval::AllClassifierKinds(): 0 DT10, 1 DT30, 2 RF10,
+// 3 RF20, 4 AB, 5 LR.
+void BM_ClassifierFit(benchmark::State& state) {
+  const eval::ClassifierKind kind =
+      eval::AllClassifierKinds()[static_cast<size_t>(state.range(0))];
+  const size_t rows = static_cast<size_t>(state.range(1));
+  Rng rng(68);
+  const data::Table t = data::MakeAdultSim(rows, &rng);
+  const Matrix x = t.FeatureMatrix();
+  const std::vector<size_t> y = t.Labels();
+  par::SetNumThreads(1);
+  for (auto _ : state) {
+    auto clf = eval::MakeClassifier(kind);
+    Rng r(69);
+    clf->Fit(x, y, t.schema().num_labels(), &r);
+    benchmark::DoNotOptimize(clf->Predict(x.row(0)));
+  }
+  par::SetNumThreads(0);
+  state.SetLabel(eval::ClassifierKindName(kind));
+  state.SetItemsProcessed(state.iterations() * rows);
+}
+BENCHMARK(BM_ClassifierFit)
+    ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {2000, 8000}})
+    ->ArgNames({"kind", "rows"})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

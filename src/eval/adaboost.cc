@@ -16,12 +16,14 @@ void AdaBoost::Fit(const Matrix& x, const std::vector<size_t>& y,
   const size_t n = x.rows();
   std::vector<double> weights(n, 1.0 / static_cast<double>(n));
   const double k = static_cast<double>(num_classes);
+  // Every round fits the same x under new weights: sort it once.
+  const FeatureOrder order(x);
 
   for (size_t t = 0; t < opts_.num_estimators; ++t) {
     DecisionTreeOptions topts;
     topts.max_depth = opts_.base_depth;
     DecisionTree stump(topts);
-    stump.FitWeighted(x, y, weights, num_classes, rng);
+    stump.FitWeighted(x, y, weights, order, num_classes, rng);
 
     double err = 0.0;
     std::vector<bool> wrong(n);
@@ -55,7 +57,8 @@ void AdaBoost::Fit(const Matrix& x, const std::vector<size_t>& y,
     DecisionTreeOptions topts;
     topts.max_depth = opts_.base_depth;
     estimators_.emplace_back(topts);
-    estimators_.back().Fit(x, y, num_classes, rng);
+    estimators_.back().FitWeighted(x, y, std::vector<double>(n, 1.0), order,
+                                   num_classes, rng);
     alphas_.push_back(1.0);
   }
 }

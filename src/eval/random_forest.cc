@@ -27,21 +27,21 @@ void RandomForest::Fit(const Matrix& x, const std::vector<size_t>& y,
   // caller's rng serially up front (the PATE-GAN teacher pattern): each
   // tree draws its bootstrap sample and split features from its own
   // stream and writes only its own slot, so the bagging fan-out is
-  // bitwise identical for any thread count.
+  // bitwise identical for any thread count. The trees share one
+  // read-only presort of x.
   std::vector<Rng> tree_rngs;
   tree_rngs.reserve(opts_.num_trees);
   for (size_t t = 0; t < opts_.num_trees; ++t)
     tree_rngs.push_back(rng->Split());
+  const FeatureOrder order(x);
 
   par::ParallelFor(0, opts_.num_trees, 1, [&](size_t t0, size_t t1) {
     for (size_t t = t0; t < t1; ++t) {
       Rng& trng = tree_rngs[t];
-      std::vector<size_t> rows(x.rows());
-      for (auto& r : rows) r = trng.UniformInt(x.rows());
-      Matrix bx = x.GatherRows(rows);
-      std::vector<size_t> by(rows.size());
-      for (size_t i = 0; i < rows.size(); ++i) by[i] = y[rows[i]];
-      trees_[t].Fit(bx, by, num_classes, &trng);
+      std::vector<double> counts(x.rows(), 0.0);
+      for (size_t i = 0; i < x.rows(); ++i)
+        counts[trng.UniformInt(x.rows())] += 1.0;
+      trees_[t].FitBootstrap(x, y, counts, order, num_classes, &trng);
     }
   });
 }
@@ -50,7 +50,7 @@ std::vector<double> RandomForest::PredictProba(const double* x) const {
   DAISY_CHECK(!trees_.empty());
   std::vector<double> probs(num_classes_, 0.0);
   for (const auto& tree : trees_) {
-    const auto p = tree.PredictProba(x);
+    const double* p = tree.LeafProba(x);
     for (size_t c = 0; c < num_classes_; ++c) probs[c] += p[c];
   }
   for (auto& p : probs) p /= static_cast<double>(trees_.size());

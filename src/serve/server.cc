@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <utility>
@@ -32,12 +33,15 @@ void WriteAll(int fd, const std::string& bytes) {
 // a flood cannot grow the server's memory.
 constexpr size_t kMaxLineBytes = 64 * 1024;
 
+// Pause before accept() is retried after a failure such as EMFILE.
+constexpr std::chrono::milliseconds kAcceptBackoff(10);
+
 }  // namespace
 
 SocketServer::SocketServer(const ModelRegistry* registry, ServeEngine* engine,
-                           std::string socket_path)
+                           std::string socket_path, uint64_t max_rows)
     : registry_(registry), engine_(engine),
-      socket_path_(std::move(socket_path)) {
+      socket_path_(std::move(socket_path)), max_rows_(max_rows) {
   DAISY_CHECK(registry_ != nullptr && engine_ != nullptr);
 }
 
@@ -77,7 +81,21 @@ Status SocketServer::Start() {
 void SocketServer::AcceptLoop() {
   for (;;) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) return;  // listener closed: shutting down
+    if (fd < 0) {
+      const int err = errno;
+      std::unique_lock<std::mutex> lock(mu_);
+      if (stopped_) return;  // Stop() shut the listener down
+      if (err == EINTR || err == ECONNABORTED) continue;
+      // Out of fds or memory (EMFILE, ENFILE, ENOBUFS, ENOMEM) or some
+      // other failure: the pending peer stays queued, so free what ended
+      // connections still hold, wait a little and retry. Stop() cuts
+      // the wait short.
+      lock.unlock();
+      ReapFinished();
+      lock.lock();
+      cv_.wait_for(lock, kAcceptBackoff, [&] { return stopped_; });
+      continue;
+    }
     ReapFinished();
     std::lock_guard<std::mutex> lock(mu_);
     if (stopped_) {
@@ -158,6 +176,10 @@ void SocketServer::HandleConnection(int fd) {
           break;
         }
         case Request::Kind::kGen: {
+          if (max_rows_ > 0 && req.rows > max_rows_) {
+            WriteAll(fd, "ERR rows exceed --max-rows\n");
+            break;
+          }
           // The reader blocks until the engine finishes this job, so
           // scheduler-thread chunk writes never interleave with reads
           // or other writes on this socket.

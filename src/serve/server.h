@@ -6,7 +6,9 @@
 //
 // A connection that ends closes its own fd at once; its thread is
 // joined at the next accept (or by Stop()), so a long-running server
-// holds fds and threads only for live connections.
+// holds fds and threads only for live connections. A failed accept()
+// (EMFILE and the like) is retried after a short pause; only Stop()
+// ends the accept loop.
 //
 // Shutdown (SHUTDOWN verb or Stop()): the listener closes, queued jobs
 // drain to completion, open connections are shut down, and every
@@ -16,6 +18,7 @@
 #define DAISY_SERVE_SERVER_H_
 
 #include <atomic>
+#include <cstdint>
 #include <condition_variable>
 #include <mutex>
 #include <string>
@@ -31,9 +34,10 @@ namespace daisy::serve {
 class SocketServer {
  public:
   /// `registry` and `engine` must outlive the server; the engine must
-  /// be Start()ed by the caller.
+  /// be Start()ed by the caller. A GEN for more than `max_rows` rows is
+  /// answered "ERR rows exceed --max-rows" (0 = no cap).
   SocketServer(const ModelRegistry* registry, ServeEngine* engine,
-               std::string socket_path);
+               std::string socket_path, uint64_t max_rows = 0);
   ~SocketServer();
 
   /// Binds the unix socket (removing a stale file), listens, and
@@ -65,6 +69,7 @@ class SocketServer {
   const ModelRegistry* registry_;
   ServeEngine* engine_;
   std::string socket_path_;
+  uint64_t max_rows_;
 
   int listen_fd_ = -1;
   std::thread accept_thread_;

@@ -1,15 +1,20 @@
 // Serving subsystem tests: protocol parsing, registry loading
 // (including corrupt-checkpoint rejection), the engine's
 // concurrent-request determinism contract, graceful-shutdown drain,
-// and the socket server end to end over a real AF_UNIX connection.
+// and the socket server end to end over a real AF_UNIX connection
+// (including the --max-rows cap and accept() hitting EMFILE).
+#include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <csignal>
 #include <cstdio>
 #include <memory>
 #include <cstring>
@@ -454,6 +459,13 @@ class Client {
     if (fd_ >= 0) ::close(fd_);
   }
   bool connected() const { return connected_; }
+  int fd() const { return fd_; }
+
+  void SetReceiveTimeout(int seconds) {
+    timeval tv{};
+    tv.tv_sec = seconds;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
 
   void Send(const std::string& line) {
     const std::string out = line + "\n";
@@ -475,9 +487,7 @@ class Client {
   // Reads until EOF into `out`; false if `timeout_s` passes with no
   // data first.
   bool ReadToEof(std::string* out, int timeout_s) {
-    timeval tv{};
-    tv.tv_sec = timeout_s;
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    SetReceiveTimeout(timeout_s);
     char tmp[4096];
     for (;;) {
       const ssize_t n = ::read(fd_, tmp, sizeof(tmp));
@@ -526,6 +536,16 @@ class SocketServerTest : public ::testing::Test {
   void TearDown() override {
     server_->Stop();
     std::remove(socket_path_.c_str());
+  }
+  // Replaces the server, and the engine its Stop() drained, with one
+  // that caps GEN at `max_rows`.
+  void RestartWithMaxRows(uint64_t max_rows) {
+    server_->Stop();
+    engine_ = std::make_unique<ServeEngine>(&registry_);
+    engine_->Start();
+    server_ = std::make_unique<SocketServer>(&registry_, engine_.get(),
+                                             socket_path_, max_rows);
+    ASSERT_TRUE(server_->Start().ok());
   }
 
   ModelRegistry registry_;
@@ -612,6 +632,108 @@ TEST_F(SocketServerTest, FinishedConnectionsReleaseFdsAndThreads) {
   cycle();
   EXPECT_EQ(settled_fds(fds_before), fds_before);
   EXPECT_EQ(server_->tracked_threads(), 1u);
+}
+
+TEST_F(SocketServerTest, GenOverMaxRowsIsRefusedAndConnectionStaysUsable) {
+  RestartWithMaxRows(100);
+  Client client(socket_path_);
+  ASSERT_TRUE(client.connected());
+  client.Send("GEN adult 101 5");
+  EXPECT_EQ(client.ReadReply(), "ERR rows exceed --max-rows\n");
+  client.Send("GEN adult 100 5");
+  const std::string reply = client.ReadReply();
+  EXPECT_EQ(reply.rfind("OK 100\n", 0), 0u) << reply.substr(0, 80);
+  // header + 100 rows + OK + END
+  EXPECT_EQ(static_cast<size_t>(
+                std::count(reply.begin(), reply.end(), '\n')),
+            103u);
+  client.Send("PING");
+  EXPECT_EQ(client.ReadReply(), "PONG\n");
+}
+
+// accept() failing with EMFILE must not end the accept loop. The server
+// runs in a forked child under a low RLIMIT_NOFILE; the test floods it
+// with connections until its fd table is full, hangs them all up, and
+// then a fresh connection must still get its PONG.
+TEST(SocketServerFdLimitTest, KeepsAcceptingAfterEmfile) {
+  const std::string path = ::testing::TempDir() + "daisy_serve_emfile_" +
+                           std::to_string(::getpid()) + ".sock";
+  std::remove(path.c_str());
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    par::SetNumThreads(1);  // the parent's pool threads are not forked
+    ModelRegistry registry;
+    ServeEngine engine(&registry);
+    engine.Start();
+    SocketServer server(&registry, &engine, path);
+    if (!server.Start().ok()) ::_exit(2);
+    // Room for eight more fds above the lowest free one.
+    const int lowest = ::dup(0);
+    ::close(lowest);
+    rlimit lim{};
+    ::getrlimit(RLIMIT_NOFILE, &lim);
+    lim.rlim_cur = static_cast<rlim_t>(lowest + 8);
+    if (::setrlimit(RLIMIT_NOFILE, &lim) != 0) ::_exit(3);
+    server.Wait();
+    server.Stop();
+    ::_exit(0);
+  }
+  // Kills the child when a failed assertion ends the test early.
+  struct ChildGuard {
+    pid_t pid;
+    ~ChildGuard() {
+      if (pid <= 0) return;
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, nullptr, 0);
+    }
+  } guard{child};
+  // The child's exit code once it has exited, or -1 if it had to be
+  // killed after 10 s.
+  auto end_child = [&] {
+    int status = 0;
+    for (int ms = 0; ms < 10000; ms += 10) {
+      if (::waitpid(child, &status, WNOHANG) == child) {
+        guard.pid = 0;
+        return WIFEXITED(status) ? WEXITSTATUS(status) : 128;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return -1;  // the guard kills it
+  };
+  bool up = false;
+  for (int ms = 0; ms < 10000 && !up; ms += 10) {
+    up = Client(path).connected();
+    if (!up) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(up) << "server did not come up";
+
+  // 40 connections against room for 8: the rest wait in the backlog
+  // while accept() fails with EMFILE.
+  {
+    std::vector<std::unique_ptr<Client>> flood;
+    for (int i = 0; i < 40; ++i) {
+      flood.push_back(std::make_unique<Client>(path));
+      ASSERT_TRUE(flood.back()->connected()) << i;
+      flood.back()->Send("PING");
+    }
+    std::vector<pollfd> fds;
+    for (const auto& c : flood) fds.push_back({c->fd(), POLLIN, 0});
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    const int answered = ::poll(fds.data(), fds.size(), 0);
+    EXPECT_GT(answered, 0);
+    EXPECT_LT(answered, 40) << "the fd limit never bit";
+  }  // every flood connection hangs up here
+
+  Client fresh(path);
+  ASSERT_TRUE(fresh.connected());
+  fresh.SetReceiveTimeout(10);
+  fresh.Send("PING");
+  EXPECT_EQ(fresh.ReadReply(), "PONG\n");
+  fresh.Send("SHUTDOWN");
+  fresh.ReadReply();
+  EXPECT_EQ(end_child(), 0);
+  std::remove(path.c_str());
 }
 
 TEST_F(SocketServerTest, ConcurrentClientsGetDeterministicBytes) {

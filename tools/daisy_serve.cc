@@ -6,12 +6,16 @@
 //   daisy_serve --socket /tmp/daisy.sock
 //               --model adult=adult.daisy
 //               --model census=census.daisy:ckpt_dir
-//               [--chunk-rows N] [--max-batch-rows N] [--threads T]
+//               [--chunk-rows N] [--max-batch-rows N] [--max-rows N]
+//               [--threads T]
 //
 // Each --model is name=model_path, optionally :checkpoint_dir to
 // overlay the newest valid training checkpoint's generator weights on
-// the loaded model. The process serves until a client sends SHUTDOWN
-// (or SIGINT/SIGTERM), then drains queued requests and exits 0.
+// the loaded model. --max-rows caps the rows of one GEN (0, the
+// default, means no cap); a larger request gets "ERR rows exceed
+// --max-rows" and the connection stays open. The process serves until
+// a client sends SHUTDOWN (or SIGINT/SIGTERM), then drains queued
+// requests and exits 0.
 #include <csignal>
 #include <cstdio>
 #include <string>
@@ -44,7 +48,7 @@ int Usage() {
                "              --model NAME=MODEL_PATH[:CHECKPOINT_DIR] "
                "[--model ...]\n"
                "              [--chunk-rows N] [--max-batch-rows N]\n"
-               "              [--threads T]\n");
+               "              [--max-rows N] [--threads T]\n");
   return 2;
 }
 
@@ -75,6 +79,7 @@ int main(int argc, char** argv) {
       {"model", /*boolean=*/false, /*numeric=*/false, /*repeated=*/true},
       {"chunk-rows", false, /*numeric=*/true},
       {"max-batch-rows", false, /*numeric=*/true},
+      {"max-rows", false, /*numeric=*/true},
       {"threads", false, /*numeric=*/true},
   };
   if (!args.Parse(argc, argv, 1, specs, &error)) {
@@ -91,6 +96,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "daisy_serve: --chunk-rows and --max-batch-rows "
                  "must be positive\n");
+    return 2;
+  }
+  const long max_rows = args.GetInt("max-rows", 0);
+  if (max_rows < 0) {
+    std::fprintf(stderr, "daisy_serve: --max-rows must not be negative\n");
     return 2;
   }
   if (const long threads = args.GetInt("threads", 0); threads > 0)
@@ -120,7 +130,8 @@ int main(int argc, char** argv) {
   daisy::serve::ServeEngine engine(&registry, eopts);
   engine.Start();
 
-  daisy::serve::SocketServer server(&registry, &engine, socket_path);
+  daisy::serve::SocketServer server(&registry, &engine, socket_path,
+                                    static_cast<uint64_t>(max_rows));
   if (Status st = server.Start(); !st.ok()) {
     std::fprintf(stderr, "daisy_serve: %s\n", st.ToString().c_str());
     return 1;
