@@ -113,7 +113,9 @@ BENCHMARK(BM_Eval)
     ->ArgNames({"metric", "rows", "threads"})
     ->Unit(benchmark::kMillisecond);
 
-// The whole suite end to end (the `daisy_cli eval` hot path).
+// The whole suite end to end (the `daisy_cli eval` hot path). Args are
+// {rows, threads, auc}; auc = 1 turns on SuiteOptions::utility_auc,
+// which scores the AUC from the same classifier fits as the F1.
 void BM_EvalSuite(benchmark::State& state) {
   const size_t rows = static_cast<size_t>(state.range(0));
   const size_t threads = static_cast<size_t>(state.range(1));
@@ -124,6 +126,7 @@ void BM_EvalSuite(benchmark::State& state) {
   opts.privacy_samples = 200;
   opts.aqp_workload.num_queries = 25;
   opts.aqp_diff.sample_repeats = 3;
+  opts.utility_auc = state.range(2) != 0;
   eval::EvaluationSuite suite(opts);
   par::SetNumThreads(threads);
   for (auto _ : state) {
@@ -134,8 +137,8 @@ void BM_EvalSuite(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * rows);
 }
 BENCHMARK(BM_EvalSuite)
-    ->ArgsProduct({{1000, 4000}, {1, 2, 4}})
-    ->ArgNames({"rows", "threads"})
+    ->ArgsProduct({{1000, 4000}, {1, 2, 4}, {0, 1}})
+    ->ArgNames({"rows", "threads", "auc"})
     ->Unit(benchmark::kMillisecond);
 
 // One utility classifier's Fit (paper §6.2) on an Adult-sim table at one

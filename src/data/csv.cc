@@ -145,6 +145,8 @@ Status WriteCsv(const Table& table, const std::string& path) {
     }
     out << '\n';
   }
+  // The last buffered rows reach the file only at close; check after it.
+  out.close();
   if (!out) return Status::IOError("write failed: " + path);
   return Status::OK();
 }

@@ -5,40 +5,11 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "core/parallel.h"
 #include "obs/timer.h"
 
 namespace daisy::eval {
 
 namespace {
-
-// suite.cc's MetricEmitter is file-local by design; this is the same
-// shape with the relational suite's seed-free records.
-class RelEmitter {
- public:
-  RelEmitter(SuiteReport* report, obs::MetricSink* sink)
-      : report_(report), sink_(sink) {}
-
-  void Add(std::string name, double value, double wall_ms) {
-    report_->metrics.push_back({name, value, wall_ms});
-    if (sink_ == nullptr) return;
-    obs::MetricRecord rec;
-    rec.run = "eval." + name;
-    rec.iter = report_->metrics.size();
-    rec.value = value;
-    rec.iter_ms = wall_ms;
-    rec.wall_ms = suite_timer_.ElapsedMs();
-    rec.threads = par::NumThreads();
-    sink_->Log(rec);
-  }
-
-  double ElapsedMs() const { return suite_timer_.ElapsedMs(); }
-
- private:
-  SuiteReport* report_;
-  obs::MetricSink* sink_;
-  obs::WallTimer suite_timer_;
-};
 
 /// Children-per-parent counts keyed by parent ROW (zero included).
 /// Child rows whose FK matches no parent are skipped here — dangling
@@ -227,7 +198,7 @@ Result<SuiteReport> RunRelationalSuite(
     return Status::InvalidArgument(
         "relational suite: table vectors must parallel the schema");
   SuiteReport report;
-  RelEmitter emit(&report, sink);
+  MetricEmitter emit(&report, sink, /*seed=*/0);
 
   for (size_t i = 0; i < schema.num_tables(); ++i) {
     const data::ForeignKey* edge = schema.ParentEdge(i);

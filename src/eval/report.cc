@@ -1,13 +1,9 @@
 #include "eval/report.h"
 
-#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 
 #include "data/profile.h"
-#include "eval/fidelity.h"
-#include "eval/privacy.h"
-#include "eval/utility.h"
 
 namespace daisy::eval {
 
@@ -22,84 +18,89 @@ void Append(std::string* out, const char* fmt, ...) {
   *out += buf;
 }
 
+struct Text {
+  const char* key;
+  const char* text;
+};
+
+// Section headings, keyed by the suite's metric-name prefix.
+constexpr Text kHeadings[] = {
+    {"clustering", "Clustering utility (lower is better)"},
+    {"fidelity", "Statistical fidelity (lower is better, except recall)"},
+    {"privacy", "Privacy risk (lower is better, except DCR)"},
+    {"aqp", "Approximate query answering (lower is better)"},
+};
+
+// What each suite metric measures, in plain words.
+constexpr Text kLabels[] = {
+    {"clustering.nmi_diff", "k-means NMI diff"},
+    {"fidelity.marginal_kl", "mean marginal KL"},
+    {"fidelity.numeric_corr_diff", "mean pairwise numeric-correlation diff"},
+    {"fidelity.cat_assoc_diff", "mean pairwise categorical-association diff"},
+    {"fidelity.rare_mode_recall", "recall of the real table's rare categories"},
+    {"fidelity.per_category_kl", "smoothed per-category KL"},
+    {"fidelity.fd_violation_rate",
+     "violation rate of the real table's functional dependencies"},
+    {"privacy.hitting_rate",
+     "hitting rate (share of sampled synthetic records that match a real "
+     "record attribute-for-attribute)"},
+    {"privacy.dcr",
+     "DCR (average normalized distance from a real record to its closest "
+     "synthetic record; 0 would mean a leaked record)"},
+    {"aqp.diff", "mean relative-error diff of aggregate queries"},
+};
+
+template <size_t N>
+std::string Lookup(const Text (&table)[N], const std::string& key) {
+  for (const Text& t : table)
+    if (key == t.key) return t.text;
+  return key;
+}
+
 }  // namespace
 
-std::string GenerateQualityReport(const data::Table& real,
-                                  const data::Table& synthetic,
-                                  const QualityReportOptions& options) {
-  DAISY_CHECK(real.num_attributes() == synthetic.num_attributes());
-  DAISY_CHECK(real.num_records() > 1 && synthetic.num_records() > 1);
-  std::string out;
-  out += "# Synthetic data quality report\n\n";
+std::string GenerateQualityReport(const SuiteReport& suite,
+                                  const data::Table& real,
+                                  const data::Table& synthetic) {
+  const std::string f1 = "utility.f1_diff.", auc = "utility.auc_diff.";
+  bool has_auc = false;
+  for (const auto& m : suite.metrics) has_auc |= m.name.starts_with(auc);
+
+  std::string out = "# Synthetic data quality report\n\n";
   Append(&out, "Real table: %zu records. Synthetic table: %zu records.\n\n",
          real.num_records(), synthetic.num_records());
 
-  // ---- Utility (Eq. 1) -------------------------------------------
-  if (options.include_utility && real.schema().has_label()) {
-    out += "## Classification utility (F1 Diff; lower is better)\n\n";
-    out += "| Classifier | F1 (real) | F1 (synthetic) | Diff |\n";
-    out += "|---|---|---|---|\n";
-    Rng split_rng(options.seed);
-    auto split = data::SplitTable(real, options.train_ratio, 0.0,
-                                  &split_rng);
-    for (auto kind : AllClassifierKinds()) {
-      Rng r1(options.seed + 1), r2(options.seed + 1);
-      const double f1_real =
-          TrainAndScoreF1(split.train, split.test, kind, &r1);
-      const double f1_synth =
-          TrainAndScoreF1(synthetic, split.test, kind, &r2);
-      Append(&out, "| %s | %.4f | %.4f | %.4f |\n",
-             ClassifierKindName(kind).c_str(), f1_real, f1_synth,
-             std::fabs(f1_real - f1_synth));
+  // The suite emits each section's metrics together, so a section
+  // starts where the name prefix changes.
+  std::string section;
+  for (const auto& m : suite.metrics) {
+    if (m.name.starts_with(auc)) continue;  // a column of its F1 row
+    if (m.name.starts_with(f1)) {
+      if (section.empty()) {
+        section = "utility";
+        out += "## Classification utility (Diff of Eq. 1: |score on real "
+               "- score on synthetic|; lower is better)\n\n";
+        out += has_auc ? "| Classifier | F1 Diff | AUC Diff |\n|---|---|---|\n"
+                       : "| Classifier | F1 Diff |\n|---|---|\n";
+      }
+      const std::string kind = m.name.substr(f1.size());
+      Append(&out, "| %s | %.4f |", kind.c_str(), m.value);
+      if (const SuiteMetric* a = suite.Find(auc + kind))
+        Append(&out, " %.4f |", a->value);
+      out += "\n";
+      continue;
     }
-    out += "\n";
-  }
-
-  // ---- Fidelity ---------------------------------------------------
-  {
-    const auto fid = EvaluateFidelity(real, synthetic);
-    out += "## Statistical fidelity (lower is better)\n\n";
-    Append(&out, "- mean marginal KL: **%.4f**\n", fid.marginal_kl);
-    Append(&out, "- mean pairwise numeric-correlation diff: **%.4f**\n",
-           fid.numeric_correlation_diff);
-    Append(&out, "- mean pairwise categorical-association diff: "
-                 "**%.4f**\n",
-           fid.categorical_association_diff);
-    const auto fds = DiscoverFds(real, 0.95);
-    if (!fds.empty()) {
-      Append(&out,
-             "- functional dependencies: %zu discovered in the real "
-             "table; violation rate in the synthetic table **%.4f**\n",
-             fds.size(), FdViolationRate(synthetic, fds));
+    const std::string prefix = m.name.substr(0, m.name.find('.'));
+    if (prefix != section) {
+      if (!section.empty()) out += "\n";
+      section = prefix;
+      out += "## " + Lookup(kHeadings, prefix) + "\n\n";
     }
-    out += "\n";
+    Append(&out, "- %s: **%.4f** (`%s`)\n", Lookup(kLabels, m.name).c_str(),
+           m.value, m.name.c_str());
   }
+  if (!section.empty()) out += "\n";
 
-  // ---- Privacy ----------------------------------------------------
-  {
-    out += "## Privacy risk\n\n";
-    HittingRateOptions hopts;
-    hopts.num_synthetic_samples = options.privacy_samples;
-    DcrOptions dopts;
-    dopts.num_original_samples = options.privacy_samples;
-    Rng r1(options.seed + 2), r2(options.seed + 3);
-    const auto hit = HittingRate(real, synthetic, hopts, &r1);
-    const auto dcr = DistanceToClosestRecord(real, synthetic, dopts, &r2);
-    // The report asserts table sanity up front, so a privacy error here
-    // can only be a degenerate options struct — a caller bug.
-    DAISY_CHECK(hit.ok() && dcr.ok());
-    Append(&out,
-           "- hitting rate: **%.2f%%** of sampled synthetic records "
-           "match a real record attribute-for-attribute\n",
-           100.0 * hit.value());
-    Append(&out,
-           "- DCR: average normalized distance from a real record to "
-           "its closest synthetic record is **%.4f** (0 would mean a "
-           "leaked record)\n\n",
-           dcr.value());
-  }
-
-  // ---- Profiles ---------------------------------------------------
   out += "## Attribute profiles\n\n### Real\n\n```\n";
   out += data::ProfileToString(data::ProfileTable(real));
   out += "```\n\n### Synthetic\n\n```\n";

@@ -1,34 +1,23 @@
-// One-call quality report for a synthetic table: the paper's utility
-// metric per classifier, statistical fidelity, privacy risk and a
-// side-by-side attribute profile, rendered as markdown (the CLI's
-// `eval --report` output).
+// Markdown rendering of an EvaluationSuite result for a synthetic
+// table: the paper's utility diff per classifier, clustering, fidelity,
+// privacy and AQP metrics, and a side-by-side attribute profile (the
+// CLI's `eval --report` output). It computes no metric itself.
 #ifndef DAISY_EVAL_REPORT_H_
 #define DAISY_EVAL_REPORT_H_
 
 #include <string>
 
-#include "core/rng.h"
 #include "data/table.h"
+#include "eval/suite.h"
 
 namespace daisy::eval {
 
-struct QualityReportOptions {
-  /// Fraction of the real table used to train the reference
-  /// classifier; the rest is the test split.
-  double train_ratio = 2.0 / 3.0;
-  /// Records sampled for the privacy metrics.
-  size_t privacy_samples = 500;
-  /// Skip the (slow) classifier utility section.
-  bool include_utility = true;
-  uint64_t seed = 61;
-};
-
-/// Runs every evaluation in the repository against the pair of tables
-/// and renders the result as a markdown document. Both tables must
-/// share the schema; the label (if any) drives the utility section.
-std::string GenerateQualityReport(const data::Table& real,
-                                  const data::Table& synthetic,
-                                  const QualityReportOptions& options = {});
+/// Renders `suite` — the result of EvaluationSuite::Run on (`real`,
+/// `synthetic`) — as a markdown document. The tables supply only the
+/// record counts and the attribute profiles.
+std::string GenerateQualityReport(const SuiteReport& suite,
+                                  const data::Table& real,
+                                  const data::Table& synthetic);
 
 }  // namespace daisy::eval
 

@@ -21,11 +21,13 @@
 #include "eval/aqp.h"
 #include "eval/fidelity.h"
 #include "obs/metrics.h"
+#include "obs/timer.h"
 
 namespace daisy::eval {
 
 /// One evaluated metric: a dotted name ("privacy.hitting_rate",
-/// "utility.f1_diff.RF10", ...), its value, and the wall-clock it cost.
+/// "utility.f1_diff.RF10", ...), its value, and the wall-clock it cost
+/// (0 for "utility.auc_diff.*", scored from the F1 metric's fits).
 struct SuiteMetric {
   std::string name;
   double value = 0.0;
@@ -47,8 +49,8 @@ struct SuiteOptions {
   bool privacy = true;
   bool aqp = true;
 
-  /// Also report AUC diffs (binary label problems only; doubles the
-  /// classifier training cost of the utility section).
+  /// Also report AUC diffs (binary label problems only). The AUC is
+  /// scored from the same fits as the F1, so it adds only prediction.
   bool utility_auc = false;
 
   /// Records sampled by the privacy metrics.
@@ -71,6 +73,27 @@ struct SuiteReport {
 
   /// First metric with the given name, or nullptr.
   const SuiteMetric* Find(const std::string& name) const;
+};
+
+/// Appends metrics to a report and mirrors each one into `sink` (may be
+/// null) as one MetricRecord: run = "eval.<name>", value, iter_ms = the
+/// metric's wall ms, wall_ms = elapsed since the emitter was made, iter
+/// = 1-based metric index, threads, and `seed`. Shared by every
+/// evaluation suite, so their JSONL records have one shape.
+class MetricEmitter {
+ public:
+  MetricEmitter(SuiteReport* report, obs::MetricSink* sink, uint64_t seed)
+      : report_(report), sink_(sink), seed_(seed) {}
+
+  void Add(std::string name, double value, double wall_ms);
+
+  double ElapsedMs() const { return timer_.ElapsedMs(); }
+
+ private:
+  SuiteReport* report_;
+  obs::MetricSink* sink_;
+  uint64_t seed_;
+  obs::WallTimer timer_;
 };
 
 class EvaluationSuite {

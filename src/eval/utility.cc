@@ -6,48 +6,31 @@
 
 namespace daisy::eval {
 
-namespace {
+LabeledMatrix::LabeledMatrix(const data::Table& table)
+    : x(table.FeatureMatrix()),
+      y(table.Labels()),
+      num_classes(table.schema().num_labels()) {}
 
-/// Trains `kind` on `train` and returns predictions on `test`.
-std::vector<size_t> TrainAndPredict(const data::Table& train,
-                                    const data::Table& test,
-                                    ClassifierKind kind, Rng* rng) {
-  DAISY_CHECK(train.schema().has_label() && test.schema().has_label());
-  DAISY_CHECK(train.num_records() > 0 && test.num_records() > 0);
+double TrainAndScoreF1(const LabeledMatrix& train, const LabeledMatrix& test,
+                       ClassifierKind kind, Rng* rng, double* auc) {
+  DAISY_CHECK(train.x.rows() > 0 && test.x.rows() > 0);
   auto clf = MakeClassifier(kind);
-  clf->Fit(train.FeatureMatrix(), train.Labels(),
-           train.schema().num_labels(), rng);
-  return clf->PredictAll(test.FeatureMatrix());
-}
-
-}  // namespace
-
-double TrainAndScoreF1(const data::Table& train, const data::Table& test,
-                       ClassifierKind kind, Rng* rng) {
-  const auto preds = TrainAndPredict(train, test, kind, rng);
-  return PaperF1(preds, test.Labels(), test.schema().num_labels());
-}
-
-double TrainAndScoreAuc(const data::Table& train, const data::Table& test,
-                        ClassifierKind kind, Rng* rng) {
-  DAISY_CHECK(train.schema().has_label() && test.schema().has_label());
-  auto clf = MakeClassifier(kind);
-  clf->Fit(train.FeatureMatrix(), train.Labels(),
-           train.schema().num_labels(), rng);
-  const auto truth = test.Labels();
-  const size_t positive =
-      EvaluationLabel(truth, test.schema().num_labels());
-  Matrix x = test.FeatureMatrix();
-  std::vector<double> scores(x.rows());
-  for (size_t i = 0; i < x.rows(); ++i)
-    scores[i] = clf->PredictProba(x.row(i))[positive];
-  return AucBinary(scores, truth, positive);
+  clf->Fit(train.x, train.y, train.num_classes, rng);
+  if (auc != nullptr) {
+    const size_t positive = EvaluationLabel(test.y, test.num_classes);
+    std::vector<double> scores(test.x.rows());
+    for (size_t i = 0; i < test.x.rows(); ++i)
+      scores[i] = clf->PredictProba(test.x.row(i))[positive];
+    *auc = AucBinary(scores, test.y, positive);
+  }
+  return PaperF1(clf->PredictAll(test.x), test.y, test.num_classes);
 }
 
 double F1Diff(const data::Table& real_train, const data::Table& synthetic,
               const data::Table& test, ClassifierKind kind, Rng* rng) {
-  const double f1_real = TrainAndScoreF1(real_train, test, kind, rng);
-  const double f1_synth = TrainAndScoreF1(synthetic, test, kind, rng);
+  const LabeledMatrix scored(test);
+  const double f1_real = TrainAndScoreF1(real_train, scored, kind, rng);
+  const double f1_synth = TrainAndScoreF1(synthetic, scored, kind, rng);
   return std::fabs(f1_real - f1_synth);
 }
 

@@ -6,23 +6,35 @@
 #ifndef DAISY_EVAL_UTILITY_H_
 #define DAISY_EVAL_UTILITY_H_
 
+#include <vector>
+
+#include "core/matrix.h"
 #include "data/table.h"
 #include "eval/classifier.h"
 #include "synth/synthesizer.h"
 
 namespace daisy::eval {
 
-/// Paper-style F1 of a classifier trained on `train` and evaluated on
-/// `test` (positive label for binary, rarest label for multi-class —
-/// the evaluation label is always chosen from the *test* labels so
-/// real and synthetic classifiers are scored identically).
-double TrainAndScoreF1(const data::Table& train, const data::Table& test,
-                       ClassifierKind kind, Rng* rng);
+/// A labeled table as the classifiers read it: the feature matrix, the
+/// labels and the size of the label domain. Converts implicitly from a
+/// Table, so a one-off fit passes the table; a caller that fits several
+/// classifiers on one table builds this once and shares it.
+struct LabeledMatrix {
+  LabeledMatrix(const data::Table& table);  // NOLINT(runtime/explicit)
+  Matrix x;
+  std::vector<size_t> y;
+  size_t num_classes;
+};
 
-/// Same, but AUC (binary label problems; returns 0.5 on degenerate
-/// score distributions).
-double TrainAndScoreAuc(const data::Table& train, const data::Table& test,
-                        ClassifierKind kind, Rng* rng);
+/// Fits `kind` on `train` once and returns the paper-style F1 on `test`
+/// (positive label for binary, rarest label for multi-class — the
+/// evaluation label is always chosen from the *test* labels so real and
+/// synthetic classifiers are scored identically). When `auc` is
+/// non-null, the same fit's class probabilities for that label also
+/// give the AUC (binary label problems; 0.5 on degenerate score
+/// distributions).
+double TrainAndScoreF1(const LabeledMatrix& train, const LabeledMatrix& test,
+                       ClassifierKind kind, Rng* rng, double* auc = nullptr);
 
 /// Diff(T, T') of Eq. 1 for one classifier kind.
 double F1Diff(const data::Table& real_train, const data::Table& synthetic,

@@ -162,5 +162,16 @@ TEST_F(CsvTest, UnterminatedQuoteIsAnError) {
   EXPECT_EQ(result.status().code(), Status::Code::kInvalidArgument);
 }
 
+// A table small enough to sit in the stream's buffer until close must
+// still report the write that fails there.
+TEST_F(CsvTest, WriteToFullDeviceIsAnError) {
+  std::FILE* probe = std::fopen("/dev/full", "w");
+  if (probe == nullptr) GTEST_SKIP() << "/dev/full is not available";
+  std::fclose(probe);
+  const Status st = WriteCsv(SampleTable(), "/dev/full");
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), Status::Code::kIOError);
+}
+
 }  // namespace
 }  // namespace daisy::data

@@ -12,9 +12,10 @@ TEST(QualityReportTest, ContainsEverySection) {
   Rng rng(1);
   data::Table real = data::MakeAdultSim(400, &rng);
   data::Table fake = data::MakeAdultSim(400, &rng);  // same distribution
-  QualityReportOptions opts;
+  SuiteOptions opts;
   opts.privacy_samples = 50;
-  const std::string report = GenerateQualityReport(real, fake, opts);
+  const std::string report = GenerateQualityReport(
+      EvaluationSuite(opts).Run(real, fake).value(), real, fake);
 
   EXPECT_NE(report.find("# Synthetic data quality report"),
             std::string::npos);
@@ -32,9 +33,10 @@ TEST(QualityReportTest, UtilitySectionSkippableAndLabelAware) {
   Rng rng(2);
   data::Table real = data::MakeBingSim(200, &rng);  // unlabeled
   data::Table fake = data::MakeBingSim(200, &rng);
-  QualityReportOptions opts;
+  SuiteOptions opts;
   opts.privacy_samples = 30;
-  const std::string report = GenerateQualityReport(real, fake, opts);
+  const std::string report = GenerateQualityReport(
+      EvaluationSuite(opts).Run(real, fake).value(), real, fake);
   EXPECT_EQ(report.find("## Classification utility"), std::string::npos);
   EXPECT_NE(report.find("## Statistical fidelity"), std::string::npos);
 }
@@ -49,12 +51,13 @@ TEST(QualityReportTest, SameDistributionScoresBetterThanNoise) {
     for (size_t j = 0; j + 1 < noise.num_attributes(); ++j)
       noise.set_value(i, j, nrng.Gaussian(0.0, 100.0));
 
-  QualityReportOptions opts;
-  opts.include_utility = false;
+  SuiteOptions opts;
+  opts.utility = false;
   opts.privacy_samples = 30;
   // Extract the marginal KL lines and compare.
   auto kl_of = [&](const data::Table& synth) {
-    const std::string report = GenerateQualityReport(real, synth, opts);
+    const std::string report = GenerateQualityReport(
+        EvaluationSuite(opts).Run(real, synth).value(), real, synth);
     const auto pos = report.find("mean marginal KL: **");
     EXPECT_NE(pos, std::string::npos);
     return std::atof(report.c_str() + pos + 20);

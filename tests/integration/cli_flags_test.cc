@@ -31,13 +31,23 @@ namespace {
 
 struct RunResult {
   int exit_code = -1;
+  std::string stdout_text;
   std::string stderr_text;
 };
 
-// Fork/exec a binary, capture its exit code and stderr.
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+// Fork/exec a binary, capture its exit code, stdout and stderr.
 RunResult RunBinary(const char* bin, const std::vector<std::string>& args) {
   RunResult result;
   // Unique per process: parallel ctest runs sibling tests concurrently.
+  const std::string out_path = ::testing::TempDir() + "cli_flags_stdout_" +
+                               std::to_string(getpid()) + ".txt";
   const std::string err_path = ::testing::TempDir() + "cli_flags_stderr_" +
                                std::to_string(getpid()) + ".txt";
   std::vector<std::string> full = {bin};
@@ -48,7 +58,7 @@ RunResult RunBinary(const char* bin, const std::vector<std::string>& args) {
     argv.reserve(full.size() + 1);
     for (std::string& s : full) argv.push_back(s.data());
     argv.push_back(nullptr);
-    if (std::freopen("/dev/null", "w", stdout) == nullptr) _exit(126);
+    if (std::freopen(out_path.c_str(), "w", stdout) == nullptr) _exit(126);
     if (std::freopen(err_path.c_str(), "w", stderr) == nullptr) _exit(126);
     execv(argv[0], argv.data());
     _exit(127);
@@ -56,10 +66,9 @@ RunResult RunBinary(const char* bin, const std::vector<std::string>& args) {
   int status = 0;
   waitpid(pid, &status, 0);
   result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  std::ifstream in(err_path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  result.stderr_text = os.str();
+  result.stdout_text = ReadFile(out_path);
+  result.stderr_text = ReadFile(err_path);
+  std::remove(out_path.c_str());
   std::remove(err_path.c_str());
   return result;
 }
@@ -222,6 +231,72 @@ TEST(CliFlagsTest, LostTelemetryExitsOne) {
       << "stderr was: " << r.stderr_text;
   std::remove(csv.c_str());
   std::remove((csv + ".out").c_str());
+}
+
+// `eval --report` renders the suite run it printed: every metric line
+// on stdout appears in the markdown with the same 4-decimal value.
+TEST(CliFlagsTest, EvalReportRendersEveryPrintedMetric) {
+  Rng rng(7);
+  const std::string base = ::testing::TempDir() + "cli_report_" +
+                           std::to_string(getpid());
+  ASSERT_TRUE(data::WriteCsv(data::MakeAdultSim(300, &rng), base + ".real.csv")
+                  .ok());
+  ASSERT_TRUE(data::WriteCsv(data::MakeAdultSim(300, &rng), base + ".syn.csv")
+                  .ok());
+  const RunResult r = RunBinary(
+      DAISY_CLI_BIN, {"eval", "--real", base + ".real.csv", "--synthetic",
+                      base + ".syn.csv", "--label", "label", "--report",
+                      base + ".md"});
+  ASSERT_EQ(r.exit_code, 0) << "stderr was: " << r.stderr_text;
+  const std::string report = ReadFile(base + ".md");
+  ASSERT_NE(report.find("# Synthetic data quality report"), std::string::npos);
+
+  std::istringstream lines(r.stdout_text);
+  std::string line;
+  size_t checked = 0;
+  while (std::getline(lines, line)) {
+    char name[128];
+    double value = 0.0;
+    if (line.find(" ms)") == std::string::npos ||
+        std::sscanf(line.c_str(), " %127s %lf", name, &value) != 2)
+      continue;
+    char printed[32];
+    std::snprintf(printed, sizeof(printed), "%.4f", value);
+    // A utility metric is a cell of its classifier's row; every other
+    // metric is a line that names it.
+    const std::string metric = name;
+    const std::string key =
+        metric.starts_with("utility.")
+            ? "| " + metric.substr(metric.rfind('.') + 1) + " |"
+            : "(`" + metric + "`)";
+    const size_t at = report.find(key);
+    ASSERT_NE(at, std::string::npos) << metric << " missing from the report";
+    const size_t begin = report.rfind('\n', at) + 1;  // npos + 1 == 0
+    const std::string row =
+        report.substr(begin, report.find('\n', at) - begin);
+    EXPECT_NE(row.find(printed), std::string::npos)
+        << metric << " = " << printed << " not in: " << row;
+    ++checked;
+  }
+  EXPECT_GE(checked, 10u) << "stdout was: " << r.stdout_text;
+  for (const std::string ext : {".real.csv", ".syn.csv", ".md"})
+    std::remove((base + ext).c_str());
+}
+
+// A report that cannot be written fails the run with the reason.
+TEST(CliFlagsTest, EvalReportInMissingDirectoryExitsOne) {
+  Rng rng(8);
+  const std::string base = ::testing::TempDir() + "cli_report_missing_" +
+                           std::to_string(getpid());
+  ASSERT_TRUE(data::WriteCsv(data::MakeAdultSim(120, &rng), base + ".csv")
+                  .ok());
+  const RunResult r = RunBinary(
+      DAISY_CLI_BIN, {"eval", "--real", base + ".csv", "--synthetic",
+                      base + ".csv", "--report", base + ".no_dir/report.md"});
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.stderr_text.find("cannot write report"), std::string::npos)
+      << "stderr was: " << r.stderr_text;
+  std::remove((base + ".csv").c_str());
 }
 
 TEST(ServeFlagsTest, UnknownFlagIsRejected) {

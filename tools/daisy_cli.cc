@@ -71,6 +71,7 @@
 #include "baselines/medgan.h"
 #include "baselines/vae.h"
 #include "cli_flags.h"
+#include "core/durable.h"
 #include "core/parallel.h"
 #include "data/columnar.h"
 #include "data/csv.h"
@@ -527,16 +528,14 @@ int RunEval(const Args& args) {
 
   const std::string report_path = args.Get("report");
   if (!report_path.empty()) {
-    const std::string report = daisy::eval::GenerateQualityReport(
-        real.value(), synthetic.value());
-    std::FILE* f = std::fopen(report_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write report to %s\n",
-                   report_path.c_str());
+    const Status st = daisy::WriteFileAtomic(
+        report_path, daisy::eval::GenerateQualityReport(
+                         result.value(), real.value(), synthetic.value()));
+    if (!st.ok()) {
+      std::fprintf(stderr, "cannot write report to %s: %s\n",
+                   report_path.c_str(), st.ToString().c_str());
       return 1;
     }
-    std::fputs(report.c_str(), f);
-    std::fclose(f);
     std::printf("wrote quality report to %s\n", report_path.c_str());
   }
   return 0;
