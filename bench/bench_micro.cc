@@ -1,8 +1,8 @@
 // Substrate micro-benchmarks (google-benchmark): the building blocks
 // whose cost dominates the experiment harness — matrix multiplication,
-// GMM fitting (in memory and over a paged table), page checksums,
-// record transformation, LSTM stepping, decision-tree fitting, and AQP
-// query execution.
+// one Linear layer's forward/backward, GMM fitting (in memory and over
+// a paged table), page checksums, record transformation, LSTM stepping,
+// decision-tree fitting, and AQP query execution.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -14,6 +14,7 @@
 #include "core/parallel.h"
 #include "data/columnar.h"
 #include "nn/activations.h"
+#include "nn/linear.h"
 #include "data/generators/realistic.h"
 #include "eval/aqp.h"
 #include "eval/decision_tree.h"
@@ -93,6 +94,33 @@ void BM_GemmTransposeBThreads(benchmark::State& state) {
 BENCHMARK(BM_GemmTransposeBThreads)
     ->ArgsProduct({{256, 512}, {1, 2, 4}})
     ->Unit(benchmark::kMillisecond);
+
+// One Linear forward + backward (weight/bias gradients and the input
+// gradient) at the generator's shapes: 96 -> 1/5/16 are attribute
+// output heads, 96 -> 96 and 128 -> 256 hidden layers. Args: {batch,
+// in, out}; one thread.
+void BM_LinearFwdBwd(benchmark::State& state) {
+  const size_t batch = state.range(0), in = state.range(1),
+               out = state.range(2);
+  Rng rng(3);
+  nn::Linear layer(in, out, &rng);
+  const Matrix x = Matrix::Randn(batch, in, &rng);
+  const Matrix g = Matrix::Randn(batch, out, &rng);
+  par::SetNumThreads(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(layer.Forward(x, true));
+    benchmark::DoNotOptimize(layer.Backward(g));
+  }
+  par::SetNumThreads(0);
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_LinearFwdBwd)
+    ->Args({64, 96, 1})
+    ->Args({64, 96, 5})
+    ->Args({64, 96, 16})
+    ->Args({64, 96, 96})
+    ->Args({64, 128, 256})
+    ->ArgNames({"batch", "in", "out"});
 
 // Kernel x ISA sweeps: args are {n, isa} with isa 0 = scalar, 1 =
 // avx2. The ISA is forced through kern::SetIsaForTesting (the same

@@ -1,5 +1,5 @@
 // SIMD kernel layer under core::Matrix: per-ISA specializations of the
-// numeric hot loops (GEMM microkernel, elementwise activations,
+// numeric hot loops (register-tiled GEMM, elementwise activations,
 // row-scale/row-norm, softmax and one-hot argmax decode) behind a
 // runtime CPU-feature dispatcher.
 //
@@ -34,16 +34,33 @@ namespace daisy::kern {
 
 enum class Isa { kScalar, kAvx2 };
 
+/// Output rows of one register tile. Row-parallel callers keep their
+/// chunk grains a multiple of it, so chunks hold whole tiles.
+inline constexpr size_t kTileRows = 4;
+
 /// One ISA's implementations of the hot kernels. All pointers are
 /// non-null in every installed table.
 struct KernelTable {
-  /// GEMM panel microkernel: o[j] += a[p] * b[p*b_stride + j] for
-  /// p in [0, pn), j in [0, jn); the p-accumulation into each o[j]
-  /// runs ascending regardless of vector width.
-  void (*gemm_panel)(const double* a, const double* b, size_t b_stride,
-                     size_t pn, double* o, size_t jn);
-  /// y[i] += a * x[i].
-  void (*axpy)(double a, const double* x, double* y, size_t n);
+  /// NN/TN GEMM tile: for r < rows, j < jn,
+  ///   o[r*o_stride + j] += a[r*a_rs + p*a_ps] * b[p*b_stride + j]
+  /// accumulated over p = 0, 1, ..., pn-1 in ascending order onto the
+  /// value already in o, one mul then one add per step (no FMA). A is
+  /// addressed by a row stride and a p stride, so a_rs = k, a_ps = 1
+  /// reads the rows of A (MatMul) and a_rs = 1, a_ps = k reads Aᵀ
+  /// (TransposeMatMul). Any row count; rows run in kTileRows groups.
+  void (*gemm_nn)(const double* a, size_t a_rs, size_t a_ps, const double* b,
+                  size_t b_stride, size_t pn, double* o, size_t o_stride,
+                  size_t rows, size_t jn);
+  /// NT GEMM tile: o = a · bᵀ for a B given as 4-column panels of bᵀ.
+  /// Panel c (output columns 4c..4c+3) starts at bp + 4*kn*c and holds
+  /// B(4c + l, p) at [4*p + l]; lanes past jn in the last panel are
+  /// read but never stored. For r < rows, j < jn, o[r*o_stride + j] is
+  /// the dot of a[r*a_stride + p] and B(j, p) over p in [0, kn),
+  /// reduced exactly like `dot`: stripe p mod 4 sums ascending p from
+  /// 0.0, then (s0+s2)+(s1+s3).
+  void (*gemm_nt)(const double* a, size_t a_stride, const double* bp,
+                  size_t kn, double* o, size_t o_stride, size_t rows,
+                  size_t jn);
   /// Striped dot product (stripe i mod 4, combine (s0+s2)+(s1+s3)).
   double (*dot)(const double* a, const double* b, size_t n);
   /// d[i] *= s.

@@ -134,54 +134,163 @@ inline double CombineV(__m256d acc) {
 
 // --- kernels ----------------------------------------------------------
 
-void GemmPanelAvx2(const double* a, const double* b, size_t b_stride,
-                   size_t pn, double* o, size_t jn) {
-  size_t j = 0;
-  // 16-wide j blocks: four accumulators stay in registers across the
-  // whole p panel. Ascending-p accumulation per element, same as the
-  // scalar kernel.
-  for (; j + 16 <= jn; j += 16) {
-    __m256d o0 = _mm256_loadu_pd(o + j);
-    __m256d o1 = _mm256_loadu_pd(o + j + 4);
-    __m256d o2 = _mm256_loadu_pd(o + j + 8);
-    __m256d o3 = _mm256_loadu_pd(o + j + 12);
-    for (size_t p = 0; p < pn; ++p) {
-      const __m256d ap = _mm256_set1_pd(a[p]);
-      const double* br = b + p * b_stride + j;
-      o0 = _mm256_add_pd(o0, _mm256_mul_pd(ap, _mm256_loadu_pd(br)));
-      o1 = _mm256_add_pd(o1, _mm256_mul_pd(ap, _mm256_loadu_pd(br + 4)));
-      o2 = _mm256_add_pd(o2, _mm256_mul_pd(ap, _mm256_loadu_pd(br + 8)));
-      o3 = _mm256_add_pd(o3, _mm256_mul_pd(ap, _mm256_loadu_pd(br + 12)));
-    }
-    _mm256_storeu_pd(o + j, o0);
-    _mm256_storeu_pd(o + j + 4, o1);
-    _mm256_storeu_pd(o + j + 8, o2);
-    _mm256_storeu_pd(o + j + 12, o3);
-  }
-  for (; j + 4 <= jn; j += 4) {
-    __m256d oj = _mm256_loadu_pd(o + j);
-    for (size_t p = 0; p < pn; ++p) {
-      const __m256d ap = _mm256_set1_pd(a[p]);
-      oj = _mm256_add_pd(
-          oj, _mm256_mul_pd(ap, _mm256_loadu_pd(b + p * b_stride + j)));
-    }
-    _mm256_storeu_pd(o + j, oj);
-  }
-  for (; j < jn; ++j) {
-    double acc = o[j];
-    for (size_t p = 0; p < pn; ++p) acc += a[p] * b[p * b_stride + j];
-    o[j] = acc;
+// Lanes [0, w) of a column block (w in 1..4). Masked loads read zeros
+// and masked stores write nothing outside it, so a ragged block runs
+// the same per-lane sequence as a full one.
+inline __m256i LaneMask(size_t w) {
+  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(w)),
+                            _mm256_set_epi64x(3, 2, 1, 0));
+}
+
+template <bool kMasked>
+inline __m256d Load4(const double* p, __m256i mask) {
+  if constexpr (kMasked) return _mm256_maskload_pd(p, mask);
+  return _mm256_loadu_pd(p);
+}
+
+template <bool kMasked>
+inline void Store4(double* p, __m256d v, __m256i mask) {
+  if constexpr (kMasked) {
+    _mm256_maskstore_pd(p, mask, v);
+  } else {
+    _mm256_storeu_pd(p, v);
   }
 }
 
-void AxpyAvx2(double a, const double* x, double* y, size_t n) {
-  const __m256d av = _mm256_set1_pd(a);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_pd(
-        y + i, _mm256_add_pd(_mm256_loadu_pd(y + i),
-                             _mm256_mul_pd(av, _mm256_loadu_pd(x + i))));
-  for (; i < n; ++i) y[i] += a * x[i];
+// NN/TN tile, one row group of R (1..4) rows x W (4 or 8) columns:
+// R*W/4 accumulators stay in registers over the whole p panel. Each
+// lane starts from its o value and adds a*b for ascending p, exactly
+// the scalar kernel's sequence.
+template <int R, int W, bool kMasked>
+inline void GemmNnBlock(const double* a, size_t a_rs, size_t a_ps,
+                        const double* b, size_t b_stride, size_t pn,
+                        double* o, size_t o_stride, __m256i mask) {
+  constexpr int V = W / 4;
+  __m256d c[R][V];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r)
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v)
+      c[r][v] = Load4<kMasked>(o + r * o_stride + 4 * v, mask);
+  for (size_t p = 0; p < pn; ++p, a += a_ps, b += b_stride) {
+    __m256d bv[V];
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) bv[v] = Load4<kMasked>(b + 4 * v, mask);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const __m256d av = _mm256_broadcast_sd(a + r * a_rs);
+#pragma GCC unroll 2
+      for (int v = 0; v < V; ++v)
+        c[r][v] = _mm256_add_pd(c[r][v], _mm256_mul_pd(av, bv[v]));
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r)
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v)
+      Store4<kMasked>(o + r * o_stride + 4 * v, c[r][v], mask);
+}
+
+template <int R>
+void GemmNnRows(const double* a, size_t a_rs, size_t a_ps, const double* b,
+                size_t b_stride, size_t pn, double* o, size_t o_stride,
+                size_t jn) {
+  const __m256i all = _mm256_set1_epi64x(-1);
+  size_t j = 0;
+  for (; j + 8 <= jn; j += 8)
+    GemmNnBlock<R, 8, false>(a, a_rs, a_ps, b + j, b_stride, pn, o + j,
+                             o_stride, all);
+  for (; j + 4 <= jn; j += 4)
+    GemmNnBlock<R, 4, false>(a, a_rs, a_ps, b + j, b_stride, pn, o + j,
+                             o_stride, all);
+  if (j < jn)
+    GemmNnBlock<R, 4, true>(a, a_rs, a_ps, b + j, b_stride, pn, o + j,
+                            o_stride, LaneMask(jn - j));
+}
+
+void GemmNnAvx2(const double* a, size_t a_rs, size_t a_ps, const double* b,
+                size_t b_stride, size_t pn, double* o, size_t o_stride,
+                size_t rows, size_t jn) {
+  size_t r = 0;
+  for (; r + 4 <= rows; r += 4)
+    GemmNnRows<4>(a + r * a_rs, a_rs, a_ps, b, b_stride, pn,
+                  o + r * o_stride, o_stride, jn);
+  // The last 1-3 rows are one short tile, not a second path.
+  const double* ar = a + r * a_rs;
+  double* orow = o + r * o_stride;
+  if (rows - r == 3)
+    GemmNnRows<3>(ar, a_rs, a_ps, b, b_stride, pn, orow, o_stride, jn);
+  else if (rows - r == 2)
+    GemmNnRows<2>(ar, a_rs, a_ps, b, b_stride, pn, orow, o_stride, jn);
+  else if (rows - r == 1)
+    GemmNnRows<1>(ar, a_rs, a_ps, b, b_stride, pn, orow, o_stride, jn);
+}
+
+// NT tile, R (1..2) rows x one 4-column panel: each row keeps one
+// accumulator per stripe, lane l of stripe q summing a*b over p = q,
+// q+4, ... ascending from 0.0 — lane::DotStriped's order, main loop and
+// tail alike — then (s0+s2)+(s1+s3).
+template <int R>
+inline void GemmNtPanel(const double* a, size_t a_stride, const double* panel,
+                        size_t kn, __m256d (&out)[R]) {
+  __m256d s[R][4];
+#pragma GCC unroll 2
+  for (int r = 0; r < R; ++r)
+#pragma GCC unroll 4
+    for (int q = 0; q < 4; ++q) s[r][q] = _mm256_setzero_pd();
+  // Adds the products of inner index p into stripe q.
+  const auto step = [&](int q, size_t p) {
+    const __m256d bv = _mm256_loadu_pd(panel + 4 * p);
+#pragma GCC unroll 2
+    for (int r = 0; r < R; ++r)
+      s[r][q] = _mm256_add_pd(
+          s[r][q],
+          _mm256_mul_pd(_mm256_broadcast_sd(a + r * a_stride + p), bv));
+  };
+  size_t p = 0;
+  for (; p + 4 <= kn; p += 4) {
+    step(0, p);
+    step(1, p + 1);
+    step(2, p + 2);
+    step(3, p + 3);
+  }
+  if (p < kn) step(0, p);
+  if (p + 1 < kn) step(1, p + 1);
+  if (p + 2 < kn) step(2, p + 2);
+#pragma GCC unroll 2
+  for (int r = 0; r < R; ++r)
+    out[r] = _mm256_add_pd(_mm256_add_pd(s[r][0], s[r][2]),
+                           _mm256_add_pd(s[r][1], s[r][3]));
+}
+
+void GemmNtAvx2(const double* a, size_t a_stride, const double* bp,
+                size_t kn, double* o, size_t o_stride, size_t rows,
+                size_t jn) {
+  // Panel-outer: one panel (4*kn doubles) stays in L1 while the rows
+  // stream past it.
+  for (size_t j = 0; j < jn; j += 4, bp += 4 * kn) {
+    const size_t w = jn - j < 4 ? jn - j : 4;
+    const __m256i mask = LaneMask(w);
+    const auto put = [&](size_t r, __m256d v) {
+      if (w == 4) {
+        _mm256_storeu_pd(o + r * o_stride + j, v);
+      } else {
+        _mm256_maskstore_pd(o + r * o_stride + j, mask, v);
+      }
+    };
+    size_t r = 0;
+    for (; r + 2 <= rows; r += 2) {
+      __m256d v[2];
+      GemmNtPanel<2>(a + r * a_stride, a_stride, bp, kn, v);
+      put(r, v[0]);
+      put(r + 1, v[1]);
+    }
+    if (r < rows) {
+      __m256d v[1];
+      GemmNtPanel<1>(a + r * a_stride, a_stride, bp, kn, v);
+      put(r, v[0]);
+    }
+  }
 }
 
 double DotAvx2(const double* a, const double* b, size_t n) {
@@ -425,8 +534,8 @@ size_t ArgMaxAvx2(const double* x, size_t n) {
 }  // namespace
 
 const KernelTable kAvx2Table = {
-    .gemm_panel = GemmPanelAvx2,
-    .axpy = AxpyAvx2,
+    .gemm_nn = GemmNnAvx2,
+    .gemm_nt = GemmNtAvx2,
     .dot = DotAvx2,
     .scale = ScaleAvx2,
     .add = AddAvx2,

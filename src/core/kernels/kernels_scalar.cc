@@ -10,17 +10,31 @@
 namespace daisy::kern {
 namespace {
 
-void GemmPanelScalar(const double* a, const double* b, size_t b_stride,
-                     size_t pn, double* o, size_t jn) {
-  for (size_t p = 0; p < pn; ++p) {
-    const double ap = a[p];
-    const double* br = b + p * b_stride;
-    for (size_t j = 0; j < jn; ++j) o[j] += ap * br[j];
+void GemmNnScalar(const double* a, size_t a_rs, size_t a_ps, const double* b,
+                  size_t b_stride, size_t pn, double* o, size_t o_stride,
+                  size_t rows, size_t jn) {
+  for (size_t r = 0; r < rows; ++r) {
+    double* orow = o + r * o_stride;
+    for (size_t p = 0; p < pn; ++p) {
+      const double ap = a[r * a_rs + p * a_ps];
+      const double* br = b + p * b_stride;
+      for (size_t j = 0; j < jn; ++j) orow[j] += ap * br[j];
+    }
   }
 }
 
-void AxpyScalar(double a, const double* x, double* y, size_t n) {
-  for (size_t i = 0; i < n; ++i) y[i] += a * x[i];
+void GemmNtScalar(const double* a, size_t a_stride, const double* bp,
+                  size_t kn, double* o, size_t o_stride, size_t rows,
+                  size_t jn) {
+  for (size_t r = 0; r < rows; ++r) {
+    const double* arow = a + r * a_stride;
+    for (size_t j = 0; j < jn; ++j) {
+      const double* bcol = bp + (j / 4) * 4 * kn + j % 4;
+      double s[4] = {0.0, 0.0, 0.0, 0.0};
+      for (size_t p = 0; p < kn; ++p) s[p & 3] += arow[p] * bcol[4 * p];
+      o[r * o_stride + j] = lane::CombineStripes(s);
+    }
+  }
 }
 
 double DotScalar(const double* a, const double* b, size_t n) {
@@ -103,8 +117,8 @@ size_t ArgMaxScalar(const double* x, size_t n) {
 }  // namespace
 
 const KernelTable kScalarTable = {
-    .gemm_panel = GemmPanelScalar,
-    .axpy = AxpyScalar,
+    .gemm_nn = GemmNnScalar,
+    .gemm_nt = GemmNtScalar,
     .dot = DotScalar,
     .scale = ScaleScalar,
     .add = AddScalar,

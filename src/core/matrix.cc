@@ -17,7 +17,8 @@ namespace {
 // bounds the working set of A-panel x B-panel per pass. Accumulation
 // order over p for any fixed output element is ascending regardless of
 // tiling or threading, so results are bit-identical to the naive loop.
-constexpr size_t kTileJ = 256;
+constexpr size_t kTileJ = 256;  // whole 4-column NT panels
+static_assert(kTileJ % 4 == 0);
 constexpr size_t kTileP = 64;
 
 using par::RowGrain;
@@ -62,20 +63,19 @@ Matrix Matrix::MatMul(const Matrix& other) const {
   Matrix out(rows_, other.cols_);
   const size_t k = cols_, m = other.cols_;
   // Row blocks own disjoint output rows; within a block the j/p tiles
-  // keep the active B panel hot while the dispatched microkernel
-  // streams A and B forward. Per output element the p-sum runs 0..k
-  // ascending for every ISA, so results are bit-identical for any
-  // thread count and for scalar vs AVX2.
+  // keep the active B panel hot while the register tile streams A and
+  // B forward. Per output element the p-sum runs 0..k ascending for
+  // every ISA, so results are bit-identical for any thread count and
+  // for scalar vs AVX2.
   const kern::KernelTable& kt = kern::Active();
-  par::ParallelFor(0, rows_, RowGrain(2 * k * m), [&](size_t r0, size_t r1) {
+  par::ParallelFor(0, rows_, RowGrain(2 * k * m, kern::kTileRows),
+                   [&](size_t r0, size_t r1) {
     for (size_t j0 = 0; j0 < m; j0 += kTileJ) {
       const size_t j1 = std::min(m, j0 + kTileJ);
       for (size_t p0 = 0; p0 < k; p0 += kTileP) {
         const size_t p1 = std::min(k, p0 + kTileP);
-        for (size_t i = r0; i < r1; ++i) {
-          kt.gemm_panel(row(i) + p0, other.row(p0) + j0, other.cols_,
-                        p1 - p0, out.row(i) + j0, j1 - j0);
-        }
+        kt.gemm_nn(row(r0) + p0, k, 1, other.row(p0) + j0, m, p1 - p0,
+                   out.row(r0) + j0, m, r1 - r0, j1 - j0);
       }
     }
   });
@@ -87,18 +87,18 @@ Matrix Matrix::TransposeMatMul(const Matrix& other) const {
   DAISY_CHECK(rows_ == other.rows_);
   Matrix out(cols_, other.cols_);
   const size_t n = rows_, k = cols_, m = other.cols_;
-  // Parallelize over output rows (the p axis): each chunk scans every
-  // input row but writes only its own out rows, so there is no sharing
-  // and the i-accumulation order per element is always 0..n ascending.
+  // The NN tile reading this^T (row stride 1, p stride k): chunks own
+  // output rows (the p axis), and every element sums over the input
+  // rows 0..n ascending from 0.0, whatever the partition.
   const kern::KernelTable& kt = kern::Active();
-  par::ParallelFor(0, k, RowGrain(2 * n * m), [&](size_t p0, size_t p1) {
+  par::ParallelFor(0, k, RowGrain(2 * n * m, kern::kTileRows),
+                   [&](size_t p0, size_t p1) {
     for (size_t j0 = 0; j0 < m; j0 += kTileJ) {
       const size_t j1 = std::min(m, j0 + kTileJ);
-      for (size_t i = 0; i < n; ++i) {
-        const double* a = row(i);
-        const double* b = other.row(i);
-        for (size_t p = p0; p < p1; ++p)
-          kt.axpy(a[p], b + j0, out.row(p) + j0, j1 - j0);
+      for (size_t i0 = 0; i0 < n; i0 += kTileP) {
+        const size_t i1 = std::min(n, i0 + kTileP);
+        kt.gemm_nn(row(i0) + p0, 1, k, other.row(i0) + j0, m, i1 - i0,
+                   out.row(p0) + j0, m, p1 - p0, j1 - j0);
       }
     }
   });
@@ -110,19 +110,23 @@ Matrix Matrix::MatMulTranspose(const Matrix& other) const {
   DAISY_CHECK(cols_ == other.cols_);
   Matrix out(rows_, other.rows_);
   const size_t k = cols_, m = other.rows_;
-  // Both operands are scanned along contiguous rows (dot products), so
-  // only a j tile is needed to keep the B panel resident. The dot
-  // kernel reduces in the fixed striped order, a pure function of the
-  // element index — identical for any thread count or ISA.
+  // The NT tile reads other^T in 4-column panels (kernels.h), so its
+  // lanes run along output columns over contiguous memory; each element
+  // is still reduced in dot's fixed striped order, a pure function of
+  // the element index — identical for any thread count or ISA. Rows
+  // past m in the last panel stay 0.0 and are never stored.
+  std::vector<double> panels((m + 3) / 4 * 4 * k, 0.0);
+  for (size_t j = 0; j < m; ++j) {
+    double* lane = panels.data() + j / 4 * 4 * k + j % 4;
+    for (size_t p = 0; p < k; ++p) lane[4 * p] = other(j, p);
+  }
   const kern::KernelTable& kt = kern::Active();
-  par::ParallelFor(0, rows_, RowGrain(2 * k * m), [&](size_t r0, size_t r1) {
+  par::ParallelFor(0, rows_, RowGrain(2 * k * m, kern::kTileRows),
+                   [&](size_t r0, size_t r1) {
     for (size_t j0 = 0; j0 < m; j0 += kTileJ) {
       const size_t j1 = std::min(m, j0 + kTileJ);
-      for (size_t i = r0; i < r1; ++i) {
-        const double* a = row(i);
-        double* o = out.row(i);
-        for (size_t j = j0; j < j1; ++j) o[j] = kt.dot(a, other.row(j), k);
-      }
+      kt.gemm_nt(row(r0), k, panels.data() + j0 * k, k, out.row(r0) + j0, m,
+                 r1 - r0, j1 - j0);
     }
   });
   return out;

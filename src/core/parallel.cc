@@ -160,10 +160,11 @@ void ParallelFor(size_t begin, size_t end, size_t grain,
   Pool::Instance().Run(begin, end, grain, fn, num_chunks, threads);
 }
 
-size_t RowGrain(size_t flops_per_row) {
+size_t RowGrain(size_t flops_per_row, size_t multiple) {
   constexpr size_t kMinFlopsPerChunk = 1 << 15;
-  return std::max<size_t>(1, kMinFlopsPerChunk /
-                                 std::max<size_t>(1, flops_per_row));
+  const size_t rows = std::max<size_t>(
+      1, kMinFlopsPerChunk / std::max<size_t>(1, flops_per_row));
+  return (rows + multiple - 1) / multiple * multiple;
 }
 
 size_t NumChunks(size_t begin, size_t end, size_t grain) {

@@ -56,8 +56,9 @@ void ParallelForIndexed(
 /// 32k flops per chunk, so small problems never pay scheduling
 /// overhead. A function of the shape alone (never the thread count),
 /// which keeps the partition — and any chunk-local accumulation —
-/// deterministic.
-size_t RowGrain(size_t flops_per_row);
+/// deterministic. Rounded up to a multiple of `multiple`, so a kernel
+/// that works in row tiles gets whole tiles in every chunk but the last.
+size_t RowGrain(size_t flops_per_row, size_t multiple = 1);
 
 /// Number of chunks ParallelFor / ParallelForIndexed partition
 /// [begin, end) into for the given grain — a pure function of the

@@ -233,7 +233,7 @@ Result<SuiteReport> RunRelationalSuite(
     }
   }
   report.total_ms = emit.ElapsedMs();
-  if (sink != nullptr) sink->Flush();
+  if (sink != nullptr) DAISY_RETURN_IF_ERROR(sink->Flush());
   return report;
 }
 

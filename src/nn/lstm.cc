@@ -58,39 +58,48 @@ LstmState LstmCell::Step(const Matrix& x, const LstmState& prev,
   LstmState next{Matrix(n, hs), Matrix(n, hs)};
   const Matrix& w = weight_.value;
   const kern::KernelTable& kt = kern::Active();
-  // Each row is computed whole inside one chunk, so every partition
-  // gives the same bits.
-  par::ParallelFor(0, n, par::RowGrain(2 * (in + hs - p0) * g4),
-                   [&](size_t r0, size_t r1) {
-    std::vector<double> scratch(cache != nullptr ? 0 : g4);
-    for (size_t r = r0; r < r1; ++r) {
-      // Pre-activations: the p-sum over [x | h] · W in ascending p (from
-      // the lead partial when given), then the bias — the operations
-      // xh.MatMul(W) + bias performs per element.
-      double* pre = cache != nullptr ? cache->gates.row(r) : scratch.data();
+  // Chunks hold whole kTileRows-row tiles and each row is computed
+  // whole inside one chunk, so every partition gives the same bits.
+  par::ParallelFor(
+      0, n, par::RowGrain(2 * (in + hs - p0) * g4, kern::kTileRows),
+      [&](size_t r0, size_t r1) {
+    std::vector<double> scratch(cache != nullptr ? 0 : kern::kTileRows * g4);
+    for (size_t t0 = r0; t0 < r1; t0 += kern::kTileRows) {
+      const size_t rows = std::min(kern::kTileRows, r1 - t0);
+      // Pre-activations of the tile's rows: the p-sum over [x | h] · W
+      // in ascending p (from the lead partial when given), then the
+      // bias — the operations xh.MatMul(W) + bias performs per element.
+      double* pre0 =
+          cache != nullptr ? cache->gates.row(t0) : scratch.data();
       if (lead != nullptr)
-        std::copy_n(lead->pre.row(r), g4, pre);
+        std::copy_n(lead->pre.row(t0), rows * g4, pre0);
       else
-        std::fill_n(pre, g4, 0.0);
-      kt.gemm_panel(x.row(r) + p0, w.row(p0), g4, in - p0, pre, g4);
-      kt.gemm_panel(prev.h.row(r), w.row(in), g4, hs, pre, g4);
-      kt.add(bias_.value.data(), pre, g4);
+        std::fill_n(pre0, rows * g4, 0.0);
+      kt.gemm_nn(x.row(t0) + p0, in, 1, w.row(p0), g4, in - p0, pre0, g4,
+                 rows, g4);
+      kt.gemm_nn(prev.h.row(t0), hs, 1, w.row(in), g4, hs, pre0, g4, rows,
+                 g4);
+      for (size_t t = 0; t < rows; ++t) {
+        const size_t r = t0 + t;
+        double* pre = pre0 + t * g4;
+        kt.add(bias_.value.data(), pre, g4);
 
-      // Gates i, f, o through the kernel table's sigmoid (bitwise equal
-      // to lane::Sigmoid on every ISA: exp only sees -|v|, so a -750
-      // pre-activation saturates to 0 instead of overflowing). g and
-      // tanh(c) stay libm. `pre` ends holding the post-activation i, f,
-      // g, o that StepBackward reads back.
-      kt.sigmoid(pre, pre, 2 * hs);
-      kt.sigmoid(pre + 3 * hs, pre + 3 * hs, hs);
-      const double* c_prev = prev.c.row(r);
-      double* c = next.c.row(r);
-      double* h = next.h.row(r);
-      for (size_t j = 0; j < hs; ++j) {
-        const double g = std::tanh(pre[2 * hs + j]);
-        pre[2 * hs + j] = g;
-        c[j] = pre[hs + j] * c_prev[j] + pre[j] * g;
-        h[j] = pre[3 * hs + j] * std::tanh(c[j]);
+        // Gates i, f, o through the kernel table's sigmoid (bitwise
+        // equal to lane::Sigmoid on every ISA: exp only sees -|v|, so a
+        // -750 pre-activation saturates to 0 instead of overflowing). g
+        // and tanh(c) stay libm. `pre` ends holding the post-activation
+        // i, f, g, o that StepBackward reads back.
+        kt.sigmoid(pre, pre, 2 * hs);
+        kt.sigmoid(pre + 3 * hs, pre + 3 * hs, hs);
+        const double* c_prev = prev.c.row(r);
+        double* c = next.c.row(r);
+        double* h = next.h.row(r);
+        for (size_t j = 0; j < hs; ++j) {
+          const double g = std::tanh(pre[2 * hs + j]);
+          pre[2 * hs + j] = g;
+          c[j] = pre[hs + j] * c_prev[j] + pre[j] * g;
+          h[j] = pre[3 * hs + j] * std::tanh(c[j]);
+        }
       }
     }
   });

@@ -21,8 +21,7 @@ namespace daisy::kern {
 namespace {
 
 // Sizes covering the empty-ish edge, sub-vector-width rows, exact
-// vector multiples, and every tail length of the 4-wide (and the GEMM
-// microkernel's 16-wide) blocking.
+// vector multiples, and every tail length of the 4-wide blocking.
 const size_t kSizes[] = {1, 2, 3, 4, 5, 7, 8, 13, 16, 17, 31, 32, 33, 64, 100};
 
 std::vector<double> RandomVec(size_t n, Rng* rng, double lo = -3.0,
@@ -58,7 +57,9 @@ TEST(KernelDispatchTest, ActiveTableMatchesActiveIsa) {
 }
 
 TEST(KernelDispatchTest, Avx2AvailabilityRequiresCpuSupport) {
-  if (IsaAvailable(Isa::kAvx2)) EXPECT_TRUE(CpuSupportsAvx2());
+  if (IsaAvailable(Isa::kAvx2)) {
+    EXPECT_TRUE(CpuSupportsAvx2());
+  }
 }
 
 TEST(KernelDispatchTest, SetIsaForTestingSwitchesActiveTable) {
@@ -78,8 +79,8 @@ TEST(KernelDispatchTest, AllTablePointersNonNull) {
   for (Isa isa : {Isa::kScalar, Isa::kAvx2}) {
     if (!IsaAvailable(isa)) continue;
     const KernelTable& t = Table(isa);
-    EXPECT_NE(t.gemm_panel, nullptr);
-    EXPECT_NE(t.axpy, nullptr);
+    EXPECT_NE(t.gemm_nn, nullptr);
+    EXPECT_NE(t.gemm_nt, nullptr);
     EXPECT_NE(t.dot, nullptr);
     EXPECT_NE(t.scale, nullptr);
     EXPECT_NE(t.add, nullptr);
@@ -101,26 +102,113 @@ TEST(KernelDispatchTest, AllTablePointersNonNull) {
 
 // --- bitwise scalar vs AVX2, kernel by kernel -----------------------
 
-TEST(KernelEquivalenceTest, GemmPanelBitwise) {
-  DAISY_REQUIRE_AVX2();
-  const KernelTable& s = Table(Isa::kScalar);
-  const KernelTable& v = Table(Isa::kAvx2);
+// --- GEMM tiles ------------------------------------------------------
+// Both tables must equal the per-element reference loops the tiles
+// replaced, bit for bit: for NN/TN the start value in o, then a*b added
+// in ascending p (the old gemm_panel loop); for NT lane::DotStriped.
+
+// Tile shapes: every row count of one NN tile (1-4) and of two (5-8),
+// every column tail of the 8- and 4-wide blocks (1-17), inner lengths
+// 0-9 (every stripe tail), and the wide shapes the nets run.
+const size_t kTileRowCounts[] = {1, 2, 3, 4, 5, 6, 7, 8};
+const size_t kTileCols[] = {1,  2,  3,  4,  5,  6,  7,  8,  9,  10,
+                            11, 12, 13, 14, 15, 16, 17, 64, 96, 256};
+const size_t kTileInner[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 96, 256};
+
+// Uniform values with about a third of them signed zeros, so many
+// outputs are sums of ±0.0 products whose sign shows the start value
+// (0.0 + -0.0 is 0.0, -0.0 + -0.0 is -0.0) and the summation order.
+std::vector<double> ZeroHeavyVec(size_t n, Rng* rng) {
+  std::vector<double> v(n);
+  for (double& x : v) {
+    const size_t pick = rng->UniformInt(6);
+    x = pick == 0 ? 0.0 : pick == 1 ? -0.0 : rng->Uniform(-3.0, 3.0);
+  }
+  return v;
+}
+
+std::vector<double> NnReference(const std::vector<double>& a, size_t a_rs,
+                                size_t a_ps, const std::vector<double>& b,
+                                size_t ldb, size_t pn, std::vector<double> o,
+                                size_t ldo, size_t rows, size_t jn) {
+  for (size_t r = 0; r < rows; ++r)
+    for (size_t p = 0; p < pn; ++p)
+      for (size_t j = 0; j < jn; ++j)
+        o[r * ldo + j] += a[r * a_rs + p * a_ps] * b[p * ldb + j];
+  return o;
+}
+
+TEST(KernelEquivalenceTest, GemmNnTileMatchesReferenceBitwise) {
+  std::vector<Isa> isas = {Isa::kScalar};
+  if (IsaAvailable(Isa::kAvx2)) isas.push_back(Isa::kAvx2);
   Rng rng(101);
-  for (size_t pn : {1u, 2u, 3u, 4u, 7u, 16u}) {
-    for (size_t jn : kSizes) {
-      const size_t stride = jn + 3;  // deliberately != jn
-      auto a = RandomVec(pn, &rng);
-      auto b = RandomVec(pn * stride, &rng);
-      auto o1 = RandomVec(jn, &rng);
-      auto o2 = o1;
-      s.gemm_panel(a.data(), b.data(), stride, pn, o1.data(), jn);
-      v.gemm_panel(a.data(), b.data(), stride, pn, o2.data(), jn);
-      EXPECT_TRUE(BitwiseEqual(o1, o2)) << "pn=" << pn << " jn=" << jn;
+  for (size_t rows : kTileRowCounts) {
+    for (size_t jn : kTileCols) {
+      for (size_t pn : kTileInner) {
+        for (bool transposed : {false, true}) {
+          // Padded strides (!= the logical width) catch stride mix-ups.
+          const size_t ldb = jn + 3, ldo = jn + 2;
+          // NN: A is rows x pn (lda = pn + 1). TN: A is pn x rows, read
+          // transposed (row stride 1, p stride lda = rows + 1).
+          const size_t lda = transposed ? rows + 1 : pn + 1;
+          const size_t a_rs = transposed ? 1 : lda;
+          const size_t a_ps = transposed ? lda : 1;
+          const auto a =
+              ZeroHeavyVec((transposed ? pn : rows) * lda + 1, &rng);
+          const auto b = ZeroHeavyVec(pn * ldb + 1, &rng);
+          const auto o0 = ZeroHeavyVec(rows * ldo, &rng);
+          const auto want =
+              NnReference(a, a_rs, a_ps, b, ldb, pn, o0, ldo, rows, jn);
+          for (Isa isa : isas) {
+            auto got = o0;
+            Table(isa).gemm_nn(a.data(), a_rs, a_ps, b.data(), ldb, pn,
+                               got.data(), ldo, rows, jn);
+            EXPECT_TRUE(BitwiseEqual(got, want))
+                << IsaName(isa) << (transposed ? " TN" : " NN")
+                << " rows=" << rows << " jn=" << jn << " pn=" << pn;
+          }
+        }
+      }
     }
   }
 }
 
-TEST(KernelEquivalenceTest, AxpyDotScaleAddSubMulBitwise) {
+TEST(KernelEquivalenceTest, GemmNtTileMatchesStripedDotBitwise) {
+  std::vector<Isa> isas = {Isa::kScalar};
+  if (IsaAvailable(Isa::kAvx2)) isas.push_back(Isa::kAvx2);
+  Rng rng(102);
+  for (size_t rows : kTileRowCounts) {
+    for (size_t jn : kTileCols) {
+      for (size_t kn : kTileInner) {
+        const size_t lda = kn + 1, ldb = kn + 3, ldo = jn + 2;
+        const auto a = ZeroHeavyVec(rows * lda + 1, &rng);
+        const auto b = ZeroHeavyVec(jn * ldb + 1, &rng);  // B by rows
+        // Bᵀ in 4-column panels; lanes past jn hold garbage the kernel
+        // must never store.
+        auto panels = RandomVec((jn + 3) / 4 * 4 * kn, &rng);
+        for (size_t j = 0; j < jn; ++j)
+          for (size_t p = 0; p < kn; ++p)
+            panels[j / 4 * 4 * kn + 4 * p + j % 4] = b[j * ldb + p];
+        const auto o0 = ZeroHeavyVec(rows * ldo, &rng);
+        auto want = o0;
+        for (size_t r = 0; r < rows; ++r)
+          for (size_t j = 0; j < jn; ++j)
+            want[r * ldo + j] =
+                lane::DotStriped(a.data() + r * lda, b.data() + j * ldb, kn);
+        for (Isa isa : isas) {
+          auto got = o0;
+          Table(isa).gemm_nt(a.data(), lda, panels.data(), kn, got.data(),
+                             ldo, rows, jn);
+          EXPECT_TRUE(BitwiseEqual(got, want))
+              << IsaName(isa) << " rows=" << rows << " jn=" << jn
+              << " kn=" << kn;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalenceTest, DotScaleAddSubMulBitwise) {
   DAISY_REQUIRE_AVX2();
   const KernelTable& s = Table(Isa::kScalar);
   const KernelTable& v = Table(Isa::kAvx2);
@@ -130,16 +218,11 @@ TEST(KernelEquivalenceTest, AxpyDotScaleAddSubMulBitwise) {
     const auto y0 = RandomVec(n, &rng);
     const double a = rng.Uniform(-2.0, 2.0);
 
-    auto y1 = y0, y2 = y0;
-    s.axpy(a, x.data(), y1.data(), n);
-    v.axpy(a, x.data(), y2.data(), n);
-    EXPECT_TRUE(BitwiseEqual(y1, y2)) << "axpy n=" << n;
-
     const double d1 = s.dot(x.data(), y0.data(), n);
     const double d2 = v.dot(x.data(), y0.data(), n);
     EXPECT_EQ(d1, d2) << "dot n=" << n;
 
-    y1 = y0, y2 = y0;
+    auto y1 = y0, y2 = y0;
     s.scale(a, y1.data(), n);
     v.scale(a, y2.data(), n);
     EXPECT_TRUE(BitwiseEqual(y1, y2)) << "scale n=" << n;
@@ -327,10 +410,14 @@ TEST(KernelAccuracyTest, SigmoidStableAtExtremeLogits) {
 // --- Matrix-level determinism ---------------------------------------
 // The full Matrix ops built on the kernels must be bit-identical for
 // any DAISY_THREADS value, and (given the §5g contract) for scalar vs
-// AVX2 too. 65x47 * 47x33 exercises tile boundaries and ragged tails.
+// AVX2 too. 65x47 * 47x33 exercises tile boundaries and ragged tails;
+// the head shapes run narrow outputs at odd row counts.
 
 struct MatrixCase {
   Matrix mm, tmm, mmt, act, soft, rsn;
+  // Output-head products (n x 96 · 96 x w, its TN and NT backward
+  // forms) at odd row counts, one per (n, w).
+  std::vector<Matrix> heads;
 };
 
 MatrixCase RunMatrixOps() {
@@ -349,6 +436,16 @@ MatrixCase RunMatrixOps() {
   out.soft = c;
   out.soft.ScaleRows(c.RowSquaredNorms());
   out.rsn = Matrix::RowDots(a, a);
+  for (size_t n : {37u, 63u}) {
+    const Matrix x = Matrix::Randn(n, 96, &rng);
+    for (size_t w : {1u, 2u, 5u}) {
+      const Matrix wt = Matrix::Randn(96, w, &rng);
+      const Matrix g = Matrix::Randn(n, w, &rng);
+      out.heads.push_back(x.MatMul(wt));
+      out.heads.push_back(x.TransposeMatMul(g));
+      out.heads.push_back(g.MatMulTranspose(wt));
+    }
+  }
   return out;
 }
 
@@ -358,6 +455,9 @@ bool BitwiseEqual(const Matrix& a, const Matrix& b) {
 }
 
 bool BitwiseEqual(const MatrixCase& a, const MatrixCase& b) {
+  if (a.heads.size() != b.heads.size()) return false;
+  for (size_t i = 0; i < a.heads.size(); ++i)
+    if (!BitwiseEqual(a.heads[i], b.heads[i])) return false;
   return BitwiseEqual(a.mm, b.mm) && BitwiseEqual(a.tmm, b.tmm) &&
          BitwiseEqual(a.mmt, b.mmt) && BitwiseEqual(a.act, b.act) &&
          BitwiseEqual(a.soft, b.soft) && BitwiseEqual(a.rsn, b.rsn);

@@ -130,6 +130,25 @@ TEST(RelationalSynthTest, GeneratedDatabaseHasPerfectFkValidity) {
                                       "construction, not approximately";
 }
 
+// Accepts every record, then fails to write them out.
+class FailingFlushSink : public obs::MetricSink {
+ public:
+  void Log(const obs::MetricRecord&) override { ++logged_; }
+  Status Flush() override { return Status::IOError("records lost"); }
+  size_t logged_ = 0;
+};
+
+TEST(RelationalSynthTest, RelationalSuiteReturnsSinkFlushError) {
+  const data::RelationalPair pair = MakePair();
+  const std::vector<data::Table> tables = {pair.parent, pair.child};
+  FailingFlushSink sink;
+  const auto report =
+      eval::RunRelationalSuite(pair.schema, tables, tables, &sink);
+  EXPECT_GT(sink.logged_, 0u);
+  ASSERT_FALSE(report.ok()) << "a sink that lost records must not be OK";
+  EXPECT_EQ(report.status().code(), Status::Code::kIOError);
+}
+
 TEST(RelationalSynthTest, JoinSizeKlStaysBelowThreshold) {
   const data::RelationalPair pair = MakePair();
   const std::string dir = FreshDir("rel_kl");
