@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "core/kernels/kernels.h"
 #include "core/parallel.h"
@@ -358,22 +357,6 @@ void Matrix::Fill(double v) {
 
 void Matrix::Clip(double lo, double hi) {
   for (auto& x : data_) x = std::min(hi, std::max(lo, x));
-}
-
-std::string Matrix::ToString(int max_rows) const {
-  std::string out = "Matrix(" + std::to_string(rows_) + "x" +
-                    std::to_string(cols_) + ")\n";
-  const size_t show = std::min<size_t>(rows_, static_cast<size_t>(max_rows));
-  char buf[32];
-  for (size_t r = 0; r < show; ++r) {
-    for (size_t c = 0; c < cols_; ++c) {
-      std::snprintf(buf, sizeof(buf), "%9.4f ", (*this)(r, c));
-      out += buf;
-    }
-    out += "\n";
-  }
-  if (show < rows_) out += "...\n";
-  return out;
 }
 
 }  // namespace daisy

@@ -6,7 +6,6 @@
 #define DAISY_CORE_MATRIX_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "core/status.h"
@@ -146,9 +145,6 @@ class Matrix {
   bool SameShape(const Matrix& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_;
   }
-
-  /// Debug rendering, row per line.
-  std::string ToString(int max_rows = 8) const;
 
  private:
   size_t rows_;

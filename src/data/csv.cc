@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 
 namespace daisy::data {
@@ -73,6 +74,22 @@ Status ParseRecord(std::istream& in, std::vector<std::string>* fields,
   return Status::OK();
 }
 
+// Reads the header record for ReadCsv and CsvStreamReader alike, so the
+// two refuse the same headers: none at all, or a name given twice
+// (which column the label, or any lookup by name, meant is unknowable).
+Status ParseHeader(std::istream& in, const std::string& path,
+                   std::vector<std::string>* header) {
+  bool got = false;
+  DAISY_RETURN_IF_ERROR(ParseRecord(in, header, &got));
+  if (!got) return Status::InvalidArgument("empty csv: " + path);
+  std::set<std::string> seen;
+  for (const std::string& name : *header)
+    if (!seen.insert(name).second)
+      return Status::InvalidArgument("duplicate column name '" + name +
+                                     "' in csv header: " + path);
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string EscapeCsvField(const std::string& s) {
@@ -111,11 +128,7 @@ Status CsvStreamReader::Open(const std::string& path) {
   if (!in_) return Status::IOError("cannot open for read: " + path);
   path_ = path;
   rows_read_ = 0;
-  header_.clear();
-  bool got = false;
-  DAISY_RETURN_IF_ERROR(ParseRecord(in_, &header_, &got));
-  if (!got) return Status::InvalidArgument("empty csv: " + path);
-  return Status::OK();
+  return ParseHeader(in_, path, &header_);
 }
 
 Status CsvStreamReader::Next(std::vector<std::string>* fields, bool* got) {
@@ -157,12 +170,11 @@ Result<Table> ReadCsv(const std::string& path,
   if (!in) return Status::IOError("cannot open for read: " + path);
 
   std::vector<std::string> header;
-  bool got = false;
-  if (Status st = ParseRecord(in, &header, &got); !st.ok()) return st;
-  if (!got) return Status::InvalidArgument("empty csv: " + path);
+  DAISY_RETURN_IF_ERROR(ParseHeader(in, path, &header));
   const size_t m = header.size();
 
   std::vector<std::vector<std::string>> raw;  // rows of string fields
+  bool got = false;
   for (;;) {
     std::vector<std::string> fields;
     if (Status st = ParseRecord(in, &fields, &got); !st.ok()) return st;

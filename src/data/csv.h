@@ -21,7 +21,8 @@ bool ParseCsvNumber(const std::string& s, double* out);
 /// (quoted fields, doubled quotes, CRLF line endings, fields spanning
 /// physical lines) but holding only one record in memory, so
 /// arbitrarily large files stream in bounded space. Open() consumes
-/// the header row; call Open() again to rewind for another pass.
+/// the header row, and refuses the headers ReadCsv refuses; call Open()
+/// again to rewind for another pass.
 class CsvStreamReader {
  public:
   CsvStreamReader() = default;
@@ -61,7 +62,8 @@ Status WriteCsv(const Table& table, const std::string& path);
 /// number become numerical; everything else becomes categorical with
 /// the observed distinct values as its domain. `label_column` (by name)
 /// optionally designates the label; it must resolve to a categorical
-/// column (pass "" for no label).
+/// column (pass "" for no label). A header that repeats a column name
+/// is refused with InvalidArgument.
 Result<Table> ReadCsv(const std::string& path,
                       const std::string& label_column = "");
 

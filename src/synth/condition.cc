@@ -105,6 +105,10 @@ std::vector<CondBlock> BuildCondBlocks(
   return blocks;
 }
 
+// Weight of the generator's conditional cross-entropy term under
+// training-by-sampling (AddGeneratorLoss below).
+constexpr double kTbsCeWeight = 1.0;
+
 // Training-by-sampling: each row sets one bit, cond_offset + category of
 // its block, drawn by the log-frequency sampler; the fake batch shares
 // the real batch's conditions so D compares like with like. Generation
@@ -268,8 +272,7 @@ Result<std::unique_ptr<ConditionSource>> MakeConditionSource(
         for (size_t c : columns.back()) counts.back()[c] += 1.0;
       }
       return SourcePtr(std::make_unique<TbsSource>(
-          std::move(blocks), std::move(counts), &columns,
-          opts.tbs_ce_weight));
+          std::move(blocks), std::move(counts), &columns, kTbsCeWeight));
     }
     case ConditionKind::kParentRows:
       if (parent_rows->rows() != data.num_records() ||

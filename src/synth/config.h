@@ -16,10 +16,9 @@ namespace daisy::synth {
 /// Generator neural-network family (paper §5.1).
 enum class GeneratorArch { kMlp, kLstm, kCnn };
 
-/// Discriminator family. MLP everywhere except the Table 11 ablation;
-/// kBiLstm is this repository's future-work extension (paper §3.2
-/// mentions Bidirectional LSTM as unexplored).
-enum class DiscriminatorArch { kMlp, kLstm, kBiLstm, kCnn };
+/// Discriminator family. MLP everywhere except the Table 11 ablation
+/// (and CNN, which the CNN generator implies).
+enum class DiscriminatorArch { kMlp, kLstm, kCnn };
 
 /// Training algorithm (paper Table 1).
 enum class TrainAlgo { kVTrain, kWTrain, kCTrain, kDPTrain };
@@ -121,7 +120,6 @@ struct GanOptions : LoopOptions {
   size_t d_steps = 1;        // discriminator steps per generator step
   SamplerKind sampler = SamplerKind::kUniform;
   size_t shuffle_chunk_rows = 4096;  // kChunkedShuffle chunk size
-  double weight_clip = 0.01; // WGAN parameter clipping
   double kl_weight = 1.0;    // VTrain warm-up term weight
 
   /// RCC-GAN-style critic regularization (arXiv:2205.11693): when > 0,
@@ -133,12 +131,6 @@ struct GanOptions : LoopOptions {
   /// DPTrain the clamp runs after noising (post-processing, so the
   /// privacy accounting is unchanged).
   double critic_reg = 0.0;
-
-  /// Weight of the generator's conditional cross-entropy term under
-  /// kTrainingBySampling: penalizes generated rows whose conditioned
-  /// attribute's softmax block puts low mass on the requested category.
-  /// This is what forces the generator to *use* the cond vector.
-  double tbs_ce_weight = 1.0;
 
   // Differential privacy (DPTrain).
   double dp_noise_scale = 1.0;  // sigma_n

@@ -223,79 +223,4 @@ std::vector<nn::Parameter*> LstmDiscriminator::Params() {
   return out;
 }
 
-BiLstmDiscriminator::BiLstmDiscriminator(
-    const std::vector<transform::AttrSegment>& segments, size_t cond_dim,
-    size_t hidden_size, Rng* rng)
-    : segments_(segments), sample_dim_(TotalWidth(segments)),
-      cond_dim_(cond_dim), slot_width_(MaxSegmentWidth(segments)),
-      hidden_size_(hidden_size),
-      fwd_cell_(slot_width_ + cond_dim, hidden_size, rng),
-      bwd_cell_(slot_width_ + cond_dim, hidden_size, rng),
-      out_(2 * hidden_size, 1, rng) {}
-
-Matrix BiLstmDiscriminator::StepInput(const Matrix& x, const Matrix& cond,
-                                      size_t seg) const {
-  const auto& s = segments_[seg];
-  Matrix step_in(x.rows(), slot_width_ + cond_dim_);
-  for (size_t r = 0; r < x.rows(); ++r) {
-    for (size_t c = 0; c < s.width; ++c)
-      step_in(r, c) = x(r, s.offset + c);
-    for (size_t c = 0; c < cond_dim_; ++c)
-      step_in(r, slot_width_ + c) = cond(r, c);
-  }
-  return step_in;
-}
-
-Matrix BiLstmDiscriminator::Forward(const Matrix& x, const Matrix& cond,
-                                    bool training) {
-  DAISY_CHECK(x.cols() == sample_dim_);
-  cached_batch_ = x.rows();
-  fwd_cell_.ClearCache();
-  bwd_cell_.ClearCache();
-  nn::LstmState fwd = fwd_cell_.InitialState(cached_batch_);
-  nn::LstmState bwd = bwd_cell_.InitialState(cached_batch_);
-  for (size_t j = 0; j < segments_.size(); ++j) {
-    fwd = fwd_cell_.StepForward(StepInput(x, cond, j), fwd);
-    bwd = bwd_cell_.StepForward(
-        StepInput(x, cond, segments_.size() - 1 - j), bwd);
-  }
-  return out_.Forward(Matrix::HCat(fwd.h, bwd.h), training);
-}
-
-Matrix BiLstmDiscriminator::Backward(const Matrix& grad_logit) {
-  Matrix grad_h = out_.Backward(grad_logit);
-  Matrix grad_h_fwd = grad_h.ColRange(0, hidden_size_);
-  Matrix grad_h_bwd = grad_h.ColRange(hidden_size_, 2 * hidden_size_);
-  Matrix grad_c_fwd(cached_batch_, hidden_size_);
-  Matrix grad_c_bwd(cached_batch_, hidden_size_);
-  Matrix grad_x(cached_batch_, sample_dim_);
-
-  for (size_t j = segments_.size(); j-- > 0;) {
-    auto gf = fwd_cell_.StepBackward(grad_h_fwd, grad_c_fwd);
-    auto gb = bwd_cell_.StepBackward(grad_h_bwd, grad_c_bwd);
-    // Forward cell's step j reads segment j; backward cell's step j
-    // reads segment (T-1-j).
-    const auto& sf = segments_[j];
-    const auto& sb = segments_[segments_.size() - 1 - j];
-    for (size_t r = 0; r < cached_batch_; ++r) {
-      for (size_t c = 0; c < sf.width; ++c)
-        grad_x(r, sf.offset + c) += gf.dx(r, c);
-      for (size_t c = 0; c < sb.width; ++c)
-        grad_x(r, sb.offset + c) += gb.dx(r, c);
-    }
-    grad_h_fwd = std::move(gf.dh_prev);
-    grad_c_fwd = std::move(gf.dc_prev);
-    grad_h_bwd = std::move(gb.dh_prev);
-    grad_c_bwd = std::move(gb.dc_prev);
-  }
-  return grad_x;
-}
-
-std::vector<nn::Parameter*> BiLstmDiscriminator::Params() {
-  std::vector<nn::Parameter*> out = fwd_cell_.Params();
-  for (auto* p : bwd_cell_.Params()) out.push_back(p);
-  for (auto* p : out_.Params()) out.push_back(p);
-  return out;
-}
-
 }  // namespace daisy::synth

@@ -75,36 +75,6 @@ class LstmDiscriminator : public Discriminator {
   size_t cached_batch_ = 0;
 };
 
-/// Bidirectional seq-to-one discriminator — the paper lists BiLSTM
-/// (Graves et al. [27]) as a future-work architecture; this extension
-/// reads the attribute sequence in both directions and scores the
-/// concatenated final hidden states.
-class BiLstmDiscriminator : public Discriminator {
- public:
-  BiLstmDiscriminator(const std::vector<transform::AttrSegment>& segments,
-                      size_t cond_dim, size_t hidden_size, Rng* rng);
-
-  size_t sample_dim() const override { return sample_dim_; }
-  size_t cond_dim() const override { return cond_dim_; }
-
-  Matrix Forward(const Matrix& x, const Matrix& cond, bool training) override;
-  Matrix Backward(const Matrix& grad_logit) override;
-  std::vector<nn::Parameter*> Params() override;
-
- private:
-  Matrix StepInput(const Matrix& x, const Matrix& cond, size_t seg) const;
-
-  std::vector<transform::AttrSegment> segments_;
-  size_t sample_dim_;
-  size_t cond_dim_;
-  size_t slot_width_;
-  size_t hidden_size_;
-  nn::LstmCell fwd_cell_;
-  nn::LstmCell bwd_cell_;
-  nn::Linear out_;  // 2*hidden -> 1 logit
-  size_t cached_batch_ = 0;
-};
-
 }  // namespace daisy::synth
 
 #endif  // DAISY_SYNTH_LSTM_NETS_H_

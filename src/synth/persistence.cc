@@ -4,11 +4,14 @@
 // LoadFromStream carry exactly that payload, so a container format (the
 // relational bundle) can embed many models inside one checksummed file;
 // the path forms add the core/durable checksum trailer and write
-// through an AtomicFile. LoadFromStream range-checks every enum, width
-// and layout field before it builds anything, so a forged stream is
-// refused with InvalidArgument rather than a crash.
+// through an AtomicFile. Every enum goes through its wire-code table,
+// and LoadFromStream checks every code, width and layout field before
+// it builds anything, so a forged stream is refused with
+// InvalidArgument rather than a crash.
 #include <algorithm>
+#include <iterator>
 #include <sstream>
+#include <string>
 
 #include "core/durable.h"
 #include "core/serial.h"
@@ -27,21 +30,71 @@ constexpr char kFormatTag[] = "daisy-model-v3";
 constexpr uint64_t kMaxWidth = 1u << 12;
 constexpr uint64_t kMaxCondDim = 1u << 16;
 
-// Reads an enum whose last enumerator is `last`, latching a failure
-// on anything past it.
+// The code that stands for one enumerator in the payload. Each
+// persisted enum has one table of them (DESIGN.md §5k), so the file
+// format does not depend on declaration order. A code names one
+// enumerator for good: deleting an enumerator retires its code, which
+// is never reused, and the reader refuses it like any unknown code.
 template <typename E>
-E ReadEnum(Deserializer* in, E last) {
+struct WireCode {
+  E value;
+  uint64_t code;
+};
+
+using transform::AttrSegment;
+using transform::CategoricalEncoding;
+using transform::NumericalNormalization;
+using transform::SampleForm;
+
+constexpr WireCode<GeneratorArch> kGeneratorCodes[] = {
+    {GeneratorArch::kMlp, 0}, {GeneratorArch::kLstm, 1},
+    {GeneratorArch::kCnn, 2}};
+// Code 2 (a bidirectional LSTM) is retired.
+constexpr WireCode<DiscriminatorArch> kDiscriminatorCodes[] = {
+    {DiscriminatorArch::kMlp, 0}, {DiscriminatorArch::kLstm, 1},
+    {DiscriminatorArch::kCnn, 3}};
+constexpr WireCode<SamplerKind> kSamplerCodes[] = {
+    {SamplerKind::kUniform, 0}, {SamplerKind::kChunkedShuffle, 1},
+    {SamplerKind::kTrainingBySampling, 2}};
+constexpr WireCode<CategoricalEncoding> kCategoricalCodes[] = {
+    {CategoricalEncoding::kOrdinal, 0}, {CategoricalEncoding::kOneHot, 1}};
+constexpr WireCode<NumericalNormalization> kNumericalCodes[] = {
+    {NumericalNormalization::kSimple, 0}, {NumericalNormalization::kGmm, 1}};
+constexpr WireCode<SampleForm> kFormCodes[] = {{SampleForm::kVector, 0},
+                                               {SampleForm::kMatrix, 1}};
+constexpr WireCode<AttrSegment::Kind> kSegmentKindCodes[] = {
+    {AttrSegment::Kind::kSimpleNumeric, 0},
+    {AttrSegment::Kind::kGmmNumeric, 1},
+    {AttrSegment::Kind::kOneHotCat, 2},
+    {AttrSegment::Kind::kOrdinalCat, 3}};
+
+template <typename E, size_t N>
+void WriteCode(Serializer* out, const WireCode<E> (&codes)[N], E value) {
+  const auto* it =
+      std::find_if(std::begin(codes), std::end(codes),
+                   [value](const auto& c) { return c.value == value; });
+  DAISY_CHECK(it != std::end(codes));
+  out->WriteU64(it->code);
+}
+
+// Reads one code of `codes`, latching a failure on any other value.
+template <typename E, size_t N>
+E ReadCode(Deserializer* in, const WireCode<E> (&codes)[N],
+           const char* what) {
   const uint64_t v = in->ReadU64();
-  if (v > static_cast<uint64_t>(last)) in->Fail("enum value out of range");
-  return static_cast<E>(in->ok() ? v : 0);
+  for (const auto& c : codes)
+    if (c.code == v) return c.value;
+  if (in->ok())
+    in->Fail("unknown " + std::string(what) + " code " + std::to_string(v));
+  return codes[0].value;
 }
 
 void WriteSegments(Serializer* out,
-                   const std::vector<transform::AttrSegment>& segments) {
+                   const std::vector<AttrSegment>& segments) {
   out->WriteTag("segments");
   out->WriteU64(segments.size());
   for (const auto& seg : segments) {
-    out->WriteU64(static_cast<uint64_t>(seg.kind));
+    WriteCode(out, kSegmentKindCodes, seg.kind);
     out->WriteU64(seg.attr_index);
     out->WriteU64(seg.source_col);
     out->WriteU64(seg.offset);
@@ -51,8 +104,7 @@ void WriteSegments(Serializer* out,
     out->WriteDouble(seg.lo);
     out->WriteDouble(seg.hi);
     out->WriteU64(seg.domain);
-    const bool has_gmm =
-        seg.kind == transform::AttrSegment::Kind::kGmmNumeric;
+    const bool has_gmm = seg.kind == AttrSegment::Kind::kGmmNumeric;
     out->WriteU64(has_gmm ? seg.gmm.num_components() : 0);
     if (has_gmm) {
       for (size_t c = 0; c < seg.gmm.num_components(); ++c) {
@@ -64,13 +116,13 @@ void WriteSegments(Serializer* out,
   }
 }
 
-std::vector<transform::AttrSegment> ReadSegments(Deserializer* in) {
+std::vector<AttrSegment> ReadSegments(Deserializer* in) {
   in->ExpectTag("segments");
   const size_t n = in->ReadU64();
   if (!in->ok() || n > 100000) return {};
-  std::vector<transform::AttrSegment> segments(n);
+  std::vector<AttrSegment> segments(n);
   for (auto& seg : segments) {
-    seg.kind = ReadEnum(in, transform::AttrSegment::Kind::kOrdinalCat);
+    seg.kind = ReadCode(in, kSegmentKindCodes, "segment kind");
     seg.attr_index = in->ReadU64();
     seg.source_col = in->ReadU64();
     seg.offset = in->ReadU64();
@@ -106,9 +158,9 @@ std::vector<transform::AttrSegment> ReadSegments(Deserializer* in) {
 // BuildNetworks or DecodeRows would trip over. The condition rule and
 // the condition slots are checked as they are read.
 Status Validate(const GanOptions& o, ConditionKind kind, size_t parent_dim,
-                transform::SampleForm form, const data::Schema& full,
+                SampleForm form, const data::Schema& full,
                 const data::Schema& sub,
-                const std::vector<transform::AttrSegment>& segments) {
+                const std::vector<AttrSegment>& segments) {
   const auto bad = [](const std::string& what) {
     return Status::InvalidArgument("corrupt model file: " + what);
   };
@@ -124,11 +176,11 @@ Status Validate(const GanOptions& o, ConditionKind kind, size_t parent_dim,
   if (segments.empty() || segments.size() != sub.num_attributes() ||
       sub.num_attributes() + (label ? 1 : 0) != full.num_attributes())
     return bad("transformed schema does not match the table schema");
-  using Kind = transform::AttrSegment::Kind;
+  using Kind = AttrSegment::Kind;
   size_t i = 0, dim = 0;
   for (size_t j = 0; j < full.num_attributes(); ++j) {
     if (label && j == full.label_index()) continue;
-    const transform::AttrSegment& seg = segments[i];
+    const AttrSegment& seg = segments[i];
     const data::Attribute& a = full.attribute(j);
     const bool categorical =
         seg.kind == Kind::kOneHotCat || seg.kind == Kind::kOrdinalCat;
@@ -151,7 +203,7 @@ Status Validate(const GanOptions& o, ConditionKind kind, size_t parent_dim,
   // The generator's output must be as wide as the transformer's sample,
   // and the CNN nets need a square sample of side >= 2.
   const bool cnn_g = o.generator == GeneratorArch::kCnn;
-  const bool matrix = cnn_g || form == transform::SampleForm::kMatrix;
+  const bool matrix = cnn_g || form == SampleForm::kMatrix;
   size_t side = 0;
   while (side * side < dim) ++side;
   if ((cnn_g || o.discriminator == DiscriminatorArch::kCnn) &&
@@ -171,8 +223,8 @@ Status TableSynthesizer::SaveToStream(std::ostream& os) const {
 
   out.WriteTag(kFormatTag);
   // Options needed to rebuild the networks.
-  out.WriteU64(static_cast<uint64_t>(opts_.generator));
-  out.WriteU64(static_cast<uint64_t>(opts_.discriminator));
+  WriteCode(&out, kGeneratorCodes, opts_.generator);
+  WriteCode(&out, kDiscriminatorCodes, opts_.discriminator);
   out.WriteU64(opts_.conditional ? 1 : 0);
   out.WriteU64(opts_.simplified_discriminator ? 1 : 0);
   out.WriteU64(opts_.noise_dim);
@@ -185,13 +237,13 @@ Status TableSynthesizer::SaveToStream(std::ostream& os) const {
   out.WriteU64(opts_.seed);
   // With the conditional flag, the sampler kind and the parent width
   // decide the condition source at load time (ResolveConditionKind).
-  out.WriteU64(static_cast<uint64_t>(opts_.sampler));
+  WriteCode(&out, kSamplerCodes, opts_.sampler);
   out.WriteU64(cond_->kind() == ConditionKind::kParentRows ? cond_->dim()
                                                            : 0);
   // Transform options.
-  out.WriteU64(static_cast<uint64_t>(topts_.categorical));
-  out.WriteU64(static_cast<uint64_t>(topts_.numerical));
-  out.WriteU64(static_cast<uint64_t>(topts_.form));
+  WriteCode(&out, kCategoricalCodes, topts_.categorical);
+  WriteCode(&out, kNumericalCodes, topts_.numerical);
+  WriteCode(&out, kFormCodes, topts_.form);
   out.WriteU64(topts_.gmm_components);
   out.WriteU64(topts_.exclude_label ? 1 : 0);
 
@@ -233,8 +285,8 @@ Result<std::unique_ptr<TableSynthesizer>> TableSynthesizer::LoadFromStream(
                                    " model: " + in.error());
 
   GanOptions opts;
-  opts.generator = ReadEnum(&in, GeneratorArch::kCnn);
-  opts.discriminator = ReadEnum(&in, DiscriminatorArch::kCnn);
+  opts.generator = ReadCode(&in, kGeneratorCodes, "generator");
+  opts.discriminator = ReadCode(&in, kDiscriminatorCodes, "discriminator");
   opts.conditional = in.ReadU64() == 1;
   opts.simplified_discriminator = in.ReadU64() == 1;
   opts.noise_dim = in.ReadU64();
@@ -251,15 +303,15 @@ Result<std::unique_ptr<TableSynthesizer>> TableSynthesizer::LoadFromStream(
   opts.lstm_hidden = in.ReadU64();
   opts.lstm_feature = in.ReadU64();
   opts.seed = in.ReadU64();
-  opts.sampler = ReadEnum(&in, SamplerKind::kTrainingBySampling);
+  opts.sampler = ReadCode(&in, kSamplerCodes, "sampler");
   const size_t parent_dim = in.ReadU64();
   auto kind = ResolveConditionKind(opts, parent_dim > 0);
   if (!kind.ok()) return kind.status().WithPrefix("corrupt model file: ");
 
   transform::TransformOptions topts;
-  topts.categorical = ReadEnum(&in, transform::CategoricalEncoding::kOneHot);
-  topts.numerical = ReadEnum(&in, transform::NumericalNormalization::kGmm);
-  topts.form = ReadEnum(&in, transform::SampleForm::kMatrix);
+  topts.categorical = ReadCode(&in, kCategoricalCodes, "categorical encoding");
+  topts.numerical = ReadCode(&in, kNumericalCodes, "numerical normalization");
+  topts.form = ReadCode(&in, kFormCodes, "sample form");
   topts.gmm_components = in.ReadU64();
   topts.exclude_label = in.ReadU64() == 1;
 

@@ -128,10 +128,6 @@ void TableSynthesizer::BuildNetworks() {
       d_ = std::make_unique<LstmDiscriminator>(segments, cond_dim,
                                                opts_.lstm_hidden, &init_rng);
       break;
-    case DiscriminatorArch::kBiLstm:
-      d_ = std::make_unique<BiLstmDiscriminator>(
-          segments, cond_dim, opts_.lstm_hidden, &init_rng);
-      break;
     case DiscriminatorArch::kCnn:
       d_ = std::make_unique<CnnDiscriminator>(transformer_->matrix_side(),
                                               cond_dim, &init_rng);

@@ -107,7 +107,7 @@ double GanTrainer::DiscriminatorStep(const Matrix& real,
   if (opts_.critic_reg > 0.0)
     nn::ClipGradNorm(d_->Params(), opts_.critic_reg);
   d_opt_->Step();
-  if (wasserstein_) nn::ClipParams(d_->Params(), opts_.weight_clip);
+  if (wasserstein_) nn::ClipParams(d_->Params(), kWeightClip);
   return loss;
 }
 

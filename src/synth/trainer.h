@@ -31,6 +31,10 @@
 
 namespace daisy::synth {
 
+/// WGAN weight clipping (WTrain, DPTrain): after each critic step every
+/// discriminator parameter is clipped to [-kWeightClip, kWeightClip].
+inline constexpr double kWeightClip = 0.01;
+
 /// What a training run produces: loss traces and periodic generator
 /// snapshots for validation-based model selection (paper §6.2).
 ///

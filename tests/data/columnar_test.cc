@@ -203,6 +203,25 @@ TEST(ColumnarTest, ConvertMissingLabelColumnFails) {
   EXPECT_EQ(st.code(), Status::Code::kNotFound);
 }
 
+// Under a repeated header name ReadCsv has no table to be bitwise equal
+// to, so the converter refuses the header as ReadCsv does
+// (CsvTest.DuplicateHeaderNameIsRefused) and writes no file.
+TEST(ColumnarTest, ConvertRefusesDuplicateHeaderName) {
+  const std::string dir = FreshDir("dcol_duplicate_header");
+  const std::string csv = dir + "/t.csv";
+  {
+    std::ofstream out(csv, std::ios::binary);
+    out << "y,a,y\nn,1,2\np,3,4\n";
+  }
+  const Status st = ConvertCsvToColumnar(csv, dir + "/t.dcol", "y", 4);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(st.ToString().find("duplicate column name 'y'"),
+            std::string::npos)
+      << st.ToString();
+  EXPECT_FALSE(fs::exists(dir + "/t.dcol"));
+}
+
 TEST(ColumnarTest, WriterRejectsBadRecords) {
   const std::string dir = FreshDir("dcol_writer_errors");
   Schema schema({Attribute::Numerical("x"),

@@ -162,6 +162,24 @@ TEST_F(CsvTest, UnterminatedQuoteIsAnError) {
   EXPECT_EQ(result.status().code(), Status::Code::kInvalidArgument);
 }
 
+// With a name given twice, which column a label (or any lookup by name)
+// means is unknowable; the streaming converter refuses the same header
+// (ColumnarTest.ConvertRefusesDuplicateHeaderName).
+TEST_F(CsvTest, DuplicateHeaderNameIsRefused) {
+  {
+    std::ofstream out(path_);
+    out << "y,a,y\nn,1,2\np,3,4\n";
+  }
+  for (const std::string label : {"y", "a", ""}) {
+    auto result = ReadCsv(path_, label);
+    ASSERT_FALSE(result.ok()) << "label '" << label << "'";
+    EXPECT_EQ(result.status().code(), Status::Code::kInvalidArgument);
+    EXPECT_NE(result.status().ToString().find("duplicate column name 'y'"),
+              std::string::npos)
+        << result.status().ToString();
+  }
+}
+
 // A table small enough to sit in the stream's buffer until close must
 // still report the write that fails there.
 TEST_F(CsvTest, WriteToFullDeviceIsAnError) {

@@ -8,6 +8,8 @@
 //     to 0.0);
 //   - for DT10/DT30/RF10/RF20/AB, an Fnv1a64 digest of the PredictProba
 //     bits over the training rows and the midpoints between neighbours.
+//     The same digest also pins logistic regression: F1 and AUC hide
+//     a last-bit change to its weights, the digest does not.
 // Each check runs at 1, 2 and 7 threads.
 #include <gtest/gtest.h>
 
@@ -133,24 +135,25 @@ uint64_t ProbaDigest(const Classifier& clf, const Matrix& x) {
                  bits.size() * sizeof(double));
 }
 
-const ClassifierKind kTreeKinds[] = {
+const ClassifierKind kProbaKinds[] = {
     ClassifierKind::kDt10, ClassifierKind::kDt30, ClassifierKind::kRf10,
-    ClassifierKind::kRf20, ClassifierKind::kAdaBoost};
+    ClassifierKind::kRf20, ClassifierKind::kAdaBoost,
+    ClassifierKind::kLogReg};
 
 void ExpectProbaDigests(const data::Table& t,
                         const std::vector<uint64_t>& want) {
   const Matrix x = t.FeatureMatrix();
   const std::vector<size_t> y = t.Labels();
-  ASSERT_EQ(want.size(), std::size(kTreeKinds));
+  ASSERT_EQ(want.size(), std::size(kProbaKinds));
   for (size_t threads : kThreadCounts) {
     par::SetNumThreads(threads);
-    for (size_t k = 0; k < std::size(kTreeKinds); ++k) {
-      auto clf = MakeClassifier(kTreeKinds[k]);
+    for (size_t k = 0; k < std::size(kProbaKinds); ++k) {
+      auto clf = MakeClassifier(kProbaKinds[k]);
       Rng rng(97);
       clf->Fit(x, y, t.schema().num_labels(), &rng);
       const uint64_t got = ProbaDigest(*clf, x);
       EXPECT_EQ(got, want[k])
-          << ClassifierKindName(kTreeKinds[k]) << " threads=" << threads
+          << ClassifierKindName(kProbaKinds[k]) << " threads=" << threads
           << " got " << Hex(got);
     }
   }
@@ -214,14 +217,14 @@ TEST(TreeGoldenTest, AdultProbaDigests) {
   ExpectProbaDigests(data::MakeAdultSim(700, &rng),
                      {0xd831f95216fab5f8ULL, 0xf32bce2c057b9058ULL,
                       0x65072787009dd09cULL, 0x5f12c42ef147cfafULL,
-                      0xd3bbecff71546d38ULL});
+                      0xd3bbecff71546d38ULL, 0xe69a83e8e3e0b161ULL});
 }
 
 TEST(TreeGoldenTest, TieHeavyProbaDigests) {
   ExpectProbaDigests(MakeTieHeavy(500, 1905),
                      {0x32a82d06a8a61334ULL, 0x32a82d06a8a61334ULL,
                       0x3a731aa512b946d4ULL, 0x6604fb4b50375203ULL,
-                      0xae34ee37ecb64681ULL});
+                      0xae34ee37ecb64681ULL, 0x92a104cf82b6daabULL});
 }
 
 // Weighted trees whose weights span 40 binary orders of magnitude, so a

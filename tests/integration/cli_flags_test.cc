@@ -105,6 +105,58 @@ TEST(CliFlagsTest, NonNumericValueIsRejected) {
                  "expects an integer");
 }
 
+// A negative count would wrap to ~1.8e19 threads, rows or iterations;
+// Parse refuses it, and any count a long cannot hold, before anything
+// runs.
+TEST(CliFlagsTest, NegativeOrOversizedCountIsRejected) {
+  ExpectRejected(DAISY_CLI_BIN,
+                 {"synth", "--input", "x.csv", "--output", "y.csv",
+                  "--threads", "-1"},
+                 "flag --threads expects a non-negative integer, got: -1");
+  ExpectRejected(DAISY_CLI_BIN,
+                 {"synth", "--input", "x.csv", "--output", "y.csv", "--n",
+                  "-5"},
+                 "flag --n expects a non-negative integer, got: -5");
+  ExpectRejected(DAISY_CLI_BIN,
+                 {"synth", "--input", "x.csv", "--output", "y.csv",
+                  "--iterations=-1"},
+                 "flag --iterations expects a non-negative integer");
+  ExpectRejected(DAISY_CLI_BIN,
+                 {"train-rel", "--schema", "s.json", "--output", "b",
+                  "--threads", "-1"},
+                 "expects a non-negative integer");
+  ExpectRejected(DAISY_CLI_BIN,
+                 {"generate", "--model", "m.daisy", "--output", "y.csv",
+                  "--n", "99999999999999999999"},
+                 "expects a non-negative integer");
+  ExpectRejected(DAISY_SERVE_BIN,
+                 {"--socket", "/tmp/x.sock", "--model", "a=m.daisy",
+                  "--threads", "-1"},
+                 "flag --threads expects a non-negative integer, got: -1");
+}
+
+// Real flags must parse fully as finite numbers: --critic-reg abc used
+// to train with the clamp off, --scale abc to generate at scale 1.
+TEST(CliFlagsTest, NonNumericRealIsRejected) {
+  ExpectRejected(DAISY_CLI_BIN,
+                 {"synth", "--input", "x.csv", "--output", "y.csv",
+                  "--critic-reg", "abc"},
+                 "flag --critic-reg expects a finite number, got: abc");
+  ExpectRejected(DAISY_CLI_BIN,
+                 {"synth", "--input", "x.csv", "--output", "y.csv",
+                  "--critic-reg", "nan"},
+                 "flag --critic-reg expects a finite number, got: nan");
+  for (const std::string scale : {"abc", "2x", "inf", ""}) {
+    const RunResult r =
+        RunBinary(DAISY_CLI_BIN, {"gen-rel", "--bundle", "b.daisyrel",
+                                  "--output-dir", "out", "--scale", scale});
+    EXPECT_EQ(r.exit_code, 2) << "--scale '" << scale << "'";
+    EXPECT_NE(r.stderr_text.find("flag --scale expects a finite number"),
+              std::string::npos)
+        << "stderr was: " << r.stderr_text;
+  }
+}
+
 TEST(CliFlagsTest, DuplicateFlagIsRejected) {
   ExpectRejected(DAISY_CLI_BIN,
                  {"eval", "--real", "a.csv", "--real", "b.csv"},

@@ -241,6 +241,7 @@ TEST_F(ModelFileTest, RefusesForgedStreamsWithValidTrailer) {
   const std::vector<std::pair<std::string, std::string>> forged = {
       {"generator arch 4", ForgeLine(v3, 1, "4")},
       {"discriminator arch 9", ForgeLine(v3, 2, "9")},
+      {"retired BiLSTM discriminator code 2", ForgeLine(v3, 2, "2")},
       {"conditional + training-by-sampling",
        ForgeLine(ForgeLine(v3, 3, "1"), 13, "2")},
       {"parent conditioning + conditional",

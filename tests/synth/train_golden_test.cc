@@ -2,7 +2,10 @@
 // short Fit leaves behind — the SaveToStream model payload and the
 // InferenceSamples of a fixed latent batch — for the four design points
 // e2ebench's design_sweep runs (MLP VTrain, LSTM WTrain, MLP CTrain, MLP
-// DPTrain on the vectorized engine), plus a digest of one Linear
+// DPTrain on the vectorized engine) and three more that put every other
+// persisted enumerator on disk (CNN networks with matrix samples; an
+// LSTM discriminator with training-by-sampling; the chunked sampler with
+// ordinal and simple encodings), plus a digest of one Linear
 // forward/backward pass at head and hidden widths. Every value is
 // checked under the scalar and the AVX2 kernel table at 1 and 3
 // threads, so any change to the operation sequence of a forward or a
@@ -105,10 +108,24 @@ Point MakePoint(const char* name) {
     p.gan.conditional = true;
     p.topts.exclude_label = true;
     p.gan.iterations = 5;
-  } else {
+  } else if (n == "mlp_dptrain") {
     p.gan.algo = TrainAlgo::kDPTrain;
     p.gan.dp_engine = DpEngineKind::kVectorized;
     p.gan.iterations = 6;
+  } else if (n == "cnn_vtrain") {
+    // The CNN generator forces the CNN discriminator and matrix samples.
+    p.gan.generator = GeneratorArch::kCnn;
+    p.gan.iterations = 3;
+  } else if (n == "mlp_lstmd_tbs") {
+    p.gan.discriminator = DiscriminatorArch::kLstm;
+    p.gan.sampler = SamplerKind::kTrainingBySampling;
+    p.gan.iterations = 4;
+  } else {  // mlp_chunked_ordinal
+    p.gan.sampler = SamplerKind::kChunkedShuffle;
+    p.gan.shuffle_chunk_rows = 64;
+    p.topts.categorical = transform::CategoricalEncoding::kOrdinal;
+    p.topts.numerical = transform::NumericalNormalization::kSimple;
+    p.gan.iterations = 5;
   }
   return p;
 }
@@ -145,6 +162,10 @@ TEST(TrainGoldenTest, DesignPointsFitDigests) {
       {"lstm_wtrain", 0xa18860fbbbc98d80ULL, 0x35fb0796e8894f32ULL},
       {"mlp_ctrain", 0xa8d5bbc5576c56dbULL, 0xc3e06fe7d91ff4fdULL},
       {"mlp_dptrain", 0x84c1f966d85bb046ULL, 0xdd884bd6016e9621ULL},
+      {"cnn_vtrain", 0x64f3846d6d527814ULL, 0x8f3f5289f8b2a603ULL},
+      {"mlp_lstmd_tbs", 0x703b58669d5ab9adULL, 0xf0586283d8fa8968ULL},
+      {"mlp_chunked_ordinal", 0x695a977e014fd38bULL,
+       0x98188da48ae8c8d7ULL},
   };
   for (const Config& c : Configs()) {
     Apply(c);

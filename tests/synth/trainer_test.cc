@@ -74,13 +74,12 @@ TEST(TrainerTest, WTrainClipsDiscriminatorWeights) {
   data::Table table = SmallTable(&rng);
   Nets nets = BuildNets(table, 0, &rng);
   GanOptions opts = SmallOptions(TrainAlgo::kWTrain);
-  opts.weight_clip = 0.01;
   opts.d_steps = 2;
   GanTrainer trainer(nets.g.get(), nets.d.get(), nets.transformer.get(),
                      opts);
   trainer.Train(table, &rng);
   for (const nn::Parameter* p : nets.d->Params())
-    EXPECT_LE(p->value.MaxAbs(), 0.01 + 1e-12) << p->name;
+    EXPECT_LE(p->value.MaxAbs(), kWeightClip + 1e-12) << p->name;
 }
 
 TEST(TrainerTest, VTrainDoesNotClipWeights) {

@@ -1,11 +1,14 @@
 // Strict command-line flag parsing shared by the daisy tools
 // (daisy_cli, daisy_serve). Every flag must be declared, every
-// non-boolean flag must have a value, and numeric flags must parse
-// fully as decimal integers — a typo exits non-zero with a clear
-// message instead of being silently ignored.
+// non-boolean flag must have a value, numeric flags must parse fully as
+// non-negative decimal integers and real flags as finite decimal
+// numbers — a typo exits non-zero with a clear message instead of being
+// silently ignored or wrapped into a huge count.
 #ifndef DAISY_TOOLS_CLI_FLAGS_H_
 #define DAISY_TOOLS_CLI_FLAGS_H_
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -17,8 +20,9 @@ namespace daisy::cli {
 struct FlagSpec {
   const char* name;       // without the leading "--"
   bool boolean = false;   // takes no value (e.g. --resume)
-  bool numeric = false;   // value must be a decimal integer
+  bool numeric = false;   // value must be a non-negative decimal integer
   bool repeated = false;  // may appear more than once (values accumulate)
+  bool real = false;      // value must be a finite decimal number
 };
 
 /// Parsed flags. Accepts both "--flag value" and "--flag=value".
@@ -72,8 +76,15 @@ class FlagSet {
         value = argv[i + 1];
         i += 2;
       }
-      if (spec->numeric && !IsInteger(value)) {
-        *error = "flag --" + key + " expects an integer, got: " + value;
+      if (spec->numeric && !IsCount(value)) {
+        *error = "flag --" + key +
+                 (IsInteger(value) ? " expects a non-negative integer"
+                                   : " expects an integer") +
+                 ", got: " + value;
+        return false;
+      }
+      if (spec->real && !IsReal(value)) {
+        *error = "flag --" + key + " expects a finite number, got: " + value;
         return false;
       }
       if (spec->repeated) {
@@ -101,16 +112,11 @@ class FlagSet {
     return it == flags_.end() ? fallback : std::atol(it->second.c_str());
   }
 
-  /// Value of a real-valued flag (declare it non-numeric: the integer
-  /// validation would reject "0.5"). A value that does not parse fully
-  /// as a decimal number returns the fallback.
+  /// Value of a real flag (validated during Parse).
   double GetDouble(const std::string& key, double fallback) const {
     const auto it = flags_.find(key);
     if (it == flags_.end()) return fallback;
-    char* end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0') return fallback;
-    return v;
+    return std::strtod(it->second.c_str(), nullptr);
   }
 
   bool Has(const std::string& key) const {
@@ -131,6 +137,23 @@ class FlagSet {
     for (; i < s.size(); ++i)
       if (s[i] < '0' || s[i] > '9') return false;
     return true;
+  }
+
+  // An integer that GetInt returns unchanged: not negative, and no
+  // more than a long holds.
+  static bool IsCount(const std::string& s) {
+    if (!IsInteger(s) || s[0] == '-') return false;
+    errno = 0;
+    std::strtol(s.c_str(), nullptr, 10);
+    return errno == 0;
+  }
+
+  static bool IsReal(const std::string& s) {
+    if (s.empty()) return false;
+    errno = 0;
+    char* end = nullptr;
+    const double v = std::strtod(s.c_str(), &end);
+    return errno == 0 && *end == '\0' && std::isfinite(v);
   }
 
   std::map<std::string, std::string> flags_;

@@ -877,7 +877,7 @@ int main(int argc, char** argv) {
              {"no-mmap", true},
              {"sampler"},
              {"chunk-rows", false, true},
-             {"critic-reg"}};
+             {.name = "critic-reg", .real = true}};
   } else if (command == "convert") {
     specs = {{"input"},
              {"output"},
@@ -907,7 +907,7 @@ int main(int argc, char** argv) {
   } else if (command == "gen-rel") {
     specs = {{"bundle"},
              {"output-dir"},
-             {"scale"},  // real-valued; read via GetDouble
+             {.name = "scale", .real = true},
              {"seed", false, true},
              {"threads", false, true}};
   } else if (command == "eval-rel") {
