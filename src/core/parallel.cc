@@ -16,13 +16,17 @@ namespace {
 // 0 means "not overridden": fall back to env var / hardware.
 std::atomic<size_t> g_override{0};
 
+size_t HardwareThreads() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw >= 1 ? hw : 1;
+}
+
 size_t AutoThreads() {
   if (const char* env = std::getenv("DAISY_THREADS")) {
     const long v = std::strtol(env, nullptr, 10);
     if (v >= 1) return static_cast<size_t>(v);
   }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw >= 1 ? hw : 1;
+  return HardwareThreads();
 }
 
 // One parallel region in flight. Workers pull chunk indices from a
@@ -78,7 +82,11 @@ class Pool {
     job->num_chunks = num_chunks;
     {
       std::lock_guard<std::mutex> lk(mu_);
-      const size_t want = std::min(threads - 1, num_chunks - 1);
+      // More runnable threads than cores only add switching, and the
+      // pool keeps every worker it starts for the life of the process.
+      // Chunking ignores the worker count, so the cap moves no byte.
+      const size_t cap = kMaxWorkersPerCore * HardwareThreads();
+      const size_t want = std::min({threads - 1, num_chunks - 1, cap});
       while (workers_.size() < want)
         workers_.emplace_back(&Pool::WorkerLoop, this, workers_.size());
       job->active_workers = want;

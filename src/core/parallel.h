@@ -17,6 +17,11 @@
 
 namespace daisy::par {
 
+/// The pool starts at most this many worker threads per hardware
+/// thread, whatever NumThreads() says; a ParallelFor runs on at most
+/// that many workers plus the calling thread.
+inline constexpr size_t kMaxWorkersPerCore = 2;
+
 /// Resolved worker count: the last SetNumThreads() value, else the
 /// DAISY_THREADS environment variable, else hardware_concurrency.
 /// Always >= 1.

@@ -1,7 +1,6 @@
 #include "data/columnar.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -280,94 +279,36 @@ Status WriteColumnar(const Table& table, const std::string& path,
 }
 
 // ---------------------------------------------------------------------------
-// CSV -> dcol conversion (three bounded-memory passes)
+// CSV -> dcol conversion (bounded memory: every pass re-scans the file)
 
 Status ConvertCsvToColumnar(const std::string& csv_path,
                             const std::string& dcol_path,
                             const std::string& label_column,
                             size_t page_rows) {
-  // Pass 1: per-column "is numeric" (a column is numeric iff every
-  // value parses), matching ReadCsv's inference exactly.
   CsvStreamReader reader;
-  DAISY_RETURN_IF_ERROR(reader.Open(csv_path));
-  const std::vector<std::string> header = reader.header();
-  const size_t m = header.size();
-  std::vector<bool> numeric(m, true);
-  {
-    std::vector<std::string> fields;
-    bool got = false;
-    for (;;) {
-      DAISY_RETURN_IF_ERROR(reader.Next(&fields, &got));
-      if (!got) break;
-      for (size_t j = 0; j < m; ++j) {
-        double tmp;
-        if (numeric[j] && !ParseCsvNumber(fields[j], &tmp)) numeric[j] = false;
-      }
-    }
-  }
-
-  int label_index = -1;
-  if (!label_column.empty()) {
-    for (size_t j = 0; j < m; ++j)
-      if (header[j] == label_column) label_index = static_cast<int>(j);
-    if (label_index < 0)
-      return Status::NotFound("label column not in csv: " + label_column);
-  }
-
-  // Pass 2: categorical domains in first-seen order (the label column
-  // is categorical even when numeric, as in ReadCsv).
-  const auto is_categorical = [&](size_t j) {
-    return !numeric[j] || static_cast<int>(j) == label_index;
-  };
-  std::vector<std::map<std::string, size_t>> cat_index(m);
-  std::vector<std::vector<std::string>> cats(m);
-  bool any_categorical = false;
-  for (size_t j = 0; j < m; ++j) any_categorical |= is_categorical(j);
-  if (any_categorical) {
+  const CsvRecords scan = [&](const auto& visit) {
     DAISY_RETURN_IF_ERROR(reader.Open(csv_path));
     std::vector<std::string> fields;
     bool got = false;
     for (;;) {
       DAISY_RETURN_IF_ERROR(reader.Next(&fields, &got));
-      if (!got) break;
-      for (size_t j = 0; j < m; ++j) {
-        if (!is_categorical(j)) continue;
-        if (cat_index[j].emplace(fields[j], cats[j].size()).second)
-          cats[j].push_back(fields[j]);
-      }
+      if (!got) return Status::OK();
+      DAISY_RETURN_IF_ERROR(visit(fields));
     }
-  }
-
-  std::vector<Attribute> attrs(m);
-  for (size_t j = 0; j < m; ++j) {
-    if (is_categorical(j))
-      attrs[j] = Attribute::Categorical(header[j], cats[j]);
-    else
-      attrs[j] = Attribute::Numerical(header[j]);
-  }
-  const Schema schema(std::move(attrs), label_index);
-
-  // Pass 3: stream cell values into the writer.
-  auto writer = ColumnarWriter::Create(dcol_path, schema, page_rows);
-  if (!writer.ok()) return writer.status();
+  };
   DAISY_RETURN_IF_ERROR(reader.Open(csv_path));
-  std::vector<std::string> fields;
-  std::vector<double> values(m);
-  bool got = false;
-  for (;;) {
-    DAISY_RETURN_IF_ERROR(reader.Next(&fields, &got));
-    if (!got) break;
-    for (size_t j = 0; j < m; ++j) {
-      if (is_categorical(j)) {
-        values[j] = static_cast<double>(cat_index[j][fields[j]]);
-      } else {
-        double v = 0.0;
-        ParseCsvNumber(fields[j], &v);
-        values[j] = v;
-      }
-    }
-    DAISY_RETURN_IF_ERROR(writer.value()->Append(values));
-  }
+  auto typing = CsvTyping::Infer(reader.header(), label_column, scan);
+  if (!typing.ok()) return typing.status();
+
+  auto writer =
+      ColumnarWriter::Create(dcol_path, typing.value().schema(), page_rows);
+  if (!writer.ok()) return writer.status();
+  std::vector<double> values;
+  const auto append = [&](const std::vector<std::string>& fields) {
+    DAISY_RETURN_IF_ERROR(typing.value().Encode(fields, &values));
+    return writer.value()->Append(values);
+  };
+  DAISY_RETURN_IF_ERROR(scan(append));
   return writer.value()->Finish();
 }
 
@@ -391,13 +332,6 @@ Result<std::unique_ptr<PagedTable>> PagedTable::Open(const std::string& path,
   if (t->file_size_ < kHeaderLen + kPostscriptLen)
     return Status::InvalidArgument("dcol file too short (truncated?): " +
                                    path);
-  if (options.use_mmap) {
-    void* map = ::mmap(nullptr, t->file_size_, PROT_READ, MAP_PRIVATE,
-                       t->fd_, 0);
-    // mmap failure is not fatal: fall back to pread.
-    if (map != MAP_FAILED)
-      t->map_ = static_cast<const unsigned char*>(map);
-  }
 
   unsigned char header[kHeaderLen];
   DAISY_RETURN_IF_ERROR(t->ReadBytes(0, kHeaderLen, header));
@@ -452,8 +386,6 @@ Result<std::unique_ptr<PagedTable>> PagedTable::Open(const std::string& path,
 }
 
 PagedTable::~PagedTable() {
-  if (map_ != nullptr)
-    ::munmap(const_cast<unsigned char*>(map_), file_size_);
   if (fd_ >= 0) ::close(fd_);
 }
 
@@ -474,10 +406,8 @@ Status PagedTable::ReadBytes(uint64_t offset, size_t len, void* out) const {
   if (len == 0) return Status::OK();
   if (offset + len > file_size_)
     return Status::InvalidArgument("dcol read past end of file: " + path_);
-  if (map_ != nullptr) {
-    std::memcpy(out, map_ + offset, len);
-    return Status::OK();
-  }
+  // A file shrunk under an open table reads short here (pread returns
+  // 0 past the new end), which comes back as a Status, never a signal.
   char* dst = static_cast<char*>(out);
   size_t done = 0;
   while (done < len) {
@@ -496,21 +426,23 @@ Status PagedTable::LoadPage(size_t group, size_t col,
   ++page_loads_;
   const size_t rows = GroupRows(group);
   const size_t payload = rows * sizeof(double);
-  std::vector<unsigned char> buf(PageBytes(rows));
-  DAISY_RETURN_IF_ERROR(ReadBytes(PageOffset(group, col), buf.size(),
-                                  buf.data()));
-  if (GetU32(buf.data() + payload) != Crc32(buf.data(), payload))
+  // The page is read in place: its 8-byte CRC + pad trailer lands in
+  // one extra double that is dropped once checked.
+  out->resize(rows + 1);
+  const auto* buf = reinterpret_cast<const unsigned char*>(out->data());
+  DAISY_RETURN_IF_ERROR(
+      ReadBytes(PageOffset(group, col), PageBytes(rows), out->data()));
+  if (GetU32(buf + payload) != Crc32(buf, payload))
     return Status::InvalidArgument(
         "dcol page checksum mismatch (column " + std::to_string(col) +
         ", page " + std::to_string(group) + "): " + path_);
   // The alignment pad is written as zero; anything else is corruption
   // (it is the one page region the CRC does not cover).
-  if (GetU32(buf.data() + payload + 4) != 0)
+  if (GetU32(buf + payload + 4) != 0)
     return Status::InvalidArgument(
         "dcol page pad corrupted (column " + std::to_string(col) +
         ", page " + std::to_string(group) + "): " + path_);
   out->resize(rows);
-  std::memcpy(out->data(), buf.data(), payload);
   return Status::OK();
 }
 

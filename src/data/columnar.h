@@ -91,11 +91,11 @@ class ColumnarWriter {
 Status WriteColumnar(const Table& table, const std::string& path,
                      size_t page_rows);
 
-/// Converts a CSV file to .dcol with bounded memory: three streaming
-/// passes (column types; categorical domains in first-seen order; cell
-/// values into a ColumnarWriter). Schema inference matches ReadCsv
-/// exactly — the resulting table is bitwise identical to
-/// ReadCsv(csv_path, label_column).
+/// Converts a CSV file to .dcol with bounded memory: CsvTyping's passes
+/// over the file (column types, then categorical domains), then one
+/// more streaming the encoded cells into a ColumnarWriter. The typing
+/// rule is ReadCsv's, so the resulting table is bitwise identical to
+/// ReadCsv(csv_path, label_column), and both refuse the same files.
 Status ConvertCsvToColumnar(const std::string& csv_path,
                             const std::string& dcol_path,
                             const std::string& label_column,
@@ -126,11 +126,6 @@ class PagedTable {
     /// memory is page_budget * page_rows * 8 bytes plus one scratch
     /// page.
     size_t page_budget = 64;
-    /// Map the file read-only and serve page faults by copy from the
-    /// mapping instead of pread. Note mmap charges the whole file
-    /// against the address space (ulimit -v); bounded-memory runs
-    /// under an rlimit should disable it.
-    bool use_mmap = true;
     /// Verify every page CRC with a full sequential pass at Open.
     /// Header and footer checksums are always verified.
     bool verify = true;
@@ -177,7 +172,8 @@ class PagedTable {
                     double* out) const;
 
   /// Reads one page (row group `group` of column `col`) from the file,
-  /// verifying its CRC, into `out`. Bypasses the cache.
+  /// verifying its CRC, into `out`. Bypasses the cache. After an
+  /// error the contents of `out` are unspecified.
   Status LoadPage(size_t group, size_t col, std::vector<double>* out) const;
 
   /// Pages read from the file so far, by any path: Open's verify pass,
@@ -214,7 +210,6 @@ class PagedTable {
   Options opts_;
 
   int fd_ = -1;
-  const unsigned char* map_ = nullptr;  // non-null iff mmap succeeded
   uint64_t file_size_ = 0;
 
   // LRU page cache: key = group * num_cols + col.

@@ -1,11 +1,10 @@
 #include "data/csv.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <set>
-#include <sstream>
 
 namespace daisy::data {
 
@@ -74,35 +73,9 @@ Status ParseRecord(std::istream& in, std::vector<std::string>* fields,
   return Status::OK();
 }
 
-// Reads the header record for ReadCsv and CsvStreamReader alike, so the
-// two refuse the same headers: none at all, or a name given twice
-// (which column the label, or any lookup by name, meant is unknowable).
-Status ParseHeader(std::istream& in, const std::string& path,
-                   std::vector<std::string>* header) {
-  bool got = false;
-  DAISY_RETURN_IF_ERROR(ParseRecord(in, header, &got));
-  if (!got) return Status::InvalidArgument("empty csv: " + path);
-  std::set<std::string> seen;
-  for (const std::string& name : *header)
-    if (!seen.insert(name).second)
-      return Status::InvalidArgument("duplicate column name '" + name +
-                                     "' in csv header: " + path);
-  return Status::OK();
-}
-
-}  // namespace
-
-std::string EscapeCsvField(const std::string& s) {
-  if (s.find_first_of(",\"\n\r") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char ch : s) {
-    if (ch == '"') out += "\"\"";
-    else out.push_back(ch);
-  }
-  out += "\"";
-  return out;
-}
-
+// Strict numeric parse: the whole non-empty field must be consumed by
+// strtod, with no range error. strtod also takes nan and inf; the typing
+// rule refuses those in a numerical column.
 bool ParseCsvNumber(const std::string& s, double* out) {
   if (s.empty()) return false;
   errno = 0;
@@ -113,10 +86,25 @@ bool ParseCsvNumber(const std::string& s, double* out) {
   return true;
 }
 
-namespace {
+void AppendCsvField(const std::string& s, std::string* out) {
+  if (s.find_first_of(",\"\n\r") == std::string::npos) {
+    *out += s;
+    return;
+  }
+  out->push_back('"');
+  for (char ch : s) {
+    if (ch == '"') out->push_back('"');
+    out->push_back(ch);
+  }
+  out->push_back('"');
+}
 
-bool ParseDouble(const std::string& s, double* out) {
-  return ParseCsvNumber(s, out);
+void AppendCsvRow(const Table& table, size_t i, std::string* out) {
+  for (size_t j = 0; j < table.num_attributes(); ++j) {
+    if (j) out->push_back(',');
+    AppendCsvField(table.CellToString(i, j), out);
+  }
+  out->push_back('\n');
 }
 
 }  // namespace
@@ -127,8 +115,16 @@ Status CsvStreamReader::Open(const std::string& path) {
   in_.open(path);
   if (!in_) return Status::IOError("cannot open for read: " + path);
   path_ = path;
-  rows_read_ = 0;
-  return ParseHeader(in_, path, &header_);
+  bool got = false;
+  DAISY_RETURN_IF_ERROR(ParseRecord(in_, &header_, &got));
+  if (!got) return Status::InvalidArgument("empty csv: " + path);
+  // A name given twice makes the label, or any lookup by name, ambiguous.
+  std::set<std::string> seen;
+  for (const std::string& name : header_)
+    if (!seen.insert(name).second)
+      return Status::InvalidArgument("duplicate column name '" + name +
+                                     "' in csv header: " + path);
+  return Status::OK();
 }
 
 Status CsvStreamReader::Next(std::vector<std::string>* fields, bool* got) {
@@ -138,25 +134,123 @@ Status CsvStreamReader::Next(std::vector<std::string>* fields, bool* got) {
   if (!*got) return Status::OK();
   if (fields->size() != header_.size())
     return Status::InvalidArgument("ragged row in csv: " + path_);
-  ++rows_read_;
   return Status::OK();
+}
+
+Result<CsvTyping> CsvTyping::Infer(const std::vector<std::string>& header,
+                                   const std::string& label_column,
+                                   const CsvRecords& records) {
+  const size_t m = header.size();
+  constexpr size_t kNone = static_cast<size_t>(-1);
+  std::vector<bool> numeric(m, true);
+  std::vector<size_t> first_non_finite(m, kNone);  // 1-based data row
+  size_t row = 0;
+  const auto type_cells = [&](const std::vector<std::string>& fields) {
+    ++row;
+    for (size_t j = 0; j < m; ++j) {
+      if (!numeric[j]) continue;
+      double v = 0.0;
+      if (!ParseCsvNumber(fields[j], &v))
+        numeric[j] = false;
+      else if (!std::isfinite(v) && first_non_finite[j] == kNone)
+        first_non_finite[j] = row;
+    }
+    return Status::OK();
+  };
+  DAISY_RETURN_IF_ERROR(records(type_cells));
+
+  int label_index = -1;
+  if (!label_column.empty()) {
+    for (size_t j = 0; j < m; ++j)
+      if (header[j] == label_column) label_index = static_cast<int>(j);
+    if (label_index < 0)
+      return Status::NotFound("label column not in csv: " + label_column);
+  }
+  std::vector<bool> categorical(m);
+  bool any_categorical = false;
+  for (size_t j = 0; j < m; ++j) {
+    categorical[j] = !numeric[j] || static_cast<int>(j) == label_index;
+    any_categorical |= categorical[j];
+    if (!categorical[j] && first_non_finite[j] != kNone)
+      return Status::InvalidArgument(
+          "non-finite number in numeric csv column '" + header[j] +
+          "' at data row " + std::to_string(first_non_finite[j]));
+  }
+
+  CsvTyping typing;
+  typing.cat_index_.resize(m);
+  std::vector<std::vector<std::string>> cats(m);
+  const auto collect_domains = [&](const std::vector<std::string>& fields) {
+    for (size_t j = 0; j < m; ++j)
+      if (categorical[j] &&
+          typing.cat_index_[j].try_emplace(fields[j], cats[j].size()).second)
+        cats[j].push_back(fields[j]);
+    return Status::OK();
+  };
+  if (any_categorical) DAISY_RETURN_IF_ERROR(records(collect_domains));
+  std::vector<Attribute> attrs(m);
+  for (size_t j = 0; j < m; ++j)
+    attrs[j] = categorical[j]
+                   ? Attribute::Categorical(header[j], std::move(cats[j]))
+                   : Attribute::Numerical(header[j]);
+  typing.schema_ = Schema(std::move(attrs), label_index);
+  return typing;
+}
+
+Status CsvTyping::Encode(const std::vector<std::string>& fields,
+                         std::vector<double>* values) const {
+  values->resize(fields.size());
+  for (size_t j = 0; j < fields.size(); ++j) {
+    bool seen;
+    if (schema_.attribute(j).is_categorical()) {
+      const auto it = cat_index_[j].find(fields[j]);
+      seen = it != cat_index_[j].end();
+      if (seen) (*values)[j] = static_cast<double>(it->second);
+    } else {
+      seen = ParseCsvNumber(fields[j], &(*values)[j]) &&
+             std::isfinite((*values)[j]);
+    }
+    if (!seen)
+      return Status::InvalidArgument("csv cell '" + fields[j] +
+                                     "' in column '" +
+                                     schema_.attribute(j).name +
+                                     "' was not seen when typing the file");
+  }
+  return Status::OK();
+}
+
+std::string EscapeCsvField(const std::string& s) {
+  std::string out;
+  AppendCsvField(s, &out);
+  return out;
+}
+
+std::string CsvHeader(const Schema& schema) {
+  std::string out;
+  for (size_t j = 0; j < schema.num_attributes(); ++j) {
+    if (j) out.push_back(',');
+    AppendCsvField(schema.attribute(j).name, &out);
+  }
+  out.push_back('\n');
+  return out;
+}
+
+std::string CsvRows(const Table& table) {
+  std::string out;
+  for (size_t i = 0; i < table.num_records(); ++i)
+    AppendCsvRow(table, i, &out);
+  return out;
 }
 
 Status WriteCsv(const Table& table, const std::string& path) {
   std::ofstream out(path);
   if (!out) return Status::IOError("cannot open for write: " + path);
-  const Schema& schema = table.schema();
-  for (size_t j = 0; j < schema.num_attributes(); ++j) {
-    if (j) out << ',';
-    out << EscapeCsvField(schema.attribute(j).name);
-  }
-  out << '\n';
+  out << CsvHeader(table.schema());
+  std::string line;
   for (size_t i = 0; i < table.num_records(); ++i) {
-    for (size_t j = 0; j < schema.num_attributes(); ++j) {
-      if (j) out << ',';
-      out << EscapeCsvField(table.CellToString(i, j));
-    }
-    out << '\n';
+    line.clear();
+    AppendCsvRow(table, i, &line);
+    out << line;
   }
   // The last buffered rows reach the file only at close; check after it.
   out.close();
@@ -166,69 +260,29 @@ Status WriteCsv(const Table& table, const std::string& path) {
 
 Result<Table> ReadCsv(const std::string& path,
                       const std::string& label_column) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-
-  std::vector<std::string> header;
-  DAISY_RETURN_IF_ERROR(ParseHeader(in, path, &header));
-  const size_t m = header.size();
-
+  CsvStreamReader reader;
+  DAISY_RETURN_IF_ERROR(reader.Open(path));
   std::vector<std::vector<std::string>> raw;  // rows of string fields
-  bool got = false;
   for (;;) {
     std::vector<std::string> fields;
-    if (Status st = ParseRecord(in, &fields, &got); !st.ok()) return st;
+    bool got = false;
+    DAISY_RETURN_IF_ERROR(reader.Next(&fields, &got));
     if (!got) break;
-    if (fields.size() != m)
-      return Status::InvalidArgument("ragged row in csv: " + path);
     raw.push_back(std::move(fields));
   }
+  // Typing replays the rows held in memory; the file is read once.
+  const CsvRecords replay = [&raw](const auto& visit) {
+    for (const auto& row : raw) DAISY_RETURN_IF_ERROR(visit(row));
+    return Status::OK();
+  };
+  auto typing = CsvTyping::Infer(reader.header(), label_column, replay);
+  if (!typing.ok()) return typing.status();
 
-  // Infer per-column type.
-  std::vector<bool> numeric(m, true);
+  Table table(typing.value().schema());
+  table.Reserve(raw.size());
+  std::vector<double> values;
   for (const auto& row : raw) {
-    for (size_t j = 0; j < m; ++j) {
-      double tmp;
-      if (numeric[j] && !ParseDouble(row[j], &tmp)) numeric[j] = false;
-    }
-  }
-
-  std::vector<Attribute> attrs(m);
-  std::vector<std::map<std::string, size_t>> cat_index(m);
-  for (size_t j = 0; j < m; ++j) {
-    if (numeric[j] && header[j] != label_column) {
-      attrs[j] = Attribute::Numerical(header[j]);
-    } else {
-      // Categorical: collect distinct values in first-seen order.
-      std::vector<std::string> cats;
-      for (const auto& row : raw) {
-        if (cat_index[j].emplace(row[j], cats.size()).second)
-          cats.push_back(row[j]);
-      }
-      attrs[j] = Attribute::Categorical(header[j], std::move(cats));
-    }
-  }
-
-  int label_index = -1;
-  if (!label_column.empty()) {
-    for (size_t j = 0; j < m; ++j)
-      if (header[j] == label_column) label_index = static_cast<int>(j);
-    if (label_index < 0)
-      return Status::NotFound("label column not in csv: " + label_column);
-  }
-
-  Table table(Schema(std::move(attrs), label_index));
-  std::vector<double> values(m);
-  for (const auto& row : raw) {
-    for (size_t j = 0; j < m; ++j) {
-      if (table.schema().attribute(j).is_categorical()) {
-        values[j] = static_cast<double>(cat_index[j][row[j]]);
-      } else {
-        double v = 0.0;
-        ParseDouble(row[j], &v);
-        values[j] = v;
-      }
-    }
+    DAISY_RETURN_IF_ERROR(typing.value().Encode(row, &values));
     table.AppendRecord(values);
   }
   return table;

@@ -3,7 +3,9 @@
 #define DAISY_DATA_CSV_H_
 
 #include <fstream>
+#include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/status.h"
@@ -11,18 +13,12 @@
 
 namespace daisy::data {
 
-/// Strict numeric parse used for CSV schema inference: the whole field
-/// must be consumed by strtod and must be non-empty. Exposed so the
-/// streaming CSV->dcol converter infers types byte-identically to
-/// ReadCsv.
-bool ParseCsvNumber(const std::string& s, double* out);
-
-/// Record-at-a-time CSV reader: same RFC-4180 grammar as ReadCsv
-/// (quoted fields, doubled quotes, CRLF line endings, fields spanning
-/// physical lines) but holding only one record in memory, so
-/// arbitrarily large files stream in bounded space. Open() consumes
-/// the header row, and refuses the headers ReadCsv refuses; call Open()
-/// again to rewind for another pass.
+/// Record-at-a-time CSV reader for RFC-4180 files (quoted fields,
+/// doubled quotes, CRLF line endings, fields spanning physical lines),
+/// holding only one record in memory, so arbitrarily large files stream
+/// in bounded space. Open() consumes the header row and refuses a file
+/// with none, or a header that repeats a column name, with
+/// InvalidArgument; call Open() again to rewind for another pass.
 class CsvStreamReader {
  public:
   CsvStreamReader() = default;
@@ -36,34 +32,68 @@ class CsvStreamReader {
   /// Ragged records (width != header width) are an error.
   Status Next(std::vector<std::string>* fields, bool* got);
 
-  /// Data records returned by Next since the last Open.
-  size_t rows_read() const { return rows_read_; }
-
  private:
   std::ifstream in_;
   std::string path_;
   std::vector<std::string> header_;
-  size_t rows_read_ = 0;
+};
+
+/// One pass over a CSV's data records in file order: calls `visit` on
+/// each and returns the first error, of the read or of `visit`.
+using CsvRecords = std::function<Status(
+    const std::function<Status(const std::vector<std::string>&)>& visit)>;
+
+/// The CSV typing rule, shared by ReadCsv and ConvertCsvToColumnar. A
+/// column is numerical iff every cell parses as a number (strtod
+/// consumes the whole, non-empty cell); the label column is
+/// categorical even then. A categorical column's domain is its
+/// distinct cells in first-seen order.
+class CsvTyping {
+ public:
+  /// Runs `records` once for the column types and, when some column is
+  /// categorical, once more for the domains. NotFound when
+  /// `label_column` (non-empty) is not in `header`; InvalidArgument
+  /// when a numerical column holds a non-finite number (nan, inf),
+  /// naming the column and the first such data row (1-based).
+  static Result<CsvTyping> Infer(const std::vector<std::string>& header,
+                                 const std::string& label_column,
+                                 const CsvRecords& records);
+
+  const Schema& schema() const { return schema_; }
+
+  /// One record's values: the category index of a categorical cell,
+  /// the parsed number of a numerical one. InvalidArgument for a cell
+  /// the typing passes did not see (the file changed between passes).
+  Status Encode(const std::vector<std::string>& fields,
+                std::vector<double>* values) const;
+
+ private:
+  Schema schema_;
+  // Per column: category -> index (empty for numerical columns).
+  std::vector<std::unordered_map<std::string, size_t>> cat_index_;
 };
 
 /// RFC-4180 escaping for one cell: the field is quoted (with embedded
-/// quotes doubled) when it contains a comma, quote, CR or LF. Exposed
-/// so streaming writers (the serve CSV encoder) produce bytes identical
-/// to WriteCsv.
+/// quotes doubled) when it contains a comma, quote, CR or LF.
 std::string EscapeCsvField(const std::string& s);
 
-/// Writes the table with a header row; categorical cells are written as
-/// category names, numerics with full precision. Cells containing
-/// delimiters, quotes or line breaks are quoted per RFC 4180, and
-/// ReadCsv round-trips them (including embedded newlines).
+/// The header line (attribute names, escaped, trailing '\n').
+std::string CsvHeader(const Schema& schema);
+
+/// All rows of `table` as CSV lines (each with a trailing '\n'):
+/// categorical cells as category names, numerics as Table::CellToString
+/// writes them, escaped. CsvHeader + CsvRows of a table, or of its
+/// consecutive chunks, is WriteCsv's file byte for byte.
+std::string CsvRows(const Table& table);
+
+/// Writes CsvHeader and CsvRows of the table to `path`. ReadCsv reads
+/// every category name back (embedded newlines included), and every
+/// number as CellToString printed it ("%g": 6 significant digits).
 Status WriteCsv(const Table& table, const std::string& path);
 
-/// Reads a CSV with a header row. Columns where every value parses as a
-/// number become numerical; everything else becomes categorical with
-/// the observed distinct values as its domain. `label_column` (by name)
-/// optionally designates the label; it must resolve to a categorical
-/// column (pass "" for no label). A header that repeats a column name
-/// is refused with InvalidArgument.
+/// Reads a CSV with a header row, typed by CsvTyping. `label_column`
+/// (by name) optionally designates the label (pass "" for no label).
+/// A header that repeats a column name is refused with InvalidArgument.
 Result<Table> ReadCsv(const std::string& path,
                       const std::string& label_column = "");
 

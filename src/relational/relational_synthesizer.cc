@@ -230,7 +230,6 @@ Status RelationalSynthesizer::Fit(const data::RelationalSchema& schema,
           data::ProjectColumnar(*in.paged, tm.kept_cols, proj_path));
       data::PagedTable::Options popts;
       popts.page_budget = opts_.page_budget;
-      popts.use_mmap = opts_.use_mmap;
       auto proj = data::PagedTable::Open(proj_path, popts);
       DAISY_RETURN_IF_ERROR(proj.status());
       health = edge != nullptr

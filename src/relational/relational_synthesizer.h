@@ -47,7 +47,6 @@ struct RelationalOptions {
 
   /// Paged-input knobs (used when a table arrives as a PagedTable).
   size_t page_budget = 64;
-  bool use_mmap = true;
   /// Directory for intermediate key-stripped .dcol projections of
   /// paged inputs (created if missing).
   std::string work_dir = "daisy_rel_work";

@@ -1,23 +1,17 @@
-// Streaming CSV encoding for the serving path. A response is the
-// header once, then rows chunk by chunk, so a 10M-row request never
-// materializes more than one decoded chunk; the concatenated bytes are
-// identical to what data::WriteCsv would have written for the whole
+// The serving path's names for the one CSV encoder (data/csv.h). A
+// response is CsvHeader once, then CsvRows chunk by chunk, so a
+// 10M-row request never materializes more than one decoded chunk; the
+// concatenated bytes are what data::WriteCsv writes for the whole
 // table at once.
 #ifndef DAISY_SERVE_CSV_STREAM_H_
 #define DAISY_SERVE_CSV_STREAM_H_
 
-#include <string>
-
-#include "data/table.h"
+#include "data/csv.h"
 
 namespace daisy::serve {
 
-/// The header line (attribute names, RFC-4180 escaped, trailing '\n').
-std::string CsvHeader(const data::Schema& schema);
-
-/// All rows of `chunk` as CSV lines (each with a trailing '\n'),
-/// byte-identical to the corresponding region of data::WriteCsv output.
-std::string CsvRows(const data::Table& chunk);
+using data::CsvHeader;
+using data::CsvRows;
 
 }  // namespace daisy::serve
 

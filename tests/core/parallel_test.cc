@@ -5,8 +5,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <mutex>
+#include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -88,6 +91,28 @@ TEST_F(ParallelTest, NestedParallelForRunsInline) {
     }
   });
   EXPECT_EQ(inner_calls.load(), 8);
+}
+
+TEST_F(ParallelTest, PoolWorkersAreCappedByHardware) {
+  // 64 configured threads over 128 chunks would start 63 workers
+  // without the cap. Each chunk sleeps, so in practice every started
+  // worker runs some and the set of thread ids is the pool plus the
+  // caller. On a host with 32+ hardware threads the cap is not reached.
+  par::SetNumThreads(64);
+  const unsigned hw = std::thread::hardware_concurrency();
+  const size_t cap = par::kMaxWorkersPerCore * (hw >= 1 ? hw : 1);
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  std::atomic<size_t> covered{0};
+  par::ParallelFor(0, 128, 1, [&](size_t b, size_t e) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    covered.fetch_add(e - b);
+    std::lock_guard<std::mutex> lk(mu);
+    ids.insert(std::this_thread::get_id());
+  });
+  EXPECT_EQ(covered.load(), 128u);
+  EXPECT_LE(ids.size(), cap + 1);
+  EXPECT_EQ(par::NumThreads(), 64u);  // the configured count stands
 }
 
 // The acceptance-criterion test: every parallel Matrix kernel is

@@ -121,7 +121,6 @@ TEST(ColumnarTest, PointAndBulkAccessorsAgree) {
   ASSERT_TRUE(WriteColumnar(table, path, 8).ok());
   PagedTable::Options opts;
   opts.page_budget = 1;  // worst case: every access can evict
-  opts.use_mmap = false; // exercise the pread path too
   auto opened = PagedTable::Open(path, opts);
   ASSERT_TRUE(opened.ok());
   const PagedTable& p = *opened.value();
@@ -220,6 +219,65 @@ TEST(ColumnarTest, ConvertRefusesDuplicateHeaderName) {
             std::string::npos)
       << st.ToString();
   EXPECT_FALSE(fs::exists(dir + "/t.dcol"));
+}
+
+// The converter types cells by ReadCsv's rule, so it refuses a
+// non-finite number in a numeric column with the same message, writes
+// no file, and keeps "nan" as a category where ReadCsv does.
+TEST(ColumnarTest, ConvertRefusesNonFiniteNumberLikeReadCsv) {
+  const std::string dir = FreshDir("dcol_non_finite");
+  const std::string csv = dir + "/t.csv";
+  const std::string dcol = dir + "/t.dcol";
+  {
+    std::ofstream out(csv, std::ios::binary);
+    out << "x,c,label\n1.5,a,n\ninf,b,p\nnan,a,n\n";
+  }
+  const auto read = ReadCsv(csv, "label");
+  ASSERT_FALSE(read.ok());
+  const Status st = ConvertCsvToColumnar(csv, dcol, "label", 2);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(st.ToString(), read.status().ToString());
+  EXPECT_NE(st.ToString().find("column 'x' at data row 2"), std::string::npos)
+      << st.ToString();
+  EXPECT_FALSE(fs::exists(dcol));
+
+  {
+    std::ofstream out(csv, std::ios::binary);
+    out << "x,c,label\n1.5,nan,nan\n-2,b,inf\n";
+  }
+  const auto kept = ReadCsv(csv, "label");
+  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+  ASSERT_TRUE(ConvertCsvToColumnar(csv, dcol, "label", 2).ok());
+  auto opened = PagedTable::Open(dcol, {});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  auto round = opened.value()->ToTable();
+  ASSERT_TRUE(round.ok());
+  ExpectSameTable(kept.value(), round.value());
+}
+
+// Pages are read with pread, so a file cut short under an open table
+// reads short: every accessor returns the error instead of the process
+// taking a signal.
+TEST(ColumnarTest, FileShrunkUnderOpenTableIsAStatus) {
+  const std::string dir = FreshDir("dcol_shrunk");
+  const std::string path = dir + "/t.dcol";
+  // 128 KiB of pages: the cells read below lie many memory pages past
+  // the cut, where a mapping of the file would fault.
+  ASSERT_TRUE(WriteColumnar(SampleTable(4096), path, 512).ok());
+  PagedTable::Options opts;
+  opts.page_budget = 1;
+  auto opened = PagedTable::Open(path, opts);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const PagedTable& p = *opened.value();
+  fs::resize_file(path, 48);  // the header alone
+
+  const auto value = p.ValueAt(3000, 1);
+  EXPECT_FALSE(value.ok());
+  const auto gathered = p.GatherRows({2100, 4095});
+  EXPECT_FALSE(gathered.ok());
+  std::vector<double> scan(3072);
+  EXPECT_FALSE(p.ScanColumn(2, 1024, 4096, scan.data()).ok());
 }
 
 TEST(ColumnarTest, WriterRejectsBadRecords) {

@@ -180,6 +180,64 @@ TEST_F(CsvTest, DuplicateHeaderNameIsRefused) {
   }
 }
 
+// strtod takes nan and inf; a numeric column holding one would train
+// to NaN, so the typing rule refuses it and names the first such row.
+TEST_F(CsvTest, NonFiniteNumberInNumericColumnIsRefused) {
+  for (const std::string cell : {"nan", "NaN", "inf", "-inf", "Infinity"}) {
+    {
+      std::ofstream out(path_);
+      out << "x,c,label\n1.5,a,n\n-2,b,p\n" << cell << ",a,n\n4," << cell
+          << ",p\n";
+    }
+    auto result = ReadCsv(path_, "label");
+    ASSERT_FALSE(result.ok()) << cell;
+    EXPECT_EQ(result.status().code(), Status::Code::kInvalidArgument);
+    EXPECT_NE(result.status().ToString().find("column 'x' at data row 3"),
+              std::string::npos)
+        << result.status().ToString();
+  }
+}
+
+// A column that is categorical anyway (another cell is not a number),
+// or the label, keeps "nan" as a category name.
+TEST_F(CsvTest, NanIsACategoryOutsideNumericColumns) {
+  {
+    std::ofstream out(path_);
+    out << "x,c,label\n1.5,nan,nan\n-2,b,inf\n3,nan,nan\n";
+  }
+  auto result = ReadCsv(path_, "label");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const Schema& schema = result.value().schema();
+  EXPECT_FALSE(schema.attribute(0).is_categorical());
+  EXPECT_EQ(schema.attribute(1).categories,
+            (std::vector<std::string>{"nan", "b"}));
+  EXPECT_EQ(schema.attribute(2).categories,
+            (std::vector<std::string>{"nan", "inf"}));
+}
+
+// The converter re-scans its file once per pass; a cell that the
+// typing passes never saw (the file changed in between) is refused,
+// not encoded as some other value.
+TEST_F(CsvTest, EncodeRefusesCellsTypingDidNotSee) {
+  const std::vector<std::vector<std::string>> rows = {{"1.5", "a"},
+                                                      {"2", "b"}};
+  const CsvRecords records = [&rows](const auto& visit) {
+    for (const auto& row : rows) DAISY_RETURN_IF_ERROR(visit(row));
+    return Status::OK();
+  };
+  auto typing = CsvTyping::Infer({"x", "c"}, "", records);
+  ASSERT_TRUE(typing.ok()) << typing.status().ToString();
+  std::vector<double> values;
+  ASSERT_TRUE(typing.value().Encode({"-3", "b"}, &values).ok());
+  EXPECT_EQ(values, (std::vector<double>{-3.0, 1.0}));
+  for (const std::vector<std::string>& row :
+       std::vector<std::vector<std::string>>{
+           {"1", "z"}, {"abc", "a"}, {"nan", "a"}}) {
+    const Status st = typing.value().Encode(row, &values);
+    EXPECT_EQ(st.code(), Status::Code::kInvalidArgument) << row[0] << row[1];
+  }
+}
+
 // A table small enough to sit in the stream's buffer until close must
 // still report the write that fails there.
 TEST_F(CsvTest, WriteToFullDeviceIsAnError) {

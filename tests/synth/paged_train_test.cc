@@ -1,7 +1,7 @@
 // The headline invariant of the out-of-core pipeline: a GAN fitted
 // from a paged .dcol table is byte-identical to one fitted from the
-// equivalent in-memory table — at any page budget, mmap mode, thread
-// count and sampler kind. Also covers: streaming transformer fits
+// equivalent in-memory table — at any page budget, thread count and
+// sampler kind. Also covers: streaming transformer fits
 // bitwise-equal to in-memory fits, the chunked-shuffle sampler's
 // epoch/determinism/fast-forward contract, label-aware conditional
 // training over a paged table, and checkpoint resume of a paged +
@@ -52,8 +52,7 @@ data::Table SmallTable() {
 std::unique_ptr<data::PagedTable> PagedCopy(const data::Table& table,
                                             const std::string& dir,
                                             size_t page_rows,
-                                            size_t page_budget,
-                                            bool use_mmap) {
+                                            size_t page_budget) {
   const std::string path = dir + "/table.dcol";
   if (!fs::exists(path)) {
     const Status st = data::WriteColumnar(table, path, page_rows);
@@ -61,7 +60,6 @@ std::unique_ptr<data::PagedTable> PagedCopy(const data::Table& table,
   }
   data::PagedTable::Options popts;
   popts.page_budget = page_budget;
-  popts.use_mmap = use_mmap;
   auto opened = data::PagedTable::Open(path, popts);
   if (!opened.ok()) {
     ADD_FAILURE() << opened.status().message();
@@ -167,7 +165,7 @@ TEST(ChunkedShuffleSamplerTest, AdvanceRowsEqualsDrawing) {
 TEST(PagedTrainTest, StreamingTransformerFitIsBitwise) {
   const data::Table table = SmallTable();
   const std::string dir = FreshDir("paged_transform_fit");
-  auto paged = PagedCopy(table, dir, 37, 2, false);
+  auto paged = PagedCopy(table, dir, 37, 2);
   ASSERT_NE(paged, nullptr);
 
   for (size_t threads : {1u, 2u, 7u}) {
@@ -237,8 +235,7 @@ TEST(PagedTrainTest, PagedFitIsBitwiseAtEveryBudgetAndThreadCount) {
 
       for (size_t budget : {1u, 4u, 1000u}) {
         SCOPED_TRACE("budget=" + std::to_string(budget));
-        // Alternate mmap / pread so both fault paths are covered.
-        auto paged = PagedCopy(table, dir, 37, budget, budget % 2 == 0);
+        auto paged = PagedCopy(table, dir, 37, budget);
         ASSERT_NE(paged, nullptr);
         TableSynthesizer synth(opts, {});
         ASSERT_TRUE(synth.Fit(*paged).ok());
@@ -259,7 +256,7 @@ TEST(PagedTrainTest, ConditionalTrainingWorksOverPagedTables) {
   // label column and conditional batches gather by label.
   const data::Table table = SmallTable();
   const std::string dir = FreshDir("paged_ctrain");
-  auto paged = PagedCopy(table, dir, 37, 3, false);
+  auto paged = PagedCopy(table, dir, 37, 3);
   ASSERT_NE(paged, nullptr);
 
   GanOptions opts = BaseOptions(2);
@@ -282,7 +279,7 @@ TEST(PagedTrainTest, PagedChunkedResumeIsBitwise) {
   // the index stream exactly where the uninterrupted run was.
   const data::Table table = SmallTable();
   const std::string dir = FreshDir("paged_resume");
-  auto paged = PagedCopy(table, dir, 37, 2, false);
+  auto paged = PagedCopy(table, dir, 37, 2);
   ASSERT_NE(paged, nullptr);
 
   GanOptions opts_a = BaseOptions(2);

@@ -23,11 +23,10 @@
 // peak memory no longer scales with the table. The trained model is
 // byte-identical to an in-memory run over the equivalent CSV (same
 // seed/flags) at any page budget. The label column is baked in at
-// convert time, so --label is rejected with dcol input; pass --no-mmap
-// to serve page faults by pread (mmap charges the whole file against
-// ulimit -v). --sampler chunked (either data format) visits the table
-// in shuffled chunks of --chunk-rows records per epoch — the
-// IO-friendly sampler for paged tables.
+// convert time, so --label is rejected with dcol input. --sampler
+// chunked (either data format) visits the table in shuffled chunks of
+// --chunk-rows records per epoch — the IO-friendly sampler for paged
+// tables.
 //
 // `synth` accepts --save-model PATH to persist the trained model;
 // `generate` reloads it and samples without retraining. `--log-jsonl`
@@ -104,8 +103,8 @@ int Usage() {
                "            [--checkpoint-keep K] [--resume]\n"
                "            [--max-iters-per-run N]\n"
                "            [--data-format csv|dcol] [--page-budget N]\n"
-               "            [--no-mmap] [--sampler uniform|chunked|tbs]\n"
-               "            [--chunk-rows N] [--critic-reg C]\n"
+               "            [--sampler uniform|chunked|tbs] [--chunk-rows N]\n"
+               "            [--critic-reg C]\n"
                "  daisy_cli convert --input real.csv --output real.dcol\n"
                "            [--label COLUMN] [--page-rows N]\n"
                "  daisy_cli generate --model PATH --output fake.csv [--n N]\n"
@@ -115,7 +114,7 @@ int Usage() {
                "            [--log-jsonl PATH] [--report out.md]\n"
                "  daisy_cli train-rel --schema spec.json --output db.daisyrel\n"
                "            [--data-dir DIR] [--iterations N] [--seed S]\n"
-               "            [--threads T] [--page-budget N] [--no-mmap]\n"
+               "            [--threads T] [--page-budget N]\n"
                "            [--work-dir DIR]\n"
                "            [--log-jsonl PATH] [--log-every N]\n"
                "  daisy_cli gen-rel --bundle db.daisyrel --output-dir DIR\n"
@@ -195,7 +194,6 @@ int RunSynth(const Args& args) {
     daisy::data::PagedTable::Options popts;
     popts.page_budget = static_cast<size_t>(
         std::max(1L, args.GetInt("page-budget", 64)));
-    popts.use_mmap = args.Get("no-mmap").empty();
     auto opened = daisy::data::PagedTable::Open(input, popts);
     if (!opened.ok()) {
       std::fprintf(stderr, "error opening %s: %s\n", input.c_str(),
@@ -561,7 +559,7 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
 /// eval path needs random-access Tables).
 int LoadRelationalData(const std::string& spec_path,
                        const std::string& data_dir, size_t page_budget,
-                       bool use_mmap, bool materialize, RelationalData* out) {
+                       bool materialize, RelationalData* out) {
   auto spec = daisy::data::LoadRelationalSpec(spec_path);
   if (!spec.ok()) {
     std::fprintf(stderr, "error reading %s: %s\n", spec_path.c_str(),
@@ -582,7 +580,6 @@ int LoadRelationalData(const std::string& spec_path,
     if (EndsWith(t.file, ".dcol")) {
       daisy::data::PagedTable::Options popts;
       popts.page_budget = page_budget;
-      popts.use_mmap = use_mmap;
       auto opened = daisy::data::PagedTable::Open(path, popts);
       if (!opened.ok()) {
         std::fprintf(stderr, "error opening %s: %s\n", path.c_str(),
@@ -633,11 +630,10 @@ int RunTrainRel(const Args& args) {
   const std::string data_dir = args.Get("data-dir");
   const size_t page_budget = static_cast<size_t>(
       std::max(1L, args.GetInt("page-budget", 64)));
-  const bool use_mmap = args.Get("no-mmap").empty();
 
   RelationalData data;
   const int rc = LoadRelationalData(spec_path, data_dir, page_budget,
-                                    use_mmap, /*materialize=*/false, &data);
+                                    /*materialize=*/false, &data);
   if (rc != 0) return rc;
   for (size_t i = 0; i < data.schema.num_tables(); ++i) {
     const size_t rows = data.paged[i] != nullptr
@@ -657,7 +653,6 @@ int RunTrainRel(const Args& args) {
   // 0 = keep the process default (DAISY_THREADS env, else hardware).
   opts.gan.num_threads = static_cast<size_t>(args.GetInt("threads", 0));
   opts.page_budget = page_budget;
-  opts.use_mmap = use_mmap;
   opts.work_dir = args.Get("work-dir", "daisy_rel_work");
 
   std::unique_ptr<daisy::obs::RunLogger> logger;
@@ -759,8 +754,7 @@ int RunEvalRel(const Args& args) {
 
   RelationalData data;
   const int rc = LoadRelationalData(spec_path, data_dir, /*page_budget=*/64,
-                                    /*use_mmap=*/true, /*materialize=*/true,
-                                    &data);
+                                    /*materialize=*/true, &data);
   if (rc != 0) return rc;
 
   // Read the synthetic side and align each table pair on the union
@@ -874,7 +868,6 @@ int main(int argc, char** argv) {
              {"max-iters-per-run", false, true},
              {"data-format"},
              {"page-budget", false, true},
-             {"no-mmap", true},
              {"sampler"},
              {"chunk-rows", false, true},
              {.name = "critic-reg", .real = true}};
@@ -900,7 +893,6 @@ int main(int argc, char** argv) {
              {"seed", false, true},
              {"threads", false, true},
              {"page-budget", false, true},
-             {"no-mmap", true},
              {"work-dir"},
              {"log-jsonl"},
              {"log-every", false, true}};
