@@ -158,8 +158,8 @@ void EpochGather(benchmark::State& state, size_t budget, bool chunked) {
       const std::vector<size_t> rows = chunked
                                            ? shuffle.SampleBatch(kBatch)
                                            : uniform.SampleBatch(kBatch, &rng);
-      const Matrix samples = source->GatherSamples(rows);
-      benchmark::DoNotOptimize(samples.data());
+      const auto samples = source->GatherSamples(rows);
+      benchmark::DoNotOptimize(samples.value().data());
     }
   }
   state.SetItemsProcessed(state.iterations() *

@@ -380,8 +380,38 @@ Result<std::unique_ptr<PagedTable>> PagedTable::Open(const std::string& path,
   t->schema_ = std::move(f.schema);
   t->col_min_ = std::move(f.col_min);
   t->col_max_ = std::move(f.col_max);
+  t->cols_.resize(t->num_cols_);
+  for (size_t c = 0; c < t->num_cols_; ++c) t->cols_[c] = c;
 
   if (options.verify) DAISY_RETURN_IF_ERROR(t->VerifyAllPages());
+  return t;
+}
+
+Result<std::unique_ptr<PagedTable>> PagedTable::Project(
+    const std::vector<size_t>& cols) const {
+  if (cols.empty())
+    return Status::InvalidArgument("dcol projection needs a column");
+  for (size_t c : cols)
+    if (c >= cols_.size())
+      return Status::InvalidArgument("dcol projection column " +
+                                     std::to_string(c) + " out of range");
+  std::unique_ptr<PagedTable> t(new PagedTable());
+  t->path_ = path_;
+  t->schema_ = ProjectSchema(schema_, cols);
+  t->num_rows_ = num_rows_;
+  t->num_cols_ = num_cols_;
+  t->page_rows_ = page_rows_;
+  t->num_groups_ = num_groups_;
+  t->opts_ = opts_;
+  t->file_size_ = file_size_;
+  for (size_t c : cols) {
+    t->cols_.push_back(cols_[c]);
+    t->col_min_.push_back(col_min_[c]);
+    t->col_max_.push_back(col_max_[c]);
+  }
+  t->fd_ = ::dup(fd_);
+  if (t->fd_ < 0)
+    return Status::IOError("cannot duplicate dcol descriptor: " + path_);
   return t;
 }
 
@@ -395,11 +425,11 @@ size_t PagedTable::GroupRows(size_t group) const {
   return (group + 1 == num_groups_ && rem != 0) ? rem : page_rows_;
 }
 
-uint64_t PagedTable::PageOffset(size_t group, size_t col) const {
+uint64_t PagedTable::PageOffset(size_t group, size_t file_col) const {
   // All groups before `group` are full.
   return kHeaderLen +
          static_cast<uint64_t>(group) * num_cols_ * PageBytes(page_rows_) +
-         static_cast<uint64_t>(col) * PageBytes(GroupRows(group));
+         static_cast<uint64_t>(file_col) * PageBytes(GroupRows(group));
 }
 
 Status PagedTable::ReadBytes(uint64_t offset, size_t len, void* out) const {
@@ -421,7 +451,7 @@ Status PagedTable::ReadBytes(uint64_t offset, size_t len, void* out) const {
 
 Status PagedTable::LoadPage(size_t group, size_t col,
                             std::vector<double>* out) const {
-  if (group >= num_groups_ || col >= num_cols_)
+  if (group >= num_groups_ || col >= cols_.size())
     return Status::InvalidArgument("dcol page out of range");
   ++page_loads_;
   const size_t rows = GroupRows(group);
@@ -431,7 +461,7 @@ Status PagedTable::LoadPage(size_t group, size_t col,
   out->resize(rows + 1);
   const auto* buf = reinterpret_cast<const unsigned char*>(out->data());
   DAISY_RETURN_IF_ERROR(
-      ReadBytes(PageOffset(group, col), PageBytes(rows), out->data()));
+      ReadBytes(PageOffset(group, cols_[col]), PageBytes(rows), out->data()));
   if (GetU32(buf + payload) != Crc32(buf, payload))
     return Status::InvalidArgument(
         "dcol page checksum mismatch (column " + std::to_string(col) +
@@ -448,7 +478,7 @@ Status PagedTable::LoadPage(size_t group, size_t col,
 
 Result<const std::vector<double>*> PagedTable::FaultPage(size_t group,
                                                          size_t col) const {
-  const uint64_t key = static_cast<uint64_t>(group) * num_cols_ + col;
+  const uint64_t key = static_cast<uint64_t>(group) * cols_.size() + col;
   auto it = cache_.find(key);
   if (it != cache_.end()) {
     ++stats_.hits;
@@ -469,7 +499,7 @@ Result<const std::vector<double>*> PagedTable::FaultPage(size_t group,
 }
 
 Result<double> PagedTable::ValueAt(size_t record, size_t attr) const {
-  if (record >= num_rows_ || attr >= num_cols_)
+  if (record >= num_rows_ || attr >= cols_.size())
     return Status::InvalidArgument("dcol cell index out of range");
   auto page = FaultPage(record / page_rows_, attr);
   if (!page.ok()) return page.status();
@@ -477,14 +507,14 @@ Result<double> PagedTable::ValueAt(size_t record, size_t attr) const {
 }
 
 Result<Matrix> PagedTable::GatherRows(const std::vector<size_t>& rows) const {
-  Matrix out(rows.size(), num_cols_);
+  Matrix out(rows.size(), cols_.size());
   std::map<size_t, std::vector<size_t>> by_group;
   for (size_t i = 0; i < rows.size(); ++i) {
     if (rows[i] >= num_rows_)
       return Status::InvalidArgument("dcol record index out of range");
     by_group[rows[i] / page_rows_].push_back(i);
   }
-  for (size_t col = 0; col < num_cols_; ++col) {
+  for (size_t col = 0; col < cols_.size(); ++col) {
     for (const auto& [group, idxs] : by_group) {
       auto page = FaultPage(group, col);
       if (!page.ok()) return page.status();
@@ -498,7 +528,7 @@ Result<Matrix> PagedTable::GatherRows(const std::vector<size_t>& rows) const {
 
 Status PagedTable::ScanColumn(size_t attr, size_t begin, size_t end,
                               double* out) const {
-  if (attr >= num_cols_ || begin > end || end > num_rows_)
+  if (attr >= cols_.size() || begin > end || end > num_rows_)
     return Status::InvalidArgument("dcol scan range out of range");
   std::vector<double> page;
   for (size_t group = begin / page_rows_; begin < end; ++group) {
@@ -516,14 +546,15 @@ Status PagedTable::ScanColumn(size_t attr, size_t begin, size_t end,
 Result<Table> PagedTable::ToTable() const {
   Table table(schema_);
   table.Reserve(num_rows_);
-  std::vector<std::vector<double>> pages(num_cols_);
-  std::vector<double> values(num_cols_);
+  const size_t width = cols_.size();
+  std::vector<std::vector<double>> pages(width);
+  std::vector<double> values(width);
   for (size_t group = 0; group < num_groups_; ++group) {
-    for (size_t col = 0; col < num_cols_; ++col)
+    for (size_t col = 0; col < width; ++col)
       DAISY_RETURN_IF_ERROR(LoadPage(group, col, &pages[col]));
     const size_t rows = GroupRows(group);
     for (size_t r = 0; r < rows; ++r) {
-      for (size_t col = 0; col < num_cols_; ++col) values[col] = pages[col][r];
+      for (size_t col = 0; col < width; ++col) values[col] = pages[col][r];
       table.AppendRecord(values);
     }
   }
@@ -533,37 +564,9 @@ Result<Table> PagedTable::ToTable() const {
 Status PagedTable::VerifyAllPages() const {
   std::vector<double> page;
   for (size_t group = 0; group < num_groups_; ++group)
-    for (size_t col = 0; col < num_cols_; ++col)
+    for (size_t col = 0; col < cols_.size(); ++col)
       DAISY_RETURN_IF_ERROR(LoadPage(group, col, &page));
   return Status::OK();
-}
-
-Status ProjectColumnar(const PagedTable& in, const std::vector<size_t>& cols,
-                       const std::string& out_path) {
-  for (size_t c : cols)
-    if (c >= in.num_attributes())
-      return Status::InvalidArgument(
-          "ProjectColumnar: column index out of range");
-  const Schema out_schema = ProjectSchema(in.schema(), cols);
-  auto writer = ColumnarWriter::Create(out_path, out_schema, in.page_rows());
-  if (!writer.ok()) return writer.status();
-
-  const size_t window = std::max<size_t>(1, in.page_rows());
-  std::vector<std::vector<double>> buffers(cols.size());
-  std::vector<double> record(cols.size());
-  for (size_t begin = 0; begin < in.num_records(); begin += window) {
-    const size_t end = std::min(in.num_records(), begin + window);
-    for (size_t k = 0; k < cols.size(); ++k) {
-      buffers[k].resize(end - begin);
-      DAISY_RETURN_IF_ERROR(
-          in.ScanColumn(cols[k], begin, end, buffers[k].data()));
-    }
-    for (size_t i = 0; i < end - begin; ++i) {
-      for (size_t k = 0; k < cols.size(); ++k) record[k] = buffers[k][i];
-      DAISY_RETURN_IF_ERROR(writer.value()->Append(record));
-    }
-  }
-  return writer.value()->Finish();
 }
 
 }  // namespace daisy::data

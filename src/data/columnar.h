@@ -101,18 +101,6 @@ Status ConvertCsvToColumnar(const std::string& csv_path,
                             const std::string& label_column,
                             size_t page_rows);
 
-class PagedTable;
-
-/// Streams the given columns of a paged table into a new .dcol at
-/// `out_path` (same page_rows as the source), holding one window of
-/// rows in memory. Cells move through ScanColumn in ascending row
-/// order, so the output footer's per-column min/max is bitwise equal
-/// to the in-memory ProjectColumns + WriteColumnar of the same table —
-/// the projection the relational layer uses to strip key columns
-/// without materializing an out-of-core table.
-Status ProjectColumnar(const PagedTable& in, const std::vector<size_t>& cols,
-                       const std::string& out_path);
-
 /// Bounded-memory reader over a .dcol file. Random accesses fault
 /// column pages through an LRU cache of at most `page_budget` resident
 /// pages; sequential scans stream pages through a scratch buffer
@@ -139,6 +127,16 @@ class PagedTable {
 
   static Result<std::unique_ptr<PagedTable>> Open(const std::string& path,
                                                   const Options& options);
+
+  /// A table over the same file that exposes only `cols`, in that
+  /// order: the in-place counterpart of ProjectColumns. It shares this
+  /// table's validated header and footer (schema ProjectSchema, footer
+  /// min/max of those columns) and its page budget, reads through its
+  /// own descriptor and LRU cache, and makes no verify pass (every page
+  /// read is CRC-checked anyway). An empty or out-of-range column list
+  /// is InvalidArgument.
+  Result<std::unique_ptr<PagedTable>> Project(
+      const std::vector<size_t>& cols) const;
 
   ~PagedTable();
   PagedTable(const PagedTable&) = delete;
@@ -183,8 +181,8 @@ class PagedTable {
   /// Full materialization (tests / small tables).
   Result<Table> ToTable() const;
 
-  /// Sequentially re-verifies every page CRC (what Open's verify pass
-  /// runs). Returns the first corruption found.
+  /// Sequentially re-verifies the CRC of every page this table exposes
+  /// (what Open's verify pass runs). Returns the first corruption found.
   Status VerifyAllPages() const;
 
   const CacheStats& cache_stats() const { return stats_; }
@@ -194,7 +192,7 @@ class PagedTable {
   PagedTable() = default;
 
   size_t GroupRows(size_t group) const;
-  uint64_t PageOffset(size_t group, size_t col) const;
+  uint64_t PageOffset(size_t group, size_t file_col) const;
   /// Cache lookup / fault. Returns the resident payload.
   Result<const std::vector<double>*> FaultPage(size_t group,
                                                size_t col) const;
@@ -203,7 +201,8 @@ class PagedTable {
   std::string path_;
   Schema schema_;
   size_t num_rows_ = 0;
-  size_t num_cols_ = 0;
+  size_t num_cols_ = 0;        // columns in the file (page layout)
+  std::vector<size_t> cols_;   // exposed column -> column in the file
   size_t page_rows_ = 0;
   size_t num_groups_ = 0;
   std::vector<double> col_min_, col_max_;
@@ -212,7 +211,7 @@ class PagedTable {
   int fd_ = -1;
   uint64_t file_size_ = 0;
 
-  // LRU page cache: key = group * num_cols + col.
+  // LRU page cache: key = group * exposed columns + exposed column.
   struct CacheEntry {
     uint64_t key;
     std::vector<double> values;

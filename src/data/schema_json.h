@@ -13,11 +13,10 @@
 //     ]
 //   }
 //
-// The parser covers the JSON subset the spec needs (objects, arrays,
-// strings with the standard escapes, numbers, booleans, null) and
-// rejects everything malformed with a descriptive InvalidArgument —
-// unknown keys are errors too, so a typo ("primary_kay") cannot pass
-// silently.
+// The JSON is read by core/json (nesting bounded at kMaxJsonDepth
+// levels; the spec needs 6). Malformed JSON and every shape error are
+// a descriptive "relational spec: ..." InvalidArgument; unknown keys
+// are errors too, so a typo ("primary_kay") cannot pass silently.
 #ifndef DAISY_DATA_SCHEMA_JSON_H_
 #define DAISY_DATA_SCHEMA_JSON_H_
 

@@ -1,11 +1,13 @@
 #include "obs/run_logger.h"
 
-#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <utility>
 
 #include "core/durable.h"
+#include "core/json.h"
 
 namespace daisy::obs {
 
@@ -53,109 +55,6 @@ void AppendString(std::string* out, const std::string& s) {
   *out += '"';
 }
 
-// Minimal scanner for the flat objects ToJsonLine emits.
-class LineScanner {
- public:
-  explicit LineScanner(const std::string& line) : s_(line) {}
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool AtEnd() {
-    SkipSpace();
-    return pos_ >= s_.size();
-  }
-
-  bool ReadString(std::string* out) {
-    SkipSpace();
-    if (pos_ >= s_.size() || s_[pos_] != '"') return false;
-    ++pos_;
-    out->clear();
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\' && pos_ < s_.size()) {
-        c = s_[pos_++];
-        switch (c) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'b': c = '\b'; break;
-          case 'f': c = '\f'; break;
-          case 'u': {
-            // \uXXXX; AppendString only emits codepoints < 0x20, so a
-            // single byte suffices (no UTF-8 expansion needed here).
-            if (pos_ + 4 > s_.size()) return false;
-            unsigned v = 0;
-            for (size_t i = 0; i < 4; ++i) {
-              const char h = s_[pos_++];
-              v <<= 4;
-              if (h >= '0' && h <= '9') v |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f')
-                v |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F')
-                v |= static_cast<unsigned>(h - 'A' + 10);
-              else return false;
-            }
-            if (v > 0xFF) return false;  // beyond what we ever emit
-            c = static_cast<char>(v);
-            break;
-          }
-          default: break;  // \" and \\ (and anything else) literal
-        }
-      }
-      *out += c;
-    }
-    if (pos_ >= s_.size()) return false;  // unterminated string
-    ++pos_;                               // closing quote
-    return true;
-  }
-
-  // Decimal unsigned integer; keeps uint64 values (e.g. seeds above
-  // 2^53) exact instead of routing them through double.
-  bool ReadUnsigned(unsigned long long* out) {
-    SkipSpace();
-    if (pos_ >= s_.size() || !std::isdigit(static_cast<unsigned char>(s_[pos_])))
-      return false;
-    char* end = nullptr;
-    *out = std::strtoull(s_.c_str() + pos_, &end, 10);
-    if (end == s_.c_str() + pos_) return false;
-    pos_ = static_cast<size_t>(end - s_.c_str());
-    return true;
-  }
-
-  // Number or null (null -> NaN).
-  bool ReadNumber(double* out) {
-    SkipSpace();
-    if (s_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      *out = std::numeric_limits<double>::quiet_NaN();
-      return true;
-    }
-    char* end = nullptr;
-    const double v = std::strtod(s_.c_str() + pos_, &end);
-    if (end == s_.c_str() + pos_) return false;
-    pos_ = static_cast<size_t>(end - s_.c_str());
-    *out = v;
-    return true;
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_])))
-      ++pos_;
-  }
-
-  const std::string& s_;
-  size_t pos_ = 0;
-};
-
 }  // namespace
 
 std::string ToJsonLine(const MetricRecord& r) {
@@ -190,31 +89,37 @@ std::string ToJsonLine(const MetricRecord& r) {
 }
 
 Result<MetricRecord> ParseJsonLine(const std::string& line) {
-  LineScanner scan(line);
-  if (!scan.Consume('{'))
-    return Status::InvalidArgument("JSONL record must start with '{'");
+  auto parsed = ParseJson(line);
+  if (!parsed.ok())
+    return Status::InvalidArgument("JSONL record: " +
+                                   parsed.status().message());
+  if (parsed.value().kind != JsonValue::Kind::kObject)
+    return Status::InvalidArgument("JSONL record must be an object");
 
   MetricRecord r;
-  bool first = true;
-  while (!scan.Consume('}')) {
-    if (!first && !scan.Consume(','))
-      return Status::InvalidArgument("expected ',' between JSONL fields");
-    first = false;
-    std::string key;
-    if (!scan.ReadString(&key) || !scan.Consume(':'))
-      return Status::InvalidArgument("malformed JSONL key");
-    // ReadString consumes nothing unless the value starts with '"', so
-    // it doubles as a peek: string values (run, or unknown keys added
-    // by future schema versions) take this branch, numbers fall through.
-    std::string sval;
-    if (scan.ReadString(&sval)) {
-      if (key == "run") r.run = sval;
+  const std::pair<const char*, double*> reals[] = {
+      {"d_loss", &r.d_loss},           {"g_loss", &r.g_loss},
+      {"g_grad_norm", &r.g_grad_norm}, {"d_grad_norm", &r.d_grad_norm},
+      {"param_norm", &r.param_norm},   {"value", &r.value},
+      {"iter_ms", &r.iter_ms},         {"wall_ms", &r.wall_ms}};
+  for (const auto& [key, v] : parsed.value().members) {
+    if (key == "run") {
+      if (v.kind != JsonValue::Kind::kString)
+        return Status::InvalidArgument("JSONL key 'run' must be a string");
+      r.run = v.text;
       continue;
     }
     if (key == "iter" || key == "threads" || key == "seed" ||
         key == "starved_labels") {
-      unsigned long long u = 0;
-      if (!scan.ReadUnsigned(&u))
+      // Decimal digits through strtoull, so uint64 values above 2^53
+      // (seeds) stay exact instead of passing through a double.
+      const bool digits =
+          v.kind == JsonValue::Kind::kNumber &&
+          v.text.find_first_not_of("0123456789") == std::string::npos;
+      errno = 0;
+      const unsigned long long u =
+          digits ? std::strtoull(v.text.c_str(), nullptr, 10) : 0;
+      if (!digits || errno == ERANGE)
         return Status::InvalidArgument("malformed integer for key '" + key +
                                        "'");
       if (key == "iter") r.iter = static_cast<size_t>(u);
@@ -224,21 +129,19 @@ Result<MetricRecord> ParseJsonLine(const std::string& line) {
       else r.seed = static_cast<uint64_t>(u);
       continue;
     }
-    double v = 0.0;
-    if (!scan.ReadNumber(&v))
-      return Status::InvalidArgument("malformed value for key '" + key + "'");
-    if (key == "d_loss") r.d_loss = v;
-    else if (key == "g_loss") r.g_loss = v;
-    else if (key == "g_grad_norm") r.g_grad_norm = v;
-    else if (key == "d_grad_norm") r.d_grad_norm = v;
-    else if (key == "param_norm") r.param_norm = v;
-    else if (key == "value") r.value = v;
-    else if (key == "iter_ms") r.iter_ms = v;
-    else if (key == "wall_ms") r.wall_ms = v;
-    // Unknown keys: skipped (forward compatibility).
+    for (const auto& [name, field] : reals) {
+      if (key != name) continue;
+      if (v.kind == JsonValue::Kind::kNull)
+        *field = std::numeric_limits<double>::quiet_NaN();
+      else if (v.kind == JsonValue::Kind::kNumber)
+        *field = std::strtod(v.text.c_str(), nullptr);
+      else
+        return Status::InvalidArgument("malformed value for key '" + key +
+                                       "'");
+    }
+    // Any other key, of any value type, is skipped (forward
+    // compatibility).
   }
-  if (!scan.AtEnd())
-    return Status::InvalidArgument("trailing bytes after JSONL record");
   return r;
 }
 

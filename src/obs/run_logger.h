@@ -21,9 +21,9 @@ namespace daisy::obs {
 /// Serializes a record as one line of JSON (no trailing newline).
 std::string ToJsonLine(const MetricRecord& record);
 
-/// Parses a line produced by ToJsonLine. Unknown keys are ignored;
-/// null numeric fields come back as quiet NaN. Returns InvalidArgument
-/// on malformed input.
+/// Parses a line produced by ToJsonLine (through core/json). Unknown
+/// keys of any value type are skipped; null numeric fields come back
+/// as quiet NaN. Returns InvalidArgument on malformed input.
 Result<MetricRecord> ParseJsonLine(const std::string& line);
 
 /// MetricSink that appends JSONL to a file. Create via Open; the file

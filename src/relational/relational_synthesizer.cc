@@ -1,7 +1,6 @@
 #include "relational/relational_synthesizer.h"
 
 #include <cmath>
-#include <filesystem>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -132,7 +131,6 @@ Status RelationalSynthesizer::Fit(const data::RelationalSchema& schema,
                                      schema_.table(i).name + "' is empty");
   }
 
-  bool made_work_dir = false;
   for (size_t t : schema_.TopologicalOrder()) {
     const data::RelationalTableDef& def = schema_.table(t);
     const RelationalInput& in = inputs[t];
@@ -216,21 +214,7 @@ Status RelationalSynthesizer::Fit(const data::RelationalSchema& schema,
       health = edge != nullptr ? tm.model->FitConditioned(proj, row_cond, sink)
                                : tm.model->Fit(proj, sink);
     } else {
-      if (!made_work_dir) {
-        std::error_code ec;
-        std::filesystem::create_directories(opts_.work_dir, ec);
-        if (ec)
-          return Status::IOError("cannot create work dir '" + opts_.work_dir +
-                                 "': " + ec.message());
-        made_work_dir = true;
-      }
-      const std::string proj_path =
-          opts_.work_dir + "/" + def.name + ".proj.dcol";
-      DAISY_RETURN_IF_ERROR(
-          data::ProjectColumnar(*in.paged, tm.kept_cols, proj_path));
-      data::PagedTable::Options popts;
-      popts.page_budget = opts_.page_budget;
-      auto proj = data::PagedTable::Open(proj_path, popts);
+      auto proj = in.paged->Project(tm.kept_cols);
       DAISY_RETURN_IF_ERROR(proj.status());
       health = edge != nullptr
                    ? tm.model->FitConditioned(*proj.value(), row_cond, sink)

@@ -44,15 +44,11 @@ struct RelationalOptions {
   /// rows, so label conditioning or TBS fails their Fit.
   synth::GanOptions gan;
   transform::TransformOptions transform;
-
-  /// Paged-input knobs (used when a table arrives as a PagedTable).
-  size_t page_budget = 64;
-  /// Directory for intermediate key-stripped .dcol projections of
-  /// paged inputs (created if missing).
-  std::string work_dir = "daisy_rel_work";
 };
 
 /// One table's training data: exactly one of the two pointers is set.
+/// A paged table is fitted through a PagedTable::Project view of its
+/// modeled columns, at its own page budget.
 struct RelationalInput {
   const data::Table* table = nullptr;
   const data::PagedTable* paged = nullptr;

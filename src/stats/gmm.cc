@@ -38,11 +38,14 @@ double LogSumExp(size_t k, const LogP& logp) {
 
 Gmm1d Gmm1d::Fit(const std::vector<double>& values, const Options& opts,
                  Rng* rng) {
-  return FitStreaming(VectorSource(values), opts, rng);
+  auto fit = FitStreaming(VectorSource(values), opts, rng);
+  DAISY_CHECK(fit.ok());  // a vector always reads
+  return fit.take();
 }
 
-Gmm1d Gmm1d::FitStreaming(const ValueSource& values, const Options& opts,
-                          Rng* rng, size_t cache_rows) {
+Result<Gmm1d> Gmm1d::FitStreaming(const ValueSource& values,
+                                  const Options& opts, Rng* rng,
+                                  size_t cache_rows) {
   const size_t n = values.size();
   DAISY_CHECK(n > 0);
   const size_t k = std::max<size_t>(1, std::min(opts.components, n));
@@ -64,10 +67,16 @@ Gmm1d Gmm1d::FitStreaming(const ValueSource& values, const Options& opts,
       [&](const std::function<void(size_t, size_t, const double*)>& fn) {
         for (size_t b = 0; b < n; b += kWindowRows) {
           const size_t e = std::min(n, b + kWindowRows);
-          values.Read(b, e, window.data());
+          DAISY_RETURN_IF_ERROR(values.Read(b, e, window.data()));
           fn(b, e, window.data());
         }
+        return Status::OK();
       };
+  const auto set_mean = [&](size_t j, size_t i) {
+    auto v = values.At(i);
+    if (v.ok()) gmm.means_[j] = v.value();
+    return v.status();
+  };
 
   // k-means++ seeding: one UniformInt for the first mean, then per
   // extra component the draw Rng::Categorical would make over the min
@@ -75,7 +84,7 @@ Gmm1d Gmm1d::FitStreaming(const ValueSource& values, const Options& opts,
   // draws Uniform()*total and subtract-scans — and consumes no Uniform
   // at all when total <= 0 — so it is re-enacted here as two streaming
   // scans.
-  gmm.means_[0] = values.At(rng->UniformInt(n));
+  DAISY_RETURN_IF_ERROR(set_mean(0, rng->UniformInt(n)));
   for (size_t c = 1; c < k; ++c) {
     const auto min_d2 = [&](double v) {
       double best = std::numeric_limits<double>::infinity();
@@ -86,16 +95,17 @@ Gmm1d Gmm1d::FitStreaming(const ValueSource& values, const Options& opts,
       return best;
     };
     double total = 0.0;
-    for_each_window([&](size_t b, size_t e, const double* vals) {
-      for (size_t i = b; i < e; ++i) total += min_d2(vals[i - b]);
-    });
+    DAISY_RETURN_IF_ERROR(
+        for_each_window([&](size_t b, size_t e, const double* vals) {
+          for (size_t i = b; i < e; ++i) total += min_d2(vals[i - b]);
+        }));
     size_t pick = n - 1;
     if (total > 0.0) {
       double x = rng->Uniform() * total;
       bool found = false;
       for (size_t b = 0; b < n && !found; b += kWindowRows) {
         const size_t e = std::min(n, b + kWindowRows);
-        values.Read(b, e, window.data());
+        DAISY_RETURN_IF_ERROR(values.Read(b, e, window.data()));
         for (size_t i = b; i < e; ++i) {
           x -= min_d2(window[i - b]);
           if (x < 0.0) {
@@ -106,19 +116,22 @@ Gmm1d Gmm1d::FitStreaming(const ValueSource& values, const Options& opts,
         }
       }
     }
-    gmm.means_[c] = values.At(pick);
+    DAISY_RETURN_IF_ERROR(set_mean(c, pick));
   }
 
   // Global mean then variance, each a serial ascending scan.
   double global_var = 0.0, global_mean = 0.0;
-  for_each_window([&](size_t b, size_t e, const double* vals) {
-    for (size_t i = b; i < e; ++i) global_mean += vals[i - b];
-  });
+  DAISY_RETURN_IF_ERROR(
+      for_each_window([&](size_t b, size_t e, const double* vals) {
+        for (size_t i = b; i < e; ++i) global_mean += vals[i - b];
+      }));
   global_mean /= static_cast<double>(n);
-  for_each_window([&](size_t b, size_t e, const double* vals) {
-    for (size_t i = b; i < e; ++i)
-      global_var += (vals[i - b] - global_mean) * (vals[i - b] - global_mean);
-  });
+  DAISY_RETURN_IF_ERROR(
+      for_each_window([&](size_t b, size_t e, const double* vals) {
+        for (size_t i = b; i < e; ++i)
+          global_var +=
+              (vals[i - b] - global_mean) * (vals[i - b] - global_mean);
+      }));
   global_var /= static_cast<double>(n);
   const double init_sd =
       std::max(opts.min_stddev, std::sqrt(global_var / static_cast<double>(k)));
@@ -139,7 +152,8 @@ Gmm1d Gmm1d::FitStreaming(const ValueSource& values, const Options& opts,
 
     // Scan 1: E step fused with the (nj, sum resp*v) partials; the
     // responsibilities are never stored.
-    for_each_window([&](size_t wb, size_t we, const double* vals) {
+    DAISY_RETURN_IF_ERROR(for_each_window([&](size_t wb, size_t we,
+                                              const double* vals) {
       par::ParallelForIndexed(wb, we, kRowGrain,
                               [&](size_t c, size_t b, size_t e) {
         const size_t chunk = wb / kRowGrain + c;
@@ -162,7 +176,7 @@ Gmm1d Gmm1d::FitStreaming(const ValueSource& values, const Options& opts,
         }
         ll_part[chunk] = lsum;
       });
-    });
+    }));
     double ll = 0.0;
     for (size_t c = 0; c < num_chunks; ++c) ll += ll_part[c];
     std::vector<double> nj(k, 0.0);
@@ -177,7 +191,8 @@ Gmm1d Gmm1d::FitStreaming(const ValueSource& values, const Options& opts,
       if (!dead(j)) mu[j] /= nj[j];
 
     // Scan 2: variance partials around the new means.
-    for_each_window([&](size_t wb, size_t we, const double* vals) {
+    DAISY_RETURN_IF_ERROR(for_each_window([&](size_t wb, size_t we,
+                                              const double* vals) {
       par::ParallelForIndexed(wb, we, kRowGrain,
                               [&](size_t c, size_t b, size_t e) {
         const size_t chunk = wb / kRowGrain + c;
@@ -194,13 +209,13 @@ Gmm1d Gmm1d::FitStreaming(const ValueSource& values, const Options& opts,
           }
         }
       });
-    });
+    }));
 
     // M step in ascending j, so dead-component reseeds consume the rng
     // in a fixed order.
     for (size_t j = 0; j < k; ++j) {
       if (dead(j)) {
-        gmm.means_[j] = values.At(rng->UniformInt(n));
+        DAISY_RETURN_IF_ERROR(set_mean(j, rng->UniformInt(n)));
         gmm.stddevs_[j] = init_sd;
         gmm.weights_[j] = 1.0 / static_cast<double>(n);
         continue;

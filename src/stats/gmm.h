@@ -7,19 +7,21 @@
 #include <vector>
 
 #include "core/rng.h"
+#include "core/status.h"
 
 namespace daisy::stats {
 
 /// Read-only access to a sequence of doubles that may live out of
 /// core (e.g. one column of a paged table). `Read` is the streaming
-/// primitive; `At` serves point lookups (k-means++ reseeds).
+/// primitive; `At` serves point lookups (k-means++ reseeds). A source
+/// that cannot read its values says why through the Status.
 class ValueSource {
  public:
   virtual ~ValueSource() = default;
   virtual size_t size() const = 0;
-  virtual double At(size_t i) const = 0;
+  virtual Result<double> At(size_t i) const = 0;
   /// Fills out[0 .. end-begin) with values [begin, end).
-  virtual void Read(size_t begin, size_t end, double* out) const = 0;
+  virtual Status Read(size_t begin, size_t end, double* out) const = 0;
 };
 
 /// In-memory adapter over a vector (what Fit streams from).
@@ -28,9 +30,10 @@ class VectorSource final : public ValueSource {
   explicit VectorSource(const std::vector<double>& values)
       : values_(values) {}
   size_t size() const override { return values_.size(); }
-  double At(size_t i) const override { return values_[i]; }
-  void Read(size_t begin, size_t end, double* out) const override {
+  Result<double> At(size_t i) const override { return values_[i]; }
+  Status Read(size_t begin, size_t end, double* out) const override {
     for (size_t i = begin; i < end; ++i) out[i - begin] = values_[i];
+    return Status::OK();
   }
 
  private:
@@ -61,8 +64,9 @@ class Gmm1d {
   /// iteration makes two scans: the E step with the means and weights,
   /// then the variances around the new means. While n <= `cache_rows`,
   /// the first scan keeps each row's log-sum-exp (n doubles) for the
-  /// second to reuse; above it, the second scan recomputes it.
-  static Gmm1d FitStreaming(
+  /// second to reuse; above it, the second scan recomputes it. The
+  /// first read error of `values` ends the fit and is returned.
+  static Result<Gmm1d> FitStreaming(
       const ValueSource& values, const Options& opts, Rng* rng,
       size_t cache_rows = std::numeric_limits<size_t>::max());
 

@@ -250,7 +250,9 @@ Result<std::unique_ptr<ConditionSource>> MakeConditionSource(
       return std::make_unique<ConditionSource>();
     case ConditionKind::kLabel: {
       const size_t col = data.schema().label_index();
-      std::vector<size_t> labels = data.CategoryColumn(col);
+      auto read = data.CategoryColumn(col);
+      if (!read.ok()) return read.status();
+      std::vector<size_t> labels = read.take();
       std::vector<double> counts(data.schema().num_labels(), 0.0);
       for (size_t l : labels) counts[l] += 1.0;
       return SourcePtr(std::make_unique<LabelSource>(
@@ -267,7 +269,9 @@ Result<std::unique_ptr<ConditionSource>> MakeConditionSource(
       std::vector<std::vector<size_t>> columns;
       std::vector<std::vector<double>> counts;
       for (const CondBlock& b : blocks) {
-        columns.push_back(data.CategoryColumn(b.source_col));
+        auto column = data.CategoryColumn(b.source_col);
+        if (!column.ok()) return column.status();
+        columns.push_back(column.take());
         counts.emplace_back(b.domain, 0.0);
         for (size_t c : columns.back()) counts.back()[c] += 1.0;
       }

@@ -71,8 +71,11 @@ Status TableSynthesizer::FitFrom(const data::Table* table,
         transform::RecordTransformer::Fit(*table, topts_, &rng_));
     data = std::make_unique<InMemoryTrainSource>(*table, transformer_.get());
   } else {
+    Status read = Status::OK();
     transformer_ = std::make_unique<transform::RecordTransformer>(
-        transform::RecordTransformer::FitStreaming(*paged, topts_, &rng_));
+        transform::RecordTransformer::FitStreaming(*paged, topts_, &rng_,
+                                                   &read));
+    DAISY_RETURN_IF_ERROR(read);
     data = std::make_unique<PagedTrainSource>(paged, transformer_.get());
   }
   auto cond = MakeConditionSource(opts_, *transformer_, *data, parent_rows);

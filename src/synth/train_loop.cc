@@ -45,7 +45,12 @@ LoopOutcome TrainLoop::Run(const LoopPhase& p) {
   const size_t log_every = std::max<size_t>(1, opts_.log_every);
   for (size_t iter = start; iter < p.iterations; ++iter) {
     obs::WallTimer iter_timer;
-    obs::MetricRecord rec = p.step(iter);
+    auto stepped = p.step(iter);
+    if (!stepped.ok()) {
+      out.health = stepped.status();
+      break;
+    }
+    obs::MetricRecord rec = stepped.take();
     rec.run = p.tag;
     rec.iter = iter + 1;
     rec.param_norm = nn::GlobalParamNorm(p.healthy_params);

@@ -51,8 +51,9 @@ struct LoopPhase {
 
   /// Runs iteration `iter` (0-based) and returns its losses and grad
   /// norms; the loop stamps run, iter, param_norm, timings, threads
-  /// and seed.
-  std::function<obs::MetricRecord(size_t iter)> step;
+  /// and seed. An error (training data that cannot be read) stops the
+  /// phase like a sentinel trip, with the error as its health.
+  std::function<Result<obs::MetricRecord>(size_t iter)> step;
   /// Optional: called with each healthy record, before its checkpoint.
   std::function<void(const obs::MetricRecord&)> on_healthy;
   /// Optional hooks for payload beyond the lists above (GAN's loss
@@ -66,8 +67,9 @@ struct LoopPhase {
 /// How one TrainLoop::Run ended.
 struct LoopOutcome {
   /// OK when the phase ran to completion or paused; otherwise why it
-  /// stopped (a sentinel trip or a failed checkpoint save, after
-  /// which the generation path holds its last healthy state) or, with
+  /// stopped (a failed step, a sentinel trip or a failed checkpoint
+  /// save, after which the generation path holds its last healthy
+  /// state) or, with
   /// `refused`, why it never started.
   Status health;
   /// The resume was refused: nothing was trained and no parameter,

@@ -9,7 +9,7 @@ InMemoryTrainSource::InMemoryTrainSource(
     const transform::RecordTransformer* transformer)
     : table_(table), real_all_(transformer->Transform(table)) {}
 
-std::vector<size_t> InMemoryTrainSource::CategoryColumn(
+Result<std::vector<size_t>> InMemoryTrainSource::CategoryColumn(
     size_t source_col) const {
   std::vector<size_t> out(table_.num_records());
   for (size_t i = 0; i < out.size(); ++i)
@@ -22,10 +22,10 @@ PagedTrainSource::PagedTrainSource(
     const transform::RecordTransformer* transformer)
     : table_(table), transformer_(transformer) {}
 
-Matrix PagedTrainSource::GatherSamples(
+Result<Matrix> PagedTrainSource::GatherSamples(
     const std::vector<size_t>& rows) const {
   auto raw = table_->GatherRows(rows);
-  DAISY_CHECK(raw.ok());
+  if (!raw.ok()) return raw.status();
   const Matrix& cells = raw.value();
 
   // Rehydrate the batch as a tiny full-schema table so the transformer
@@ -41,7 +41,7 @@ Matrix PagedTrainSource::GatherSamples(
   return transformer_->Transform(batch);
 }
 
-std::vector<size_t> PagedTrainSource::CategoryColumn(
+Result<std::vector<size_t>> PagedTrainSource::CategoryColumn(
     size_t source_col) const {
   const data::Attribute& attr = table_->schema().attribute(source_col);
   DAISY_CHECK(attr.is_categorical());
@@ -49,15 +49,15 @@ std::vector<size_t> PagedTrainSource::CategoryColumn(
   // Cache-bypassing sequential scan: one pass over the column without
   // evicting the page cache the training loop depends on.
   std::vector<double> cells(n);
-  auto st = table_->ScanColumn(source_col, 0, n, cells.data());
-  DAISY_CHECK(st.ok());
+  DAISY_RETURN_IF_ERROR(table_->ScanColumn(source_col, 0, n, cells.data()));
   std::vector<size_t> out(n);
   for (size_t i = 0; i < n; ++i) {
     // Same round-and-validate as Table::category, so paged pools are
     // identical to in-memory pools for the same data.
     const long long idx = std::llround(cells[i]);
-    DAISY_CHECK(idx >= 0 &&
-                idx < static_cast<long long>(attr.domain_size()));
+    if (idx < 0 || idx >= static_cast<long long>(attr.domain_size()))
+      return Status::InvalidArgument("category index out of domain in "
+                                     "column '" + attr.name + "'");
     out[i] = static_cast<size_t>(idx);
   }
   return out;

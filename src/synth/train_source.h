@@ -21,7 +21,8 @@ namespace daisy::synth {
 /// Read-only view of the (transformed) training set. Implementations
 /// must be deterministic: GatherSamples(rows) is a pure function of the
 /// underlying data and `rows`, independent of call history, page
-/// budgets or thread counts.
+/// budgets or thread counts. Data that cannot be read (a paged page
+/// that reads short or fails its CRC) comes back as a Status.
 class TrainDataSource {
  public:
   virtual ~TrainDataSource() = default;
@@ -32,13 +33,15 @@ class TrainDataSource {
 
   /// Encoded minibatch: row i of the result is the transformed record
   /// rows[i] (d = transformer sample_dim columns).
-  virtual Matrix GatherSamples(const std::vector<size_t>& rows) const = 0;
+  virtual Result<Matrix> GatherSamples(
+      const std::vector<size_t>& rows) const = 0;
 
   /// Per-record category indices of the ORIGINAL table column
   /// `source_col` (which must be categorical). The label and TBS
   /// condition sources build their labels and row pools from this —
   /// one call per column at training start, never in the hot loop.
-  virtual std::vector<size_t> CategoryColumn(size_t source_col) const = 0;
+  virtual Result<std::vector<size_t>> CategoryColumn(
+      size_t source_col) const = 0;
 };
 
 /// The historical path: transforms every record once up front, then
@@ -52,10 +55,10 @@ class InMemoryTrainSource final : public TrainDataSource {
 
   const data::Schema& schema() const override { return table_.schema(); }
   size_t num_records() const override { return table_.num_records(); }
-  Matrix GatherSamples(const std::vector<size_t>& rows) const override {
+  Result<Matrix> GatherSamples(const std::vector<size_t>& rows) const override {
     return real_all_.GatherRows(rows);
   }
-  std::vector<size_t> CategoryColumn(size_t source_col) const override;
+  Result<std::vector<size_t>> CategoryColumn(size_t source_col) const override;
 
  private:
   const data::Table& table_;
@@ -75,8 +78,8 @@ class PagedTrainSource final : public TrainDataSource {
 
   const data::Schema& schema() const override { return table_->schema(); }
   size_t num_records() const override { return table_->num_records(); }
-  Matrix GatherSamples(const std::vector<size_t>& rows) const override;
-  std::vector<size_t> CategoryColumn(size_t source_col) const override;
+  Result<Matrix> GatherSamples(const std::vector<size_t>& rows) const override;
+  Result<std::vector<size_t>> CategoryColumn(size_t source_col) const override;
 
  private:
   const data::PagedTable* table_;

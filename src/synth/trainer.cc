@@ -208,7 +208,7 @@ TrainResult GanTrainer::Train(const TrainDataSource& source,
                                     : random_sampler.SampleBatch(m, rng);
   };
 
-  phase.step = [&](size_t iter) {
+  phase.step = [&](size_t iter) -> Result<obs::MetricRecord> {
     obs::MetricRecord rec;
     if (cond.strata() > 0) {
       // Algorithm 3: one D+G update per label, with label-restricted
@@ -219,7 +219,9 @@ TrainResult GanTrainer::Train(const TrainDataSource& source,
         const CondBatch real = cond.DrawStratum(y, opts_.batch_size, rng);
         if (real.rows.empty()) continue;
         ++active;
-        Matrix x = source.GatherSamples(real.rows);
+        auto gathered = source.GatherSamples(real.rows);
+        if (!gathered.ok()) return gathered.status();
+        const Matrix& x = gathered.value();
         Matrix z = SampleNoise(real.rows.size(), rng);
         Matrix fake = g_->Forward(z, real.cond, /*training=*/true);
         d_loss += DiscriminatorStep(x, real.cond, fake, real.cond, rng);
@@ -250,7 +252,9 @@ TrainResult GanTrainer::Train(const TrainDataSource& source,
             cond.DrawReal(opts_.batch_size, sample_rows, rng);
         const Matrix fake_cond =
             cond.DrawFakeCond(real, opts_.batch_size, rng);
-        Matrix x = source.GatherSamples(real.rows);
+        auto gathered = source.GatherSamples(real.rows);
+        if (!gathered.ok()) return gathered.status();
+        const Matrix& x = gathered.value();
         Matrix z = SampleNoise(opts_.batch_size, rng);
         Matrix fake = g_->Forward(z, fake_cond, /*training=*/true);
         d_loss += DiscriminatorStep(x, real.cond, fake, fake_cond, rng);
@@ -262,10 +266,11 @@ TrainResult GanTrainer::Train(const TrainDataSource& source,
       // algorithm-independent.
       const CondBatch ref = cond.DrawReal(opts_.batch_size, sample_rows, rng);
       const Matrix g_cond = cond.DrawFakeCond(ref, opts_.batch_size, rng);
-      const Matrix real_ref =
-          wasserstein_ ? Matrix() : source.GatherSamples(ref.rows);
+      Result<Matrix> real_ref = Matrix();
+      if (!wasserstein_) real_ref = source.GatherSamples(ref.rows);
+      if (!real_ref.ok()) return real_ref.status();
       Matrix z = SampleNoise(opts_.batch_size, rng);
-      rec.g_loss = GeneratorStep(z, g_cond, real_ref, cond);
+      rec.g_loss = GeneratorStep(z, g_cond, real_ref.value(), cond);
     }
     rec.d_grad_norm = last_d_grad_norm_;
     rec.g_grad_norm = last_g_grad_norm_;

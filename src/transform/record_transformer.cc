@@ -18,10 +18,9 @@ size_t CeilSqrt(size_t n) {
 
 }  // namespace
 
-RecordTransformer RecordTransformer::FitImpl(const data::Schema& full,
-                                             const TransformOptions& options,
-                                             Rng* rng,
-                                             const ColumnStats& stats) {
+Result<RecordTransformer> RecordTransformer::FitImpl(
+    const data::Schema& full, const TransformOptions& options, Rng* rng,
+    const ColumnStats& stats) {
   RecordTransformer t;
   t.options_ = options;
   if (options.form == SampleForm::kMatrix) {
@@ -78,7 +77,9 @@ RecordTransformer RecordTransformer::FitImpl(const data::Schema& full,
         seg.kind = AttrSegment::Kind::kGmmNumeric;
         stats::Gmm1d::Options gopts;
         gopts.components = options.gmm_components;
-        seg.gmm = stats.fit_gmm(seg.source_col, gopts, rng);
+        auto gmm = stats.fit_gmm(seg.source_col, gopts, rng);
+        if (!gmm.ok()) return gmm.status();
+        seg.gmm = gmm.take();
         seg.width = 1 + seg.gmm.num_components();
       } else {
         seg.kind = AttrSegment::Kind::kSimpleNumeric;
@@ -113,24 +114,26 @@ RecordTransformer RecordTransformer::Fit(const data::Table& table,
   };
   stats.attr_min = [&table](size_t col) { return table.AttributeMin(col); };
   stats.attr_max = [&table](size_t col) { return table.AttributeMax(col); };
-  return FitImpl(table.schema(), options, rng, stats);
+  auto fit = FitImpl(table.schema(), options, rng, stats);
+  DAISY_CHECK(fit.ok());  // in-memory columns always read
+  return fit.take();
 }
 
 size_t PagedColumnSource::size() const { return table_.num_records(); }
 
-double PagedColumnSource::At(size_t i) const {
-  auto v = table_.ValueAt(i, col_);
-  DAISY_CHECK(v.ok());
-  return v.value();
+Result<double> PagedColumnSource::At(size_t i) const {
+  return table_.ValueAt(i, col_);
 }
 
-void PagedColumnSource::Read(size_t begin, size_t end, double* out) const {
+Status PagedColumnSource::Read(size_t begin, size_t end, double* out) const {
   DAISY_CHECK(begin <= end && end <= size());
   const size_t page_rows = table_.page_rows();
   while (begin < end) {
     const size_t group = begin / page_rows;
     if (group != page_group_) {
-      DAISY_CHECK(table_.LoadPage(group, col_, &page_).ok());
+      // A failed load leaves page_ unspecified: forget which page it is.
+      page_group_ = static_cast<size_t>(-1);
+      DAISY_RETURN_IF_ERROR(table_.LoadPage(group, col_, &page_));
       page_group_ = group;
     }
     const size_t first = group * page_rows;
@@ -139,11 +142,12 @@ void PagedColumnSource::Read(size_t begin, size_t end, double* out) const {
     out += take;
     begin += take;
   }
+  return Status::OK();
 }
 
 RecordTransformer RecordTransformer::FitStreaming(
-    const data::PagedTable& table, const TransformOptions& options,
-    Rng* rng) {
+    const data::PagedTable& table, const TransformOptions& options, Rng* rng,
+    Status* read_error) {
   DAISY_CHECK(table.num_records() > 0);
   ColumnStats stats;
   // The EM row cache may hold as many doubles as the page cache does,
@@ -157,7 +161,11 @@ RecordTransformer RecordTransformer::FitStreaming(
   };
   stats.attr_min = [&table](size_t col) { return table.attribute_min(col); };
   stats.attr_max = [&table](size_t col) { return table.attribute_max(col); };
-  return FitImpl(table.schema(), options, rng, stats);
+  auto fit = FitImpl(table.schema(), options, rng, stats);
+  if (fit.ok()) return fit.take();
+  DAISY_CHECK(read_error != nullptr);
+  *read_error = fit.status();
+  return RecordTransformer();
 }
 
 RecordTransformer RecordTransformer::FromState(

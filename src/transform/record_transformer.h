@@ -71,16 +71,15 @@ struct AttrSegment {
 /// whole pages and keep the last one, so a scan in windows smaller
 /// than a page reads and checksums each page once; the rare point
 /// lookups (k-means++ reseeds) fault through the table's page cache.
-/// IO errors abort: the file's checksums were verified at Open, so a
-/// failure here is a hardware/filesystem fault, not bad data. One
-/// source per thread.
+/// A page that reads short or fails its CRC comes back as the
+/// PagedTable's Status. One source per thread.
 class PagedColumnSource final : public stats::ValueSource {
  public:
   PagedColumnSource(const data::PagedTable& table, size_t col)
       : table_(table), col_(col) {}
   size_t size() const override;
-  double At(size_t i) const override;
-  void Read(size_t begin, size_t end, double* out) const override;
+  Result<double> At(size_t i) const override;
+  Status Read(size_t begin, size_t end, double* out) const override;
 
  private:
   const data::PagedTable& table_;
@@ -105,10 +104,13 @@ class RecordTransformer {
   /// scans each numeric column in bounded windows and caches per-row EM
   /// state only while it fits in one page budget. Consumes the rng in
   /// the same order as Fit, so the fitted state is bitwise identical
-  /// to Fit on the equivalent in-memory table.
+  /// to Fit on the equivalent in-memory table. A page read error ends
+  /// the fit: it lands in *read_error and the returned transformer must
+  /// not be used (without `read_error` the error is fatal).
   static RecordTransformer FitStreaming(const data::PagedTable& table,
                                         const TransformOptions& options,
-                                        Rng* rng);
+                                        Rng* rng,
+                                        Status* read_error = nullptr);
 
   /// Reconstructs a fitted transformer from persisted state. The
   /// segments must be internally consistent (offsets/widths); the
@@ -143,15 +145,16 @@ class RecordTransformer {
   /// Shared fitting body: Fit / FitStreaming differ only in where the
   /// per-column statistics come from.
   struct ColumnStats {
-    std::function<stats::Gmm1d(size_t col, const stats::Gmm1d::Options&,
-                               Rng*)>
+    std::function<Result<stats::Gmm1d>(size_t col,
+                                       const stats::Gmm1d::Options&, Rng*)>
         fit_gmm;
     std::function<double(size_t col)> attr_min;
     std::function<double(size_t col)> attr_max;
   };
-  static RecordTransformer FitImpl(const data::Schema& full,
-                                   const TransformOptions& options, Rng* rng,
-                                   const ColumnStats& stats);
+  static Result<RecordTransformer> FitImpl(const data::Schema& full,
+                                           const TransformOptions& options,
+                                           Rng* rng,
+                                           const ColumnStats& stats);
 
   void EncodeRecord(const data::Table& table, size_t record,
                     double* out) const;

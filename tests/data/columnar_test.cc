@@ -280,6 +280,71 @@ TEST(ColumnarTest, FileShrunkUnderOpenTableIsAStatus) {
   EXPECT_FALSE(p.ScanColumn(2, 1024, 4096, scan.data()).ok());
 }
 
+// A Project view reads the parent's file in place: same cells, schema,
+// label index and footer min/max as ProjectColumns of the whole table,
+// at any column order, and nothing written to disk.
+TEST(ColumnarTest, ProjectMatchesProjectColumnsInPlace) {
+  const std::string dir = FreshDir("dcol_project");
+  const std::string path = dir + "/t.dcol";
+  const Table table = SampleTable(1000);
+  ASSERT_TRUE(WriteColumnar(table, path, 64).ok());
+  PagedTable::Options opts;
+  opts.page_budget = 3;
+  auto opened = PagedTable::Open(path, opts);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const PagedTable& full = *opened.value();
+  auto whole = full.ToTable();
+  ASSERT_TRUE(whole.ok());
+
+  for (const std::vector<size_t>& cols :
+       {std::vector<size_t>{1, 3}, std::vector<size_t>{3, 0, 2},
+        std::vector<size_t>{2}}) {
+    auto view = full.Project(cols);
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    const PagedTable& v = *view.value();
+    EXPECT_EQ(v.page_budget(), full.page_budget());
+    EXPECT_EQ(v.num_records(), full.num_records());
+    const Table want = ProjectColumns(whole.value(), cols);
+    auto got = v.ToTable();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectSameTable(want, got.value());
+    for (size_t k = 0; k < cols.size(); ++k) {
+      EXPECT_EQ(v.attribute_min(k), want.AttributeMin(k));
+      EXPECT_EQ(v.attribute_max(k), want.AttributeMax(k));
+    }
+    // The cache path (gather, point lookups) agrees with the scans.
+    auto gathered = v.GatherRows({999, 0, 513});
+    ASSERT_TRUE(gathered.ok());
+    for (size_t k = 0; k < cols.size(); ++k) {
+      EXPECT_EQ(gathered.value()(0, k), want.value(999, k));
+      EXPECT_EQ(gathered.value()(2, k), want.value(513, k));
+      auto cell = v.ValueAt(700, k);
+      ASSERT_TRUE(cell.ok());
+      EXPECT_EQ(cell.value(), want.value(700, k));
+    }
+    EXPECT_LE(v.resident_pages(), v.page_budget());
+    // A view of a view composes the column maps.
+    auto inner = v.Project({cols.size() - 1});
+    ASSERT_TRUE(inner.ok());
+    auto inner_table = inner.value()->ToTable();
+    ASSERT_TRUE(inner_table.ok());
+    ExpectSameTable(ProjectColumns(whole.value(), {cols.back()}),
+                    inner_table.value());
+  }
+
+  EXPECT_EQ(full.Project({4}).status().code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(full.Project({0, 7}).status().code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(full.Project({}).status().code(), Status::Code::kInvalidArgument);
+  size_t files = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    (void)entry;
+    ++files;
+  }
+  EXPECT_EQ(files, 1u);  // the source .dcol only
+}
+
 TEST(ColumnarTest, WriterRejectsBadRecords) {
   const std::string dir = FreshDir("dcol_writer_errors");
   Schema schema({Attribute::Numerical("x"),

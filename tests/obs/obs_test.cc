@@ -129,6 +129,41 @@ TEST(RunLoggerTest, ParseIgnoresUnknownKeys) {
   EXPECT_DOUBLE_EQ(parsed.value().g_loss, 1.5);
 }
 
+// A newer writer may add keys of any JSON type; the reader skips them
+// and keeps every field it knows.
+TEST(RunLoggerTest, ParseSkipsUnknownKeysOfEveryType) {
+  const std::string line = ToJsonLine(SampleRecord());
+  const std::string extended =
+      line.substr(0, line.size() - 1) +
+      ",\"future\":{\"a\":[1,{\"b\":null}],\"c\":\"\\u0041\"}"
+      ",\"list\":[true,false,null,-2.5e3,\"x\"],\"flag\":true"
+      ",\"off\":false,\"gone\":null}";
+  auto parsed = ParseJsonLine(extended);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  auto plain = ParseJsonLine(line);
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(parsed.value().run, plain.value().run);
+  EXPECT_EQ(parsed.value().iter, plain.value().iter);
+  EXPECT_EQ(parsed.value().seed, plain.value().seed);
+  EXPECT_EQ(parsed.value().threads, plain.value().threads);
+  EXPECT_EQ(parsed.value().g_loss, plain.value().g_loss);
+  EXPECT_EQ(parsed.value().wall_ms, plain.value().wall_ms);
+}
+
+// Integer fields take decimal digits only; a sign, fraction, exponent
+// or a value past uint64 is refused rather than rounded.
+TEST(RunLoggerTest, ParseRefusesNonDigitIntegers) {
+  for (const char* bad : {"-1", "1.5", "1e3", "18446744073709551616",
+                          "\"7\"", "null", "true"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(
+        ParseJsonLine(std::string("{\"seed\":") + bad + "}").ok());
+  }
+  auto max = ParseJsonLine("{\"seed\":18446744073709551615}");
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ(max.value().seed, 18446744073709551615ull);
+}
+
 // ---- RunLogger file sink -------------------------------------------
 
 TEST(RunLoggerTest, WritesReadableJsonlFile) {

@@ -42,7 +42,7 @@ data::RelationalPair MakePair(uint64_t seed = 31) {
   return data::MakeRelationalPair(popts, &rng);
 }
 
-RelationalOptions TinyOptions(const std::string& work_dir) {
+RelationalOptions TinyOptions() {
   RelationalOptions opts;
   opts.gan.iterations = 12;
   opts.gan.batch_size = 16;
@@ -50,7 +50,6 @@ RelationalOptions TinyOptions(const std::string& work_dir) {
   opts.gan.d_hidden = {16};
   opts.gan.noise_dim = 4;
   opts.gan.seed = 71;
-  opts.work_dir = work_dir;
   return opts;
 }
 
@@ -108,7 +107,7 @@ bool BitwiseEqual(const std::vector<data::Table>& a,
 TEST(RelationalSynthTest, GeneratedDatabaseHasPerfectFkValidity) {
   const data::RelationalPair pair = MakePair();
   const std::string dir = FreshDir("rel_fk");
-  const auto out = FitAndGenerate(pair, TinyOptions(dir), false, dir);
+  const auto out = FitAndGenerate(pair, TinyOptions(), false, dir);
   ASSERT_EQ(out.size(), 2u);
 
   // Root size: scale 1.0 reproduces the real parent count; schemas are
@@ -152,7 +151,7 @@ TEST(RelationalSynthTest, RelationalSuiteReturnsSinkFlushError) {
 TEST(RelationalSynthTest, JoinSizeKlStaysBelowThreshold) {
   const data::RelationalPair pair = MakePair();
   const std::string dir = FreshDir("rel_kl");
-  const auto out = FitAndGenerate(pair, TinyOptions(dir), false, dir);
+  const auto out = FitAndGenerate(pair, TinyOptions(), false, dir);
   ASSERT_EQ(out.size(), 2u);
   auto kl = eval::JoinSizeKl(pair.parent, 0, pair.child, 1,
                              out[0], 0, out[1], 1);
@@ -175,12 +174,12 @@ TEST(RelationalSynthTest, ByteDeterministicAcrossThreadCounts) {
   const size_t restore = par::NumThreads();
   par::SetNumThreads(1);
   const auto base =
-      FitAndGenerate(pair, TinyOptions(FreshDir("rel_t1")), false,
+      FitAndGenerate(pair, TinyOptions(), false,
                      FreshDir("rel_t1d"));
   for (const size_t threads : {size_t{2}, size_t{7}}) {
     par::SetNumThreads(threads);
     const auto run = FitAndGenerate(
-        pair, TinyOptions(FreshDir("rel_tn")), false, FreshDir("rel_tnd"));
+        pair, TinyOptions(), false, FreshDir("rel_tnd"));
     EXPECT_TRUE(BitwiseEqual(base, run))
         << "output diverged at " << threads << " threads";
   }
@@ -191,9 +190,9 @@ TEST(RelationalSynthTest, ByteDeterministicPagedVsInMemory) {
   const data::RelationalPair pair = MakePair();
   const std::string mem_dir = FreshDir("rel_mem");
   const std::string paged_dir = FreshDir("rel_paged");
-  const auto mem = FitAndGenerate(pair, TinyOptions(mem_dir), false, mem_dir);
+  const auto mem = FitAndGenerate(pair, TinyOptions(), false, mem_dir);
   const auto paged =
-      FitAndGenerate(pair, TinyOptions(paged_dir), true, paged_dir);
+      FitAndGenerate(pair, TinyOptions(), true, paged_dir);
   EXPECT_TRUE(BitwiseEqual(mem, paged))
       << "paged training must be byte-identical to in-memory";
 }
@@ -205,10 +204,10 @@ TEST(RelationalSynthTest, ByteDeterministicScalarVsAvx2) {
   }
   const data::RelationalPair pair = MakePair();
   kern::SetIsaForTesting(kern::Isa::kScalar);
-  const auto scalar = FitAndGenerate(pair, TinyOptions(FreshDir("rel_sc")),
+  const auto scalar = FitAndGenerate(pair, TinyOptions(),
                                      false, FreshDir("rel_scd"));
   kern::SetIsaForTesting(kern::Isa::kAvx2);
-  const auto avx2 = FitAndGenerate(pair, TinyOptions(FreshDir("rel_av")),
+  const auto avx2 = FitAndGenerate(pair, TinyOptions(),
                                    false, FreshDir("rel_avd"));
   kern::ResetIsaForTesting();
   EXPECT_TRUE(BitwiseEqual(scalar, avx2))
@@ -218,7 +217,7 @@ TEST(RelationalSynthTest, ByteDeterministicScalarVsAvx2) {
 TEST(RelationalSynthTest, SaveLoadGenerateIsBitwiseIdentical) {
   const data::RelationalPair pair = MakePair();
   const std::string dir = FreshDir("rel_saveload");
-  RelationalSynthesizer synth(TinyOptions(dir));
+  RelationalSynthesizer synth(TinyOptions());
   ASSERT_TRUE(synth.Fit(pair.schema, {{&pair.parent, nullptr},
                                       {&pair.child, nullptr}})
                   .ok());
@@ -253,7 +252,7 @@ TEST(RelationalSynthTest, RejectsForgedModelInsideValidBundle) {
   // forged must be refused with InvalidArgument, not crash at load.
   const data::RelationalPair pair = MakePair();
   const std::string dir = FreshDir("rel_forged_model");
-  RelationalSynthesizer synth(TinyOptions(dir));
+  RelationalSynthesizer synth(TinyOptions());
   ASSERT_TRUE(synth.Fit(pair.schema, {{&pair.parent, nullptr},
                                       {&pair.child, nullptr}})
                   .ok());
@@ -281,7 +280,7 @@ TEST(RelationalSynthTest, RejectsForgedModelInsideValidBundle) {
 }
 
 TEST(RelationalSynthTest, GenerateBeforeFitIsFailedPrecondition) {
-  RelationalSynthesizer synth(TinyOptions(FreshDir("rel_unfit")));
+  RelationalSynthesizer synth(TinyOptions());
   Rng rng(1);
   auto out = synth.Generate(1.0, &rng);
   ASSERT_FALSE(out.ok());
@@ -292,7 +291,7 @@ TEST(RelationalSynthTest, RejectsDanglingForeignKey) {
   data::RelationalPair pair = MakePair();
   ASSERT_GT(pair.child.num_records(), 0u);
   pair.child.set_value(0, 1, 424242.0);  // no such parent
-  RelationalSynthesizer synth(TinyOptions(FreshDir("rel_dangle")));
+  RelationalSynthesizer synth(TinyOptions());
   const Status st = synth.Fit(
       pair.schema, {{&pair.parent, nullptr}, {&pair.child, nullptr}});
   ASSERT_FALSE(st.ok());
@@ -304,7 +303,7 @@ TEST(RelationalSynthTest, RejectsDanglingForeignKey) {
 TEST(RelationalSynthTest, RejectsDuplicateParentPrimaryKey) {
   data::RelationalPair pair = MakePair();
   pair.parent.set_value(1, 0, pair.parent.value(0, 0));
-  RelationalSynthesizer synth(TinyOptions(FreshDir("rel_dup")));
+  RelationalSynthesizer synth(TinyOptions());
   const Status st = synth.Fit(
       pair.schema, {{&pair.parent, nullptr}, {&pair.child, nullptr}});
   ASSERT_FALSE(st.ok());
@@ -320,7 +319,7 @@ TEST(RelationalSynthTest, RejectsTableWithOnlyKeyColumns) {
   data::Table t(solo);
   t.AppendRecord({1.0});
   t.AppendRecord({2.0});
-  RelationalSynthesizer synth(TinyOptions(FreshDir("rel_solo")));
+  RelationalSynthesizer synth(TinyOptions());
   const Status st = synth.Fit(schema.value(), {{&t, nullptr}});
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
@@ -331,7 +330,7 @@ TEST(RelationalSynthTest, RejectsTableWithOnlyKeyColumns) {
 TEST(RelationalSynthTest, ScaleGrowsTheRootTable) {
   const data::RelationalPair pair = MakePair();
   const std::string dir = FreshDir("rel_scale");
-  RelationalSynthesizer synth(TinyOptions(dir));
+  RelationalSynthesizer synth(TinyOptions());
   ASSERT_TRUE(synth.Fit(pair.schema, {{&pair.parent, nullptr},
                                       {&pair.child, nullptr}})
                   .ok());

@@ -239,7 +239,7 @@ TEST(GmmTest, StreamingFitIsBitwiseEqualToFit) {
     Rng rng_str(17);
     const Gmm1d mem = Gmm1d::Fit(values, opts, &rng_mem);
     VectorSource source(values);
-    const Gmm1d str = Gmm1d::FitStreaming(source, opts, &rng_str);
+    const Gmm1d str = Gmm1d::FitStreaming(source, opts, &rng_str).value();
     par::SetNumThreads(0);
 
     EXPECT_EQ(rng_mem.Next(), rng_str.Next());
@@ -414,8 +414,9 @@ TEST(GmmGoldenTest, EveryEntryAndCacheCapMatchesPinnedBits) {
       {
         SCOPED_TRACE("FitStreaming(VectorSource)");
         Rng rng(c.rng_seed);
-        ExpectGolden(Gmm1d::FitStreaming(VectorSource(c.values), c.opts, &rng),
-                     &rng, c.want);
+        ExpectGolden(
+            Gmm1d::FitStreaming(VectorSource(c.values), c.opts, &rng).value(),
+            &rng, c.want);
       }
       // A cap of n keeps the row cache; n - 1 recomputes scan 2.
       for (size_t cap : {n, n - 1}) {
@@ -423,7 +424,8 @@ TEST(GmmGoldenTest, EveryEntryAndCacheCapMatchesPinnedBits) {
         Rng rng(c.rng_seed);
         ExpectGolden(
             Gmm1d::FitStreaming(transform::PagedColumnSource(*paged, 0),
-                                c.opts, &rng, cap),
+                                c.opts, &rng, cap)
+                .value(),
             &rng, c.want);
       }
     }

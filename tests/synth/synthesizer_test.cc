@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -226,6 +227,47 @@ TEST(SynthesizerTest, EmptyPagedTableIsRefusedWithStatus) {
   const Status st = synth.Fit(*paged.value());
   EXPECT_EQ(st.code(), Status::Code::kInvalidArgument) << st.ToString();
   std::remove(path.c_str());
+}
+
+// A .dcol cut short under an open table: every later page read fails
+// (pread comes back short), which paged Fit returns as a Status — from
+// the training gather or from the GMM's EM scan — instead of aborting.
+std::unique_ptr<data::PagedTable> ShrunkPagedAdult(const std::string& name) {
+  Rng rng(31);
+  const std::string path = ::testing::TempDir() + "daisy_" + name + "_" +
+                           std::to_string(::getpid()) + ".dcol";
+  EXPECT_TRUE(
+      data::WriteColumnar(data::MakeAdultSim(4096, &rng), path, 512).ok());
+  data::PagedTable::Options popts;
+  popts.page_budget = 2;
+  auto paged = data::PagedTable::Open(path, popts);
+  EXPECT_TRUE(paged.ok()) << paged.status().ToString();
+  EXPECT_EQ(::truncate(path.c_str(), 48), 0);  // the header alone
+  std::remove(path.c_str());
+  return paged.ok() ? paged.take() : nullptr;
+}
+
+TEST(SynthesizerTest, PagedReadErrorInTrainingGatherIsAStatus) {
+  auto paged = ShrunkPagedAdult("gather_read_error");
+  ASSERT_NE(paged, nullptr);
+  // Simple normalization takes its ranges from the footer and nothing
+  // conditions, so the first page read is the first training batch.
+  auto view = paged->Project({0, 2, 3, 4});
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  transform::TransformOptions topts;
+  topts.numerical = transform::NumericalNormalization::kSimple;
+  TableSynthesizer synth(FastOptions(), topts);
+  const Status st = synth.Fit(*view.value());
+  EXPECT_EQ(st.code(), Status::Code::kIOError) << st.ToString();
+}
+
+TEST(SynthesizerTest, PagedReadErrorInGmmFitIsAStatus) {
+  auto paged = ShrunkPagedAdult("gmm_read_error");
+  ASSERT_NE(paged, nullptr);
+  TableSynthesizer synth(FastOptions(), {});  // GMM: the EM scan reads first
+  const Status st = synth.Fit(*paged);
+  EXPECT_EQ(st.code(), Status::Code::kIOError) << st.ToString();
+  EXPECT_FALSE(synth.fitted());
 }
 
 TEST(SynthesizerTest, LabelConditioningOnUnlabeledTableIsRefused) {

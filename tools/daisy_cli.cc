@@ -53,7 +53,9 @@
 // table in topological order — children conditioned on their parent's
 // encoded attributes — plus a children-per-parent cardinality model
 // per FK edge, and persists everything as one checksummed bundle.
-// Table files ending in .dcol are trained out of core. `gen-rel`
+// Table files ending in .dcol are trained out of core, in place: each
+// model reads a column view of its file (no copy is written), under
+// --page-budget pages per table. `gen-rel`
 // regenerates the whole database (parents first, FKs valid by
 // construction) into per-table CSVs; `eval-rel` scores the synthetic
 // database against the real one on FK validity, join-size KL and
@@ -115,7 +117,6 @@ int Usage() {
                "  daisy_cli train-rel --schema spec.json --output db.daisyrel\n"
                "            [--data-dir DIR] [--iterations N] [--seed S]\n"
                "            [--threads T] [--page-budget N]\n"
-               "            [--work-dir DIR]\n"
                "            [--log-jsonl PATH] [--log-every N]\n"
                "  daisy_cli gen-rel --bundle db.daisyrel --output-dir DIR\n"
                "            [--scale X] [--seed S] [--threads T]\n"
@@ -134,6 +135,51 @@ bool TelemetryFlushed(daisy::obs::RunLogger* logger) {
   if (!st.ok())
     std::fprintf(stderr, "telemetry lost: %s\n", st.ToString().c_str());
   return st.ok();
+}
+
+// Opens the --log-jsonl file, when one is asked for, into *logger;
+// `resume` keeps the lines an earlier run wrote. Returns false, after
+// saying why, when the file cannot be opened.
+bool OpenLog(const Args& args, bool resume,
+             std::unique_ptr<daisy::obs::RunLogger>* logger) {
+  const std::string path = args.Get("log-jsonl");
+  if (path.empty()) return true;
+  auto opened = resume ? daisy::obs::RunLogger::OpenForResume(path)
+                       : daisy::obs::RunLogger::Open(path);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "error opening %s: %s\n", path.c_str(),
+                 opened.status().ToString().c_str());
+    return false;
+  }
+  *logger = opened.take();
+  return true;
+}
+
+// CSV schema inference assigns category indices in first-seen order,
+// so two independently read files generally disagree on the index of
+// any given category — and a synthetic file that dropped a rare label
+// infers a smaller domain outright. Aligns a real and a synthetic table
+// on their union schema in place before they are compared. Returns
+// false, after saying why (naming `what`), when they do not align.
+bool AlignOnUnionSchema(const std::string& what, daisy::data::Table* real,
+                        daisy::data::Table* synthetic) {
+  auto unified = daisy::data::UnionSchema(real->schema(), synthetic->schema());
+  if (!unified.ok()) {
+    std::fprintf(stderr, "schema mismatch for %s: %s\n", what.c_str(),
+                 unified.status().ToString().c_str());
+    return false;
+  }
+  auto real_aligned = daisy::data::RemapToSchema(*real, unified.value());
+  auto synth_aligned =
+      daisy::data::RemapToSchema(*synthetic, unified.value());
+  if (!real_aligned.ok() || !synth_aligned.ok()) {
+    std::fprintf(stderr, "error aligning %s on the union schema\n",
+                 what.c_str());
+    return false;
+  }
+  *real = real_aligned.take();
+  *synthetic = synth_aligned.take();
+  return true;
 }
 
 // How `synth` goes on after Fit: a refused run (the model stays
@@ -251,18 +297,7 @@ int RunSynth(const Args& args) {
   }
 
   std::unique_ptr<daisy::obs::RunLogger> logger;
-  const std::string log_path = args.Get("log-jsonl");
-  if (!log_path.empty()) {
-    auto opened = loop.resume
-                      ? daisy::obs::RunLogger::OpenForResume(log_path)
-                      : daisy::obs::RunLogger::Open(log_path);
-    if (!opened.ok()) {
-      std::fprintf(stderr, "error opening %s: %s\n", log_path.c_str(),
-                   opened.status().ToString().c_str());
-      return 1;
-    }
-    logger = std::move(opened.value());
-  }
+  if (!OpenLog(args, loop.resume, &logger)) return 1;
 
   const std::string model_path = args.Get("save-model");
   if (!model_path.empty() && method != "gan") {
@@ -465,44 +500,15 @@ int RunEval(const Args& args) {
     return 1;
   }
 
-  // CSV schema inference assigns category indices in first-seen order,
-  // so two independently read files generally disagree on the index of
-  // any given category — and a synthetic file that dropped a rare label
-  // infers a smaller domain outright. Align both tables on the union
-  // schema before comparing.
-  auto unified = daisy::data::UnionSchema(real.value().schema(),
-                                          synthetic.value().schema());
-  if (!unified.ok()) {
-    std::fprintf(stderr, "schema mismatch between tables: %s\n",
-                 unified.status().ToString().c_str());
+  if (!AlignOnUnionSchema("tables", &real.value(), &synthetic.value()))
     return 1;
-  }
-  auto real_aligned = daisy::data::RemapToSchema(real.value(),
-                                                 unified.value());
-  auto synth_aligned = daisy::data::RemapToSchema(synthetic.value(),
-                                                  unified.value());
-  if (!real_aligned.ok() || !synth_aligned.ok()) {
-    std::fprintf(stderr, "error aligning tables on the union schema\n");
-    return 1;
-  }
-  real = std::move(real_aligned);
-  synthetic = std::move(synth_aligned);
 
   // 0 = keep the process default (DAISY_THREADS env, else hardware).
   const long threads = args.GetInt("threads", 0);
   if (threads > 0) daisy::par::SetNumThreads(static_cast<size_t>(threads));
 
   std::unique_ptr<daisy::obs::RunLogger> logger;
-  const std::string log_path = args.Get("log-jsonl");
-  if (!log_path.empty()) {
-    auto opened = daisy::obs::RunLogger::Open(log_path);
-    if (!opened.ok()) {
-      std::fprintf(stderr, "error opening %s: %s\n", log_path.c_str(),
-                   opened.status().ToString().c_str());
-      return 1;
-    }
-    logger = std::move(opened.value());
-  }
+  if (!OpenLog(args, /*resume=*/false, &logger)) return 1;
 
   daisy::eval::SuiteOptions sopts;
   sopts.privacy_samples = 500;
@@ -652,20 +658,9 @@ int RunTrainRel(const Args& args) {
       static_cast<size_t>(std::max(1L, args.GetInt("log-every", 1)));
   // 0 = keep the process default (DAISY_THREADS env, else hardware).
   opts.gan.num_threads = static_cast<size_t>(args.GetInt("threads", 0));
-  opts.page_budget = page_budget;
-  opts.work_dir = args.Get("work-dir", "daisy_rel_work");
 
   std::unique_ptr<daisy::obs::RunLogger> logger;
-  const std::string log_path = args.Get("log-jsonl");
-  if (!log_path.empty()) {
-    auto opened = daisy::obs::RunLogger::Open(log_path);
-    if (!opened.ok()) {
-      std::fprintf(stderr, "error opening %s: %s\n", log_path.c_str(),
-                   opened.status().ToString().c_str());
-      return 1;
-    }
-    logger = std::move(opened.value());
-  }
+  if (!OpenLog(args, /*resume=*/false, &logger)) return 1;
 
   std::vector<daisy::rel::RelationalInput> inputs(data.schema.num_tables());
   for (size_t i = 0; i < inputs.size(); ++i) {
@@ -758,8 +753,7 @@ int RunEvalRel(const Args& args) {
   if (rc != 0) return rc;
 
   // Read the synthetic side and align each table pair on the union
-  // schema — two independently inferred CSV schemas generally disagree
-  // on category indices (see RunEval).
+  // schema.
   std::vector<daisy::data::Table> real(data.schema.num_tables());
   std::vector<daisy::data::Table> synth(data.schema.num_tables());
   std::vector<daisy::data::RelationalTableDef> defs;
@@ -772,26 +766,11 @@ int RunEvalRel(const Args& args) {
                    loaded.status().ToString().c_str());
       return 1;
     }
-    auto unified = daisy::data::UnionSchema(data.tables[i].schema(),
-                                            loaded.value().schema());
-    if (!unified.ok()) {
-      std::fprintf(stderr, "schema mismatch for table '%s': %s\n",
-                   data.schema.table(i).name.c_str(),
-                   unified.status().ToString().c_str());
+    real[i] = std::move(data.tables[i]);
+    synth[i] = loaded.take();
+    if (!AlignOnUnionSchema("table '" + data.schema.table(i).name + "'",
+                            &real[i], &synth[i]))
       return 1;
-    }
-    auto real_aligned =
-        daisy::data::RemapToSchema(data.tables[i], unified.value());
-    auto synth_aligned =
-        daisy::data::RemapToSchema(loaded.value(), unified.value());
-    if (!real_aligned.ok() || !synth_aligned.ok()) {
-      std::fprintf(stderr,
-                   "error aligning table '%s' on the union schema\n",
-                   data.schema.table(i).name.c_str());
-      return 1;
-    }
-    real[i] = real_aligned.take();
-    synth[i] = synth_aligned.take();
     defs.push_back({data.schema.table(i).name, real[i].schema(),
                     data.schema.table(i).primary_key});
   }
@@ -807,16 +786,7 @@ int RunEvalRel(const Args& args) {
   if (threads > 0) daisy::par::SetNumThreads(static_cast<size_t>(threads));
 
   std::unique_ptr<daisy::obs::RunLogger> logger;
-  const std::string log_path = args.Get("log-jsonl");
-  if (!log_path.empty()) {
-    auto opened = daisy::obs::RunLogger::Open(log_path);
-    if (!opened.ok()) {
-      std::fprintf(stderr, "error opening %s: %s\n", log_path.c_str(),
-                   opened.status().ToString().c_str());
-      return 1;
-    }
-    logger = std::move(opened.value());
-  }
+  if (!OpenLog(args, /*resume=*/false, &logger)) return 1;
 
   auto result = daisy::eval::RunRelationalSuite(schema.value(), real, synth,
                                                 logger.get());
@@ -893,7 +863,6 @@ int main(int argc, char** argv) {
              {"seed", false, true},
              {"threads", false, true},
              {"page-budget", false, true},
-             {"work-dir"},
              {"log-jsonl"},
              {"log-every", false, true}};
   } else if (command == "gen-rel") {
