@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/kernels/kernels.h"
+#include "core/parallel.h"
+
 namespace daisy::eval {
 
 void LogisticRegression::Fit(const Matrix& x, const std::vector<size_t>& y,
@@ -33,35 +36,47 @@ void LogisticRegression::Fit(const Matrix& x, const std::vector<size_t>& y,
   weights_ = Matrix(m, k);
   bias_.assign(k, 0.0);
 
+  // Per epoch, the logits of each row start from the bias and add
+  // xs(i, j) * W(j, c) in ascending j (gemm_nn: one mul then one add,
+  // no FMA); the gradient gw = xsᵀ · (probs - onehot) sums each element
+  // over ascending i from 0.0. Row chunks hold whole kTileRows tiles and
+  // every row is finished inside its chunk, so the bits depend on
+  // neither the thread count nor the ISA (DESIGN §5d).
+  const kern::KernelTable& kt = kern::Active();
   Matrix probs(n, k);
   for (size_t epoch = 0; epoch < opts_.epochs; ++epoch) {
     // Forward: softmax(xs W + b).
-    for (size_t i = 0; i < n; ++i) {
-      double mx = -1e300;
-      for (size_t c = 0; c < k; ++c) {
-        double s = bias_[c];
-        for (size_t j = 0; j < m; ++j) s += xs(i, j) * weights_(j, c);
-        probs(i, c) = s;
-        mx = std::max(mx, s);
+    par::ParallelFor(0, n, par::RowGrain(2 * m * k, kern::kTileRows),
+                     [&](size_t r0, size_t r1) {
+      for (size_t i = r0; i < r1; ++i)
+        std::copy(bias_.begin(), bias_.end(), probs.row(i));
+      kt.gemm_nn(xs.row(r0), m, 1, weights_.data(), k, m, probs.row(r0), k,
+                 r1 - r0, k);
+      for (size_t i = r0; i < r1; ++i) {
+        double* p = probs.row(i);
+        double mx = -1e300;
+        for (size_t c = 0; c < k; ++c) mx = std::max(mx, p[c]);
+        double sum = 0.0;
+        for (size_t c = 0; c < k; ++c) {
+          // v is 0 only at the row maximum, and exp(0) is exactly 1.0.
+          const double v = p[c] - mx;
+          p[c] = v == 0.0 ? 1.0 : std::exp(v);
+          sum += p[c];
+        }
+        for (size_t c = 0; c < k; ++c) p[c] /= sum;
       }
-      double sum = 0.0;
-      for (size_t c = 0; c < k; ++c) {
-        probs(i, c) = std::exp(probs(i, c) - mx);
-        sum += probs(i, c);
-      }
-      for (size_t c = 0; c < k; ++c) probs(i, c) /= sum;
-    }
-    // Gradient step.
+    });
+    // Gradient step; probs becomes D = probs - onehot in place.
     const double scale = opts_.lr / static_cast<double>(n);
-    Matrix gw(m, k);
     std::vector<double> gb(k, 0.0);
     for (size_t i = 0; i < n; ++i) {
+      double* d = probs.row(i);
       for (size_t c = 0; c < k; ++c) {
-        const double d = probs(i, c) - (y[i] == c ? 1.0 : 0.0);
-        gb[c] += d;
-        for (size_t j = 0; j < m; ++j) gw(j, c) += d * xs(i, j);
+        d[c] -= y[i] == c ? 1.0 : 0.0;
+        gb[c] += d[c];
       }
     }
+    const Matrix gw = xs.TransposeMatMul(probs);
     for (size_t j = 0; j < m; ++j)
       for (size_t c = 0; c < k; ++c)
         weights_(j, c) -=

@@ -9,24 +9,28 @@ namespace daisy::eval {
 
 namespace {
 
-struct AttrNorm {
-  bool categorical = false;
-  double lo = 0.0;
-  double inv_range = 1.0;
-};
+// Both metrics read the attribute types of the original table's schema
+// for both tables.
+std::vector<char> CategoricalFlags(const data::Table& original) {
+  std::vector<char> categorical(original.num_attributes());
+  for (size_t j = 0; j < categorical.size(); ++j)
+    categorical[j] = original.schema().attribute(j).is_categorical();
+  return categorical;
+}
 
-std::vector<AttrNorm> FitNorms(const data::Table& table) {
-  std::vector<AttrNorm> norms(table.num_attributes());
-  for (size_t j = 0; j < norms.size(); ++j) {
-    norms[j].categorical = table.schema().attribute(j).is_categorical();
-    if (!norms[j].categorical) {
-      const double lo = table.AttributeMin(j);
-      const double hi = table.AttributeMax(j);
-      norms[j].lo = lo;
-      norms[j].inv_range = hi > lo ? 1.0 / (hi - lo) : 1.0;
-    }
+// The categorical cells of `table`, each rounded once with std::llround
+// (half away from zero), row-major over the flagged columns only. The
+// scans compare these codes instead of rounding both cells of every
+// pair.
+std::vector<long long> CategoryCodes(const data::Table& table,
+                                     const std::vector<char>& categorical) {
+  std::vector<long long> codes;
+  for (size_t i = 0; i < table.num_records(); ++i) {
+    const double* row = table.cells().row(i);
+    for (size_t j = 0; j < categorical.size(); ++j)
+      if (categorical[j]) codes.push_back(std::llround(row[j]));
   }
-  return norms;
+  return codes;
 }
 
 Status ValidateTables(const data::Table& original,
@@ -59,15 +63,19 @@ Result<double> HittingRate(const data::Table& original,
   const size_t m = original.num_attributes();
 
   // Per-attribute numeric thresholds from the original table.
+  const std::vector<char> categorical = CategoricalFlags(original);
   std::vector<double> thresholds(m, 0.0);
-  std::vector<bool> categorical(m, false);
   for (size_t j = 0; j < m; ++j) {
-    categorical[j] = original.schema().attribute(j).is_categorical();
     if (!categorical[j]) {
       thresholds[j] = (original.AttributeMax(j) - original.AttributeMin(j)) /
                       opts.range_divisor;
     }
   }
+  const std::vector<long long> orig_codes =
+      CategoryCodes(original, categorical);
+  const std::vector<long long> synth_codes =
+      CategoryCodes(synthetic, categorical);
+  const size_t mc = orig_codes.size() / original.num_records();
 
   const size_t samples =
       std::min(opts.num_synthetic_samples, synthetic.num_records());
@@ -83,16 +91,19 @@ Result<double> HittingRate(const data::Table& original,
         size_t h = 0;
         for (size_t s = b; s < e; ++s) {
           const size_t row = probe_rows[s];
+          const double* sv = synthetic.cells().row(row);
+          const long long* sc = synth_codes.data() + row * mc;
           bool hit = false;
           for (size_t i = 0; i < original.num_records() && !hit; ++i) {
+            const double* ov = original.cells().row(i);
+            const long long* oc = orig_codes.data() + i * mc;
             bool similar = true;
-            for (size_t j = 0; j < m && similar; ++j) {
-              const double sv = synthetic.value(row, j);
-              const double ov = original.value(i, j);
+            for (size_t j = 0, c = 0; j < m && similar; ++j) {
               if (categorical[j]) {
-                similar = std::llround(sv) == std::llround(ov);
+                similar = sc[c] == oc[c];
+                ++c;
               } else {
-                similar = std::fabs(sv - ov) <= thresholds[j];
+                similar = std::fabs(sv[j] - ov[j]) <= thresholds[j];
               }
             }
             hit = similar;
@@ -114,7 +125,22 @@ Result<double> DistanceToClosestRecord(const data::Table& original,
         "DcrOptions::num_original_samples must be > 0");
   DAISY_RETURN_IF_ERROR(ValidateTables(original, synthetic));
   const size_t m = original.num_attributes();
-  const auto norms = FitNorms(original);
+
+  // Min-max scale of each numeric attribute of the original table.
+  const std::vector<char> categorical = CategoricalFlags(original);
+  std::vector<double> inv_range(m, 1.0);
+  for (size_t j = 0; j < m; ++j) {
+    if (!categorical[j]) {
+      const double lo = original.AttributeMin(j);
+      const double hi = original.AttributeMax(j);
+      inv_range[j] = hi > lo ? 1.0 / (hi - lo) : 1.0;
+    }
+  }
+  const std::vector<long long> orig_codes =
+      CategoryCodes(original, categorical);
+  const std::vector<long long> synth_codes =
+      CategoryCodes(synthetic, categorical);
+  const size_t mc = orig_codes.size() / original.num_records();
 
   const size_t samples =
       std::min(opts.num_original_samples, original.num_records());
@@ -131,19 +157,20 @@ Result<double> DistanceToClosestRecord(const data::Table& original,
         double total = 0.0;
         for (size_t s = b; s < e; ++s) {
           const size_t row = probe_rows[s];
+          const double* ov = original.cells().row(row);
+          const long long* oc = orig_codes.data() + row * mc;
           double best = std::numeric_limits<double>::infinity();
           for (size_t i = 0; i < synthetic.num_records(); ++i) {
+            const double* sv = synthetic.cells().row(i);
+            const long long* sc = synth_codes.data() + i * mc;
             double d2 = 0.0;
-            for (size_t j = 0; j < m && d2 < best; ++j) {
+            for (size_t j = 0, c = 0; j < m && d2 < best; ++j) {
               double diff;
-              if (norms[j].categorical) {
-                diff = std::llround(original.value(row, j)) ==
-                               std::llround(synthetic.value(i, j))
-                           ? 0.0
-                           : 1.0;
+              if (categorical[j]) {
+                diff = oc[c] == sc[c] ? 0.0 : 1.0;
+                ++c;
               } else {
-                diff = (original.value(row, j) - synthetic.value(i, j)) *
-                       norms[j].inv_range;
+                diff = (ov[j] - sv[j]) * inv_range[j];
               }
               d2 += diff * diff;
             }

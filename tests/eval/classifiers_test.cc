@@ -1,7 +1,11 @@
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
+#include "core/kernels/kernels.h"
+#include "core/parallel.h"
 #include "eval/adaboost.h"
 #include "eval/class_metrics.h"
 #include "eval/classifier.h"
@@ -196,6 +200,143 @@ TEST(LogisticRegressionTest, HandlesConstantFeature) {
   LogisticRegression lr;
   lr.Fit(x, y, 2, &rng);
   EXPECT_GT(Accuracy(lr.PredictAll(x), y), 0.95);
+}
+
+// The plain-loop softmax regression that LogisticRegression::Fit must
+// reproduce bit for bit: logits summed from the bias in ascending j,
+// gradient sums in ascending i from 0.0, then the weight step.
+struct ReferenceLogReg {
+  std::vector<double> mean, inv_std, bias;
+  Matrix weights;
+
+  void Fit(const Matrix& x, const std::vector<size_t>& y, size_t k,
+           const LogisticRegressionOptions& opts) {
+    const size_t n = x.rows(), m = x.cols();
+    mean.assign(m, 0.0);
+    inv_std.assign(m, 1.0);
+    for (size_t j = 0; j < m; ++j) {
+      double mu = 0.0;
+      for (size_t i = 0; i < n; ++i) mu += x(i, j);
+      mu /= static_cast<double>(n);
+      double var = 0.0;
+      for (size_t i = 0; i < n; ++i) var += (x(i, j) - mu) * (x(i, j) - mu);
+      var /= static_cast<double>(n);
+      mean[j] = mu;
+      inv_std[j] = var > 1e-12 ? 1.0 / std::sqrt(var) : 1.0;
+    }
+    Matrix xs(n, m);
+    for (size_t i = 0; i < n; ++i)
+      for (size_t j = 0; j < m; ++j)
+        xs(i, j) = (x(i, j) - mean[j]) * inv_std[j];
+    weights = Matrix(m, k);
+    bias.assign(k, 0.0);
+    Matrix probs(n, k);
+    for (size_t epoch = 0; epoch < opts.epochs; ++epoch) {
+      for (size_t i = 0; i < n; ++i) {
+        double mx = -1e300;
+        for (size_t c = 0; c < k; ++c) {
+          double s = bias[c];
+          for (size_t j = 0; j < m; ++j) s += xs(i, j) * weights(j, c);
+          probs(i, c) = s;
+          mx = std::max(mx, s);
+        }
+        double sum = 0.0;
+        for (size_t c = 0; c < k; ++c) {
+          probs(i, c) = std::exp(probs(i, c) - mx);
+          sum += probs(i, c);
+        }
+        for (size_t c = 0; c < k; ++c) probs(i, c) /= sum;
+      }
+      const double scale = opts.lr / static_cast<double>(n);
+      Matrix gw(m, k);
+      std::vector<double> gb(k, 0.0);
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t c = 0; c < k; ++c) {
+          const double d = probs(i, c) - (y[i] == c ? 1.0 : 0.0);
+          gb[c] += d;
+          for (size_t j = 0; j < m; ++j) gw(j, c) += d * xs(i, j);
+        }
+      }
+      for (size_t j = 0; j < m; ++j)
+        for (size_t c = 0; c < k; ++c)
+          weights(j, c) -=
+              scale * (gw(j, c) + opts.l2 * weights(j, c) *
+                                      static_cast<double>(n));
+      for (size_t c = 0; c < k; ++c) bias[c] -= scale * gb[c];
+    }
+  }
+
+  std::vector<double> PredictProba(const double* x) const {
+    const size_t m = mean.size(), k = bias.size();
+    std::vector<double> xs(m);
+    for (size_t j = 0; j < m; ++j) xs[j] = (x[j] - mean[j]) * inv_std[j];
+    std::vector<double> probs(k);
+    double mx = -1e300;
+    for (size_t c = 0; c < k; ++c) {
+      double s = bias[c];
+      for (size_t j = 0; j < m; ++j) s += xs[j] * weights(j, c);
+      probs[c] = s;
+      mx = std::max(mx, s);
+    }
+    double sum = 0.0;
+    for (auto& p : probs) {
+      p = std::exp(p - mx);
+      sum += p;
+    }
+    for (auto& p : probs) p /= sum;
+    return probs;
+  }
+};
+
+// Shapes straddle the GEMM tile edges: 1027 rows is not a multiple of
+// the 4-row tile, 70 features exceed one 64-deep p tile, 9 classes
+// exceed one 8-column tile.
+TEST(LogisticRegressionTest, FitMatchesReferenceBitwise) {
+  const LogisticRegressionOptions opts{.epochs = 20};
+  std::vector<kern::Isa> isas = {kern::Isa::kScalar};
+  if (kern::IsaAvailable(kern::Isa::kAvx2)) isas.push_back(kern::Isa::kAvx2);
+  for (size_t n : {1, 5, 1027}) {
+    for (size_t m : {1, 3, 70}) {
+      for (size_t k : {2, 3, 9}) {
+        Rng rng(1000 * n + 10 * m + k);
+        Matrix x(n, m);
+        std::vector<size_t> y(n);
+        for (size_t i = 0; i < n; ++i) {
+          y[i] = rng.UniformInt(k);
+          for (size_t j = 0; j < m; ++j)
+            x(i, j) = j == 1 ? 4.0  // a constant column when m > 1
+                             : rng.Gaussian(0.3 * static_cast<double>(y[i]),
+                                            1.0 + static_cast<double>(j % 5));
+        }
+        // Probe every training row and 16 off-sample points, so even a
+        // one-row fit is compared at more than one input.
+        Matrix probes = Matrix::VCat(x, Matrix::Randn(16, m, &rng, 3.0));
+        ReferenceLogReg ref;
+        ref.Fit(x, y, k, opts);
+        for (kern::Isa isa : isas) {
+          kern::SetIsaForTesting(isa);
+          for (size_t threads : {1, 3}) {
+            par::SetNumThreads(threads);
+            LogisticRegression lr(opts);
+            lr.Fit(x, y, k, &rng);
+            for (size_t i = 0; i < probes.rows(); ++i) {
+              const auto got = lr.PredictProba(probes.row(i));
+              const auto want = ref.PredictProba(probes.row(i));
+              ASSERT_EQ(got.size(), k);
+              ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                    k * sizeof(double)),
+                        0)
+                  << "n=" << n << " m=" << m << " k=" << k
+                  << " isa=" << kern::IsaName(isa) << " threads=" << threads
+                  << " row=" << i;
+            }
+          }
+        }
+      }
+    }
+  }
+  kern::ResetIsaForTesting();
+  par::SetNumThreads(0);
 }
 
 }  // namespace

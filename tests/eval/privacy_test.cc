@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <cstring>
+#include <string>
+
 #include "data/generators/realistic.h"
 
 namespace daisy::eval {
@@ -111,6 +116,67 @@ TEST(DcrTest, CategoricalMismatchContributes) {
   Rng rng(13);
   EXPECT_DOUBLE_EQ(DistanceToClosestRecord(orig, synth, opts, &rng).value(),
                    1.0);
+}
+
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+std::string Hex(uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%016" PRIx64 "ULL", v);
+  return buf;
+}
+
+// Categorical cells on llround's boundaries (halves, values a hair off a
+// half, -0.0), next to cells they equal only under round-half-away-
+// from-zero: lrint (half to even) or truncation would score some of
+// these pairs as mismatches. The pinned bits below were captured from
+// the scans that called std::llround on both cells of every pair.
+void MakeBoundaryTables(data::Table* orig, data::Table* synth) {
+  data::Schema schema({data::Attribute::Categorical("a", {"p", "q", "r"}),
+                       data::Attribute::Numerical("x"),
+                       data::Attribute::Categorical("b", {"u", "v", "w"})});
+  const double orig_a[] = {0.5, -0.5, 2.4999999, 1.5000001,
+                           -0.0, 2.5, 1.0, 0.0};
+  const double synth_a[] = {1.0, -1.0, 2.0, 2.0, 0.0, 3.0, 0.5, -0.5};
+  const double orig_b[] = {0, 1, 2, 0, 1, 2, 0, 1};
+  const double synth_b[] = {-0.0, 0.5000001, 2.4999999, 0.4999999,
+                            0.5, 1.5, -0.5, 1.0};
+  *orig = data::Table(schema);
+  *synth = data::Table(schema);
+  // Four copies of the eight pairs; x keeps each synthetic row within
+  // the hitting threshold of its own original row only.
+  for (size_t i = 0; i < 32; ++i) {
+    const double x = static_cast<double>(i);
+    orig->AppendRecord({0, x, 0});
+    synth->AppendRecord({0, x + 0.01 * static_cast<double>(i % 3), 0});
+    orig->set_value(i, 0, orig_a[i % 8]);
+    orig->set_value(i, 2, orig_b[i % 8]);
+    synth->set_value(i, 0, synth_a[i % 8]);
+    synth->set_value(i, 2, synth_b[i % 8]);
+  }
+}
+
+TEST(HittingRateTest, CategoryCodesRoundHalfAwayFromZero) {
+  data::Table orig, synth;
+  MakeBoundaryTables(&orig, &synth);
+  HittingRateOptions opts;
+  opts.num_synthetic_samples = 64;
+  Rng rng(14);
+  const double rate = HittingRate(orig, synth, opts, &rng).value();
+  EXPECT_EQ(Bits(rate), 0x3fe6000000000000ULL) << Hex(Bits(rate));
+}
+
+TEST(DcrTest, CategoryCodesRoundHalfAwayFromZero) {
+  data::Table orig, synth;
+  MakeBoundaryTables(&orig, &synth);
+  Rng rng(15);
+  const double dcr =
+      DistanceToClosestRecord(orig, synth, DcrOptions{}, &rng).value();
+  EXPECT_EQ(Bits(dcr), 0x3fa2adbfeadbfeaeULL) << Hex(Bits(dcr));
 }
 
 }  // namespace
