@@ -9,6 +9,10 @@
 //                page budgets {1, 4, 64}, with the uniform sampler
 //                (random page faults every batch) and the
 //                chunked-shuffle sampler (page-local batches)
+//   csv rows   — CsvRows, the one CSV row encoder behind WriteCsv,
+//                the CLI and daisy_serve: a decoded 512-row chunk (the
+//                serve engine's chunk; full-precision numbers) and 20k
+//                Adult-sim rows
 //
 // The determinism contract means every variant gathers bitwise-equal
 // sample batches — only time and cache-miss counts may differ. The
@@ -26,6 +30,7 @@
 #include "bench/bench_util.h"
 #include "data/columnar.h"
 #include "data/csv.h"
+#include "data/generators/realistic.h"
 #include "data/generators/sdata.h"
 #include "synth/sampler.h"
 #include "synth/train_source.h"
@@ -224,6 +229,36 @@ BENCHMARK(BM_TrainEndToEnd)
     ->Arg(0)
     ->Arg(16)
     ->Unit(benchmark::kMillisecond);
+
+// CsvRows of one table. decoded == 1: a 512-row chunk decoded from
+// random generator-shaped samples by a GMM transformer, so numbers
+// carry full precision as they do in a release; decoded == 0: Adult-sim
+// rows as generated.
+void BM_CsvRows(benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  Rng rng(0x15);
+  data::Table table = data::MakeAdultSim(rows, &rng);
+  if (state.range(1) != 0) {
+    const data::Table fit_rows = data::MakeAdultSim(2000, &rng);
+    const auto transformer = transform::RecordTransformer::Fit(
+        fit_rows, transform::TransformOptions(), &rng);
+    table = transformer.InverseTransform(
+        Matrix::Randn(rows, transformer.sample_dim(), &rng));
+  }
+  size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string csv = data::CsvRows(table);
+    benchmark::DoNotOptimize(csv.data());
+    bytes = csv.size();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_CsvRows)
+    ->ArgNames({"rows", "decoded"})
+    ->Args({512, 1})
+    ->Args({20000, 0})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace daisy::bench

@@ -131,13 +131,6 @@ Matrix Matrix::MatMulTranspose(const Matrix& other) const {
   return out;
 }
 
-Matrix Matrix::Transpose() const {
-  Matrix out(cols_, rows_);
-  for (size_t r = 0; r < rows_; ++r)
-    for (size_t c = 0; c < cols_; ++c) out(c, r) = (*this)(r, c);
-  return out;
-}
-
 Matrix& Matrix::operator+=(const Matrix& other) {
   DAISY_CHECK(SameShape(other));
   const kern::KernelTable& kt = kern::Active();
@@ -228,12 +221,6 @@ Matrix Matrix::ColMean() const {
 double Matrix::Mean() const {
   DAISY_CHECK(!data_.empty());
   return Sum() / static_cast<double>(data_.size());
-}
-
-double Matrix::Norm() const {
-  double s = 0.0;
-  for (double v : data_) s += v * v;
-  return std::sqrt(s);
 }
 
 double Matrix::MaxAbs() const {

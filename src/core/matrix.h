@@ -62,8 +62,6 @@ class Matrix {
   /// this * other^T without materializing the transpose.
   Matrix MatMulTranspose(const Matrix& other) const;
 
-  Matrix Transpose() const;
-
   // Elementwise arithmetic (shapes must match exactly).
   Matrix& operator+=(const Matrix& other);
   Matrix& operator-=(const Matrix& other);
@@ -93,8 +91,6 @@ class Matrix {
   Matrix ColMean() const;
   /// Mean of all elements.
   double Mean() const;
-  /// Frobenius norm.
-  double Norm() const;
   /// Max absolute element.
   double MaxAbs() const;
 

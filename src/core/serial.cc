@@ -2,20 +2,32 @@
 
 #include <cerrno>
 #include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
 
+#include "core/format.h"
+
 namespace daisy {
+
+namespace {
+
+// `n` round-trip numbers on one line, space-separated ("%.17g" each).
+void WriteLine(std::ostream* os, const double* v, size_t n) {
+  std::string line;
+  for (size_t i = 0; i < n; ++i) {
+    if (i) line.push_back(' ');
+    AppendG(v[i], kRoundTripDigits, &line);
+  }
+  line.push_back('\n');
+  *os << line;
+}
+
+}  // namespace
 
 void Serializer::WriteTag(const std::string& tag) { *os_ << tag << '\n'; }
 
 void Serializer::WriteU64(uint64_t v) { *os_ << v << '\n'; }
 
-void Serializer::WriteDouble(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  *os_ << buf << '\n';
-}
+void Serializer::WriteDouble(double v) { WriteLine(os_, &v, 1); }
 
 void Serializer::WriteString(const std::string& s) {
   *os_ << "S" << s.size() << ":" << s << '\n';
@@ -23,24 +35,16 @@ void Serializer::WriteString(const std::string& s) {
 
 void Serializer::WriteMatrix(const Matrix& m) {
   *os_ << m.rows() << ' ' << m.cols() << '\n';
-  char buf[40];
-  for (size_t r = 0; r < m.rows(); ++r) {
-    for (size_t c = 0; c < m.cols(); ++c) {
-      std::snprintf(buf, sizeof(buf), "%.17g", m(r, c));
-      *os_ << buf << (c + 1 == m.cols() ? '\n' : ' ');
-    }
+  if (m.rows() == 0 || m.cols() == 0) {
+    *os_ << '\n';
+    return;
   }
-  if (m.rows() == 0 || m.cols() == 0) *os_ << '\n';
+  for (size_t r = 0; r < m.rows(); ++r) WriteLine(os_, m.row(r), m.cols());
 }
 
 void Serializer::WriteDoubleVector(const std::vector<double>& v) {
   *os_ << v.size() << '\n';
-  char buf[40];
-  for (size_t i = 0; i < v.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "%.17g", v[i]);
-    *os_ << buf << (i + 1 == v.size() ? '\n' : ' ');
-  }
-  if (v.empty()) *os_ << '\n';
+  WriteLine(os_, v.data(), v.size());
 }
 
 void Deserializer::Fail(const std::string& what) {

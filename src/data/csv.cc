@@ -6,6 +6,8 @@
 #include <fstream>
 #include <set>
 
+#include "core/format.h"
+
 namespace daisy::data {
 
 namespace {
@@ -99,10 +101,18 @@ void AppendCsvField(const std::string& s, std::string* out) {
   out->push_back('"');
 }
 
+// The one row encoder (CsvRows, WriteCsv). Each cell is written in
+// place, as CellToString renders it: a number needs no escaping, since
+// "%g" text never holds a comma, quote, CR or LF.
 void AppendCsvRow(const Table& table, size_t i, std::string* out) {
+  const Schema& schema = table.schema();
   for (size_t j = 0; j < table.num_attributes(); ++j) {
     if (j) out->push_back(',');
-    AppendCsvField(table.CellToString(i, j), out);
+    const Attribute& a = schema.attribute(j);
+    if (a.is_categorical())
+      AppendCsvField(a.categories[table.category(i, j)], out);
+    else
+      AppendG(table.value(i, j), kTextDigits, out);
   }
   out->push_back('\n');
 }

@@ -80,15 +80,17 @@ std::string EscapeCsvField(const std::string& s);
 /// The header line (attribute names, escaped, trailing '\n').
 std::string CsvHeader(const Schema& schema);
 
-/// All rows of `table` as CSV lines (each with a trailing '\n'):
-/// categorical cells as category names, numerics as Table::CellToString
-/// writes them, escaped. CsvHeader + CsvRows of a table, or of its
-/// consecutive chunks, is WriteCsv's file byte for byte.
+/// All rows of `table` as CSV lines (each with a trailing '\n'), each
+/// cell as Table::CellToString renders it: categorical cells as category
+/// names, escaped; numbers as printf "%g" prints them (6 significant
+/// digits, through std::to_chars), which never needs escaping.
+/// CsvHeader + CsvRows of a table, or of its consecutive chunks, is
+/// WriteCsv's file byte for byte.
 std::string CsvRows(const Table& table);
 
 /// Writes CsvHeader and CsvRows of the table to `path`. ReadCsv reads
 /// every category name back (embedded newlines included), and every
-/// number as CellToString printed it ("%g": 6 significant digits).
+/// number as "%g" printed it (6 significant digits).
 Status WriteCsv(const Table& table, const std::string& path);
 
 /// Reads a CSV with a header row, typed by CsvTyping. `label_column`

@@ -1,7 +1,8 @@
 #include "data/table.h"
 
 #include <cmath>
-#include <cstdio>
+
+#include "core/format.h"
 
 namespace daisy::data {
 
@@ -18,9 +19,9 @@ size_t Table::category(size_t record, size_t attr) const {
 std::string Table::CellToString(size_t record, size_t attr) const {
   const Attribute& a = schema_.attribute(attr);
   if (a.is_categorical()) return a.categories[category(record, attr)];
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", cells_(record, attr));
-  return buf;
+  std::string out;
+  AppendG(cells_(record, attr), kTextDigits, &out);
+  return out;
 }
 
 void Table::AppendRecord(const std::vector<double>& values) {

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/durable.h"
+#include "core/format.h"
 #include "core/json.h"
 
 namespace daisy::obs {
@@ -19,9 +20,7 @@ void AppendNumber(std::string* out, double v) {
     *out += "null";
     return;
   }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  *out += buf;
+  AppendG(v, kRoundTripDigits, out);
 }
 
 void AppendUnsigned(std::string* out, unsigned long long v) {

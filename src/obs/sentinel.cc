@@ -1,16 +1,17 @@
 #include "obs/sentinel.h"
 
 #include <cmath>
-#include <cstdio>
+
+#include "core/format.h"
 
 namespace daisy::obs {
 
 namespace {
 
 std::string Render(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
+  std::string out;
+  AppendG(v, kTextDigits, &out);
+  return out;
 }
 
 Status Diverged(size_t iter, const char* metric, const char* why, double v) {

@@ -300,13 +300,6 @@ double Gmm1d::LogLikelihood(double v) const {
   return LogSumExp(means_.size(), [&](size_t j) { return LogJoint(j, v); });
 }
 
-double Gmm1d::AvgLogLikelihood(const std::vector<double>& values) const {
-  DAISY_CHECK(!values.empty());
-  double s = 0.0;
-  for (double v : values) s += LogLikelihood(v);
-  return s / static_cast<double>(values.size());
-}
-
 double Gmm1d::Sample(Rng* rng) const {
   const size_t j = rng->Categorical(weights_);
   return rng->Gaussian(means_[j], stddevs_[j]);

@@ -89,9 +89,6 @@ class Gmm1d {
   /// Log-likelihood of a value under the mixture.
   double LogLikelihood(double v) const;
 
-  /// Average log-likelihood of a dataset.
-  double AvgLogLikelihood(const std::vector<double>& values) const;
-
   /// Draws one value from the mixture.
   double Sample(Rng* rng) const;
 

@@ -7,6 +7,13 @@
 namespace daisy {
 namespace {
 
+Matrix Transpose(const Matrix& m) {
+  Matrix out(m.cols(), m.rows());
+  for (size_t r = 0; r < m.rows(); ++r)
+    for (size_t c = 0; c < m.cols(); ++c) out(c, r) = m(r, c);
+  return out;
+}
+
 TEST(MatrixTest, ConstructAndAccess) {
   Matrix m(2, 3, 1.5);
   EXPECT_EQ(m.rows(), 2u);
@@ -36,7 +43,7 @@ TEST(MatrixTest, TransposeMatMulMatchesExplicitTranspose) {
   Rng rng(1);
   Matrix a = Matrix::Randn(4, 3, &rng);
   Matrix b = Matrix::Randn(4, 5, &rng);
-  Matrix expected = a.Transpose().MatMul(b);
+  Matrix expected = Transpose(a).MatMul(b);
   Matrix got = a.TransposeMatMul(b);
   ASSERT_TRUE(got.SameShape(expected));
   for (size_t r = 0; r < got.rows(); ++r)
@@ -48,7 +55,7 @@ TEST(MatrixTest, MatMulTransposeMatchesExplicitTranspose) {
   Rng rng(2);
   Matrix a = Matrix::Randn(4, 3, &rng);
   Matrix b = Matrix::Randn(5, 3, &rng);
-  Matrix expected = a.MatMul(b.Transpose());
+  Matrix expected = a.MatMul(Transpose(b));
   Matrix got = a.MatMulTranspose(b);
   ASSERT_TRUE(got.SameShape(expected));
   for (size_t r = 0; r < got.rows(); ++r)

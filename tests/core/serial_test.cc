@@ -5,9 +5,12 @@
 // channel — never a crash, hang, or silent success.
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -147,6 +150,56 @@ TEST(SerialPropertyTest, RandomRoundTrips) {
     }
     EXPECT_TRUE(des.ok()) << "trial " << trial << ": " << des.error();
   }
+}
+
+// Every number a model file or checkpoint holds must be the bytes
+// snprintf("%.17g") writes. The reference is built by hand: a size
+// line, then one line per matrix row (one empty line for an empty
+// matrix or vector), numbers separated by single spaces.
+TEST(SerialPropertyTest, NumberBytesMatchPrintfReference) {
+  Rng rng(26);
+  const auto draw = [&rng] {
+    if (rng.UniformInt(2)) return RandomDouble(&rng);
+    const uint64_t bits = rng.Next();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
+  };
+  const auto line = [](const double* v, size_t n) {
+    std::string out;
+    char buf[40];
+    for (size_t i = 0; i < n; ++i) {
+      std::snprintf(buf, sizeof(buf), "%.17g", v[i]);
+      out += (i ? " " : "") + std::string(buf);
+    }
+    return out + "\n";
+  };
+
+  std::ostringstream os;
+  Serializer ser(&os);
+  std::string want;
+  const std::pair<size_t, size_t> shapes[] = {{0, 0}, {0, 3},  {3, 0},
+                                              {1, 1}, {4, 7}, {64, 33}};
+  for (const auto& [rows, cols] : shapes) {
+    Matrix m(rows, cols);
+    for (size_t i = 0; i < m.size(); ++i) m.data()[i] = draw();
+    ser.WriteMatrix(m);
+    want += std::to_string(rows) + " " + std::to_string(cols) + "\n";
+    if (m.size() == 0) want += "\n";
+    for (size_t r = 0; r < rows && cols > 0; ++r) want += line(m.row(r), cols);
+  }
+  for (size_t n : {0, 1, 5, 1000}) {
+    std::vector<double> v(n);
+    for (double& x : v) x = draw();
+    ser.WriteDoubleVector(v);
+    want += std::to_string(n) + "\n" + line(v.data(), n);
+  }
+  for (int i = 0; i < 1000; ++i) {
+    const double v = draw();
+    ser.WriteDouble(v);
+    want += line(&v, 1);
+  }
+  EXPECT_EQ(os.str(), want);
 }
 
 TEST(SerialPropertyTest, MalformedTokensAreRejected) {

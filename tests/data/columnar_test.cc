@@ -68,8 +68,9 @@ void ExpectSameTable(const Table& a, const Table& b) {
     EXPECT_EQ(aa.categories, ba.categories);
   }
   EXPECT_EQ(a.schema().has_label(), b.schema().has_label());
-  if (a.schema().has_label())
+  if (a.schema().has_label()) {
     EXPECT_EQ(a.schema().label_index(), b.schema().label_index());
+  }
   for (size_t i = 0; i < a.num_records(); ++i)
     for (size_t j = 0; j < a.num_attributes(); ++j)
       EXPECT_EQ(a.value(i, j), b.value(i, j))

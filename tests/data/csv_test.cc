@@ -1,9 +1,20 @@
 #include "data/csv.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "core/rng.h"
 
 namespace daisy::data {
 namespace {
@@ -133,6 +144,91 @@ TEST_F(CsvTest, EscapeCsvFieldQuotesControlCharacters) {
   EXPECT_EQ(EscapeCsvField("a\nb"), "\"a\nb\"");
   EXPECT_EQ(EscapeCsvField("a\rb"), "\"a\rb\"");
   EXPECT_EQ(EscapeCsvField("a\"b"), "\"a\"\"b\"");
+}
+
+// Numbers whose "%g" text is easiest to get wrong: random bit patterns,
+// NaN of either sign, ±inf, ±0 and subnormals, integers on both sides
+// of the switch to exponent form, and exact binary ties at the sixth
+// significant digit.
+double OracleNumber(Rng* rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double specials[] = {0.0, -0.0, kInf, -kInf, kNan,
+                             std::copysign(kNan, -1.0),
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::lowest()};
+  const double sign = rng->UniformInt(2) ? -1.0 : 1.0;
+  switch (rng->UniformInt(5)) {
+    case 0: {
+      const uint64_t bits = rng->Next();
+      double v = 0.0;
+      std::memcpy(&v, &bits, sizeof(v));
+      return v;
+    }
+    case 1:
+      return sign * static_cast<double>(1'000'000 + rng->UniformInt(9'000'000));
+    case 2:
+      return sign *
+             (100'000.0 + static_cast<double>(rng->UniformInt(900'000)) + 0.5);
+    case 3:
+      return sign * (10'000.0 + static_cast<double>(rng->UniformInt(90'000)) +
+                     (rng->UniformInt(2) ? 0.25 : 0.75));
+    default:
+      return specials[rng->UniformInt(std::size(specials))];
+  }
+}
+
+// Offset of the first differing byte, or "equal".
+std::string FirstDifference(const std::string& a, const std::string& b) {
+  const size_t n = std::min(a.size(), b.size());
+  for (size_t i = 0; i < n; ++i)
+    if (a[i] != b[i]) return "first difference at byte " + std::to_string(i);
+  if (a.size() != b.size())
+    return "sizes " + std::to_string(a.size()) + " and " +
+           std::to_string(b.size());
+  return "equal";
+}
+
+// CsvRows and WriteCsv against a reference built cell by cell from
+// snprintf("%g") and EscapeCsvField.
+TEST_F(CsvTest, RowsMatchPrintfAndEscapeReference) {
+  const std::vector<std::string> names = {
+      "plain", "a,b", "say \"hi\"", "line1\nline2", "cr\rhere", "", "-nan"};
+  Schema schema({Attribute::Numerical("x"),
+                 Attribute::Categorical("c,1", names),
+                 Attribute::Numerical("y\"q"), Attribute::Numerical("z")});
+  Table t(schema);
+  Rng rng(11);
+  std::string want;
+  for (size_t i = 0; i < 20'000; ++i) {
+    const size_t cat = rng.UniformInt(names.size());
+    const std::vector<double> rec = {OracleNumber(&rng),
+                                     static_cast<double>(cat),
+                                     OracleNumber(&rng), OracleNumber(&rng)};
+    t.AppendRecord(rec);
+    for (size_t j = 0; j < rec.size(); ++j) {
+      if (j) want += ',';
+      if (j == 1) {
+        want += EscapeCsvField(names[cat]);
+      } else {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%g", rec[j]);
+        want += buf;
+      }
+    }
+    want += '\n';
+  }
+  const std::string rows = CsvRows(t);
+  EXPECT_TRUE(rows == want) << FirstDifference(rows, want);
+
+  ASSERT_TRUE(WriteCsv(t, path_).ok());
+  std::ifstream in(path_, std::ios::binary);
+  std::ostringstream file;
+  file << in.rdbuf();
+  want = "x,\"c,1\",\"y\"\"q\",z\n" + want;
+  EXPECT_TRUE(file.str() == want) << FirstDifference(file.str(), want);
 }
 
 TEST_F(CsvTest, CrlfTerminatedFileParses) {

@@ -136,8 +136,9 @@ TEST(WorkloadTest, GeneratesValidQueries) {
       EXPECT_FALSE(
           t.schema().attribute(q.target_attr).is_categorical());
     }
-    if (q.group_by_attr >= 0)
+    if (q.group_by_attr >= 0) {
       EXPECT_TRUE(t.schema().attribute(q.group_by_attr).is_categorical());
+    }
     for (const auto& p : q.predicates) {
       EXPECT_EQ(p.is_categorical,
                 t.schema().attribute(p.attr).is_categorical());

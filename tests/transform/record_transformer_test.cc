@@ -119,8 +119,9 @@ TEST(RecordTransformerTest, GmmSegmentWidthIsComponentsPlusOne) {
   opts.gmm_components = 4;
   auto tf = RecordTransformer::Fit(t, opts, &rng);
   for (const auto& seg : tf.segments()) {
-    if (seg.kind == AttrSegment::Kind::kGmmNumeric)
+    if (seg.kind == AttrSegment::Kind::kGmmNumeric) {
       EXPECT_EQ(seg.width, 1 + seg.gmm.num_components());
+    }
   }
 }
 
